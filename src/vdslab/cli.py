@@ -108,14 +108,14 @@ def _print_cells(aggregated) -> None:
 
 
 def _cmd_denoise_sweep(config, args) -> int:
-    records = run_denoise_sweep(config, threads=args.threads)
+    records = run_denoise_sweep(config)
     _print_cells(aggregate_geometric(records))
     print(f"wrote {len(records)} records to {config.out}")
     return 0
 
 
 def _cmd_compare_schemes(config, args) -> int:
-    pair = compare_schemes(config, threads=args.threads)
+    pair = compare_schemes(config)
     aggregated = aggregate_geometric(pair["optimized"] + pair["uniform"])
     _print_cells(aggregated)
     for scheme, m, sigma in sorted(aggregated):
@@ -131,12 +131,12 @@ def _cmd_compare_schemes(config, args) -> int:
 
 
 _COMMANDS = {
-    "coherence": (_cmd_coherence, "emit the prior's per-row coherence CSV", False),
-    "plan": (_cmd_plan, "emit the sampling plan CSV for the configured scheme", False),
-    "rip-check": (_cmd_rip_check, "check the isometry condition on one drawn sample", False),
-    "recover": (_cmd_recover, "run a single seeded recovery trial", False),
-    "denoise-sweep": (_cmd_denoise_sweep, "run the (m, sigma) denoising sweep", True),
-    "compare-schemes": (_cmd_compare_schemes, "paired optimized-vs-uniform sweep", True),
+    "coherence": (_cmd_coherence, "emit the prior's per-row coherence CSV"),
+    "plan": (_cmd_plan, "emit the sampling plan CSV for the configured scheme"),
+    "rip-check": (_cmd_rip_check, "check the isometry condition on one drawn sample"),
+    "recover": (_cmd_recover, "run a single seeded recovery trial"),
+    "denoise-sweep": (_cmd_denoise_sweep, "run the (m, sigma) denoising sweep"),
+    "compare-schemes": (_cmd_compare_schemes, "paired optimized-vs-uniform sweep"),
 }
 
 
@@ -146,13 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="variable-density sampling and recovery experiments",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, threaded) in _COMMANDS.items():
+    for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="experiment config file")
         sub.add_argument("--seed", type=int, help="override master_seed")
         sub.add_argument("--out", help="override the out path")
-        if threaded:
-            sub.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
 

@@ -5,15 +5,15 @@ trials in each cell. Per-trial randomness comes from four spawned streams of
 SeedSequence(master_seed, spawn_key=(cell_index, trial)): signal, draw,
 noise, solver. The sampling scheme never enters the spawn key, so optimized
 and uniform runs of the same config consume identical signals and noise
-(common random numbers). Records are merged in task order, making the output
-CSV bytes deterministic regardless of the worker-pool schedule.
+(common random numbers). Trials run one after another in task order, so the
+output CSV bytes are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -518,7 +518,13 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         result = _solve(problem, plan, sample, measurements, streams.solver_seed)
         rre = relative_recovery_error(x0, result.x_hat)
         objective_value, epsilon = result.objective, result.epsilon
-    except Exception:
+    except Exception as exc:
+        warnings.warn(
+            f"trial failed (scheme={scheme} m={m} sigma={sigma} trial={trial}): "
+            f"{type(exc).__name__}: {exc}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         rre, objective_value, epsilon = float("nan"), float("nan"), 0.0
     elapsed = (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
     bound = theorem_error_bound(
@@ -535,7 +541,7 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
     )
 
 
-def _sweep(problem, config, schemes, threads) -> list[ExperimentRecord]:
+def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
     config.require("m_grid", "sigma_grid")
     cells = [
         (si * len(config.m_grid) + mi, m, sigma)
@@ -543,21 +549,12 @@ def _sweep(problem, config, schemes, threads) -> list[ExperimentRecord]:
         for mi, m in enumerate(config.m_grid)
     ]
     plans = {scheme: _plan_for(problem, config, scheme) for scheme in schemes}
-    tasks = [
-        (scheme, cell_index, m, sigma, trial)
+    return [
+        _run_trial(problem, plans[scheme], config, scheme, cell_index, m, sigma, trial)
         for scheme in schemes
         for cell_index, m, sigma in cells
         for trial in range(config.trials)
     ]
-
-    def run(task):
-        scheme, cell_index, m, sigma, trial = task
-        return _run_trial(problem, plans[scheme], config, scheme, cell_index, m, sigma, trial)
-
-    if threads <= 1:
-        return [run(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, tasks))  # map preserves task order
 
 
 def _format_value(v) -> str:
@@ -603,19 +600,19 @@ def run_single_trial(config: ExperimentConfig, *, cell_index: int = 0, trial: in
     )
 
 
-def run_denoise_sweep(config: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
+def run_denoise_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the configured sweep, write its CSV and manifest, return the records."""
     if config.scheme == "both":
         raise ConfigError("scheme 'both' is for compare_schemes")
     config.require("out", "trials")
     problem = build_problem(config)
-    records = _sweep(problem, config, [config.scheme], threads)
+    records = _sweep(problem, config, [config.scheme])
     write_records_csv(records, config.out)
     write_manifest(config, config.out)
     return records
 
 
-def compare_schemes(config: ExperimentConfig, threads: int = 1) -> dict:
+def compare_schemes(config: ExperimentConfig) -> dict:
     """Run optimized and uniform sweeps on common random numbers, paired by trial.
 
     The two schemes share per-trial signal and noise streams because the
@@ -625,7 +622,7 @@ def compare_schemes(config: ExperimentConfig, threads: int = 1) -> dict:
         raise ConfigError("compare_schemes needs scheme = both")
     config.require("out", "trials")
     problem = build_problem(config)
-    records = _sweep(problem, config, ["optimized", "uniform"], threads)
+    records = _sweep(problem, config, ["optimized", "uniform"])
     write_records_csv(records, config.out)
     write_manifest(config, config.out)
     split = len(records) // 2

@@ -327,11 +327,28 @@ def subspace_count_bounds(prior) -> tuple[float, int]:
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
+def _top_k_support(x: np.ndarray, k: int) -> np.ndarray:
+    """Increasing indices of the k largest |x_i|; ties at equal magnitude keep the lowest index.
+
+    O(n): one partition finds the k-th largest magnitude, every entry strictly
+    above it is kept, and the remaining slots go to its lowest-index ties.
+    """
+    mag = np.abs(x)
+    if np.isnan(mag).any():
+        raise ValueError("cannot hard-threshold a vector with NaN entries")
+    n = mag.size
+    if k >= n:
+        return np.arange(n)
+    kth = np.partition(mag, n - k)[n - k]
+    keep = mag > kth
+    keep[np.flatnonzero(mag == kth)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def _hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
-    # ties at equal magnitude keep the lowest index
-    order = np.lexsort((np.arange(x.size), -np.abs(x)))
+    support = _top_k_support(x, k)
     out = np.zeros_like(x)
-    out[order[:k]] = x[order[:k]]
+    out[support] = x[support]
     return out
 
 

@@ -21,6 +21,7 @@ from .priors import (
     SubspaceUnion,
     _hard_threshold,
     _lex_greatest,
+    _top_k_support,
     generative_forward,
     generative_pullback,
 )
@@ -248,27 +249,26 @@ def recover_sparse_two_stage(plan, sample, F, b, k: int, config=None, *, truth=N
     target = _preconditioned_target(sample, b)
     lam = _operator_norm_sq(F, sample, cfg["power_iters"])
 
-    def resid_sq(x):
-        r = apply_measurement(F, sample, x, preconditioned=True) - target
-        return float(np.real(np.vdot(r, r)))
-
+    # each iteration costs one forward and one adjoint transform: the residual
+    # of the accepted iterate is carried into the next gradient step
     x = np.zeros(n)
-    best_x, best_obj = x, resid_sq(x)
+    r = apply_measurement(F, sample, x, preconditioned=True) - target
+    best_x, best_obj = x, float(np.real(np.vdot(r, r)))
     converged = False
     used = 0
     for used in range(1, cfg["max_iters"] + 1):
-        r = apply_measurement(F, sample, x, preconditioned=True) - target
         g = np.real(_adjoint_measurement(F, sample, r))
         x_next = _hard_threshold(x - g / lam, k)
-        obj = resid_sq(x_next)
+        r_next = apply_measurement(F, sample, x_next, preconditioned=True) - target
+        obj = float(np.real(np.vdot(r_next, r_next)))
         if obj < best_obj:
             best_x, best_obj = x_next, obj
         if np.linalg.norm(x_next - x) <= cfg["tol"] * max(1.0, np.linalg.norm(x)):
             converged = True
             break
-        x = x_next
+        x, r = x_next, r_next
 
-    support = np.sort(np.lexsort((np.arange(n), -np.abs(best_x)))[:k])
+    support = _top_k_support(best_x, k)
     columns = np.zeros((n, k))
     columns[support, np.arange(k)] = 1.0
     design = apply_measurement(F, sample, columns, preconditioned=True)

@@ -88,8 +88,9 @@ class DrawnSample:
     """A with-replacement draw omega with its sorting permutation.
 
     ``order`` sorts draws so the gathered preconditioner entries ``d_tilde``
-    are non-increasing (stable in draw position on ties); ``scale`` is the
-    sqrt(n/m) row normalization of the sampling matrix.
+    are non-increasing (stable in draw position on ties); ``omega_sorted`` is
+    the draw in that order, the gather index of every measurement; ``scale``
+    is the sqrt(n/m) row normalization of the sampling matrix.
     """
 
     def __init__(self, omega: np.ndarray, order: np.ndarray, scale: float, d_tilde: np.ndarray):
@@ -100,17 +101,15 @@ class DrawnSample:
             raise ValueError("omega, order, d_tilde must be vectors of equal length")
         if np.any(np.diff(d_tilde) > 0):
             raise ValueError("d_tilde must be non-increasing")
-        for a in (omega, order, d_tilde):
+        omega_sorted = omega[order]
+        for a in (omega, order, d_tilde, omega_sorted):
             a.setflags(write=False)
         self.omega = omega
         self.order = order
+        self.omega_sorted = omega_sorted
         self.d_tilde = d_tilde
         self.m = omega.size
         self.scale = float(scale)
-
-    @property
-    def omega_sorted(self) -> np.ndarray:
-        return self.omega[self.order]
 
     def __repr__(self) -> str:
         return f"<DrawnSample m={self.m} scale={self.scale:.6g}>"

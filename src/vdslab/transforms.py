@@ -119,11 +119,7 @@ def _haar_forward_axis0(arr: np.ndarray, levels: int) -> np.ndarray:
     length = out.shape[0]
     for _ in range(levels):
         half = length // 2
-        band = out[:length]
-        even = band[0::2].copy()
-        odd = band[1::2].copy()
-        out[:half] = (even + odd) * _INV_SQRT2
-        out[half:length] = (even - odd) * _INV_SQRT2
+        out[:half], out[half:length] = _butterfly(out[0:length:2], out[1:length:2])
         length = half
     return out
 
@@ -133,12 +129,22 @@ def _haar_adjoint_axis0(arr: np.ndarray, levels: int) -> np.ndarray:
     length = out.shape[0] >> levels
     for _ in range(levels):
         double = length * 2
-        approx = out[:length].copy()
-        detail = out[length:double].copy()
-        out[0:double:2] = (approx + detail) * _INV_SQRT2
-        out[1:double:2] = (approx - detail) * _INV_SQRT2
+        out[0:double:2], out[1:double:2] = _butterfly(out[:length], out[length:double])
         length = double
     return out
+
+
+def _butterfly(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """((a + b)/sqrt(2), (a - b)/sqrt(2)) read straight from the views, scaled in place.
+
+    Both results are fresh arrays, so the caller may write them back over the
+    band that ``a`` and ``b`` view.
+    """
+    s = a + b
+    d = a - b
+    s *= _INV_SQRT2
+    d *= _INV_SQRT2
+    return s, d
 
 
 class _Haar1d(UnitaryOperator):

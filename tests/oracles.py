@@ -1,11 +1,16 @@
-"""Independent dense-matrix constructions used as test oracles.
+"""Independent constructions used as test oracles.
 
-Everything here is built from explicit formulas (index grids, block products,
-Kronecker products) rather than the package's fast transforms, so agreement is
-evidence and not tautology.
+The dense matrices are built from explicit formulas (index grids, block
+products, Kronecker products) rather than the package's fast transforms, so
+agreement is evidence and not tautology. The straightforward kernels at the
+end (a full lexsort hard threshold, a Haar cascade that copies its bands)
+are the package's earlier implementations, kept as bitwise references for
+the faster ones that replaced them.
 """
 
 import numpy as np
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)  # the package's scale constant, so results compare bitwise
 
 
 def dft_matrix(n):
@@ -60,3 +65,47 @@ def random_unitary(n, rng):
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def lexsort_hard_threshold(x, k):
+    """Reference k-sparse projection: a full lexsort by (-|x_i|, i), keep the first k."""
+    order = np.lexsort((np.arange(x.size), -np.abs(x)))
+    out = np.zeros_like(x)
+    out[order[:k]] = x[order[:k]]
+    return out
+
+
+def copying_haar_forward(arr, levels):
+    """Reference Haar analysis along axis 0 that copies the even/odd bands each level."""
+    out = np.array(arr, dtype=np.result_type(arr.dtype, np.float64), copy=True)
+    length = out.shape[0]
+    for _ in range(levels):
+        half = length // 2
+        band = out[:length]
+        even = band[0::2].copy()
+        odd = band[1::2].copy()
+        out[:half] = (even + odd) * _INV_SQRT2
+        out[half:length] = (even - odd) * _INV_SQRT2
+        length = half
+    return out
+
+
+def copying_haar_adjoint(arr, levels):
+    """Reference Haar synthesis along axis 0 that copies the approx/detail bands each level."""
+    out = np.array(arr, dtype=np.result_type(arr.dtype, np.float64), copy=True)
+    length = out.shape[0] >> levels
+    for _ in range(levels):
+        double = length * 2
+        approx = out[:length].copy()
+        detail = out[length:double].copy()
+        out[0:double:2] = (approx + detail) * _INV_SQRT2
+        out[1:double:2] = (approx - detail) * _INV_SQRT2
+        length = double
+    return out
+
+
+def copying_haar2d(x, side, levels, step):
+    """Separable 2D Haar on a row-major flattened image: ``step`` along image axis 0, then axis 1."""
+    img = step(x.reshape(side, side, -1), levels)
+    img = np.moveaxis(step(np.moveaxis(img, 1, 0), levels), 0, 1)
+    return img.reshape(x.shape)

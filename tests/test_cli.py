@@ -99,7 +99,7 @@ def test_denoise_sweep_command(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, m_grid="32,96", sigma_grid="0.5", trials="2", master_seed="3"
     )
-    assert main(["denoise-sweep", "--config", cfg, "--threads", "2"]) == 0
+    assert main(["denoise-sweep", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "scheme=optimized m=32" in out
     assert "wrote 4 records" in out

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import random_orthogonal
 
+from vdslab import harness
 from vdslab.harness import (
     CSV_HEADER,
     ConfigError,
@@ -300,9 +301,21 @@ def test_sweep_rerun_is_bit_identical(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == first
 
 
-def test_sweep_thread_count_does_not_change_records(tmp_path):
-    cfg = ExperimentConfig(_sparse_mapping(tmp_path))
-    assert run_denoise_sweep(cfg) == run_denoise_sweep(cfg, threads=3)
+def test_failed_trial_warns_and_keeps_nan_row(tmp_path, monkeypatch):
+    def failing_solver(*args, **kwargs):
+        raise FloatingPointError("step size overflowed")
+
+    monkeypatch.setattr(harness, "recover_sparse_two_stage", failing_solver)
+    cfg = ExperimentConfig(_sparse_mapping(tmp_path, m_grid="32", trials=1))
+    with pytest.warns(RuntimeWarning, match="FloatingPointError: step size overflowed") as caught:
+        records = run_denoise_sweep(cfg)
+    assert len(caught) == 1 and "m=32" in str(caught[0].message)
+    assert len(records) == 1
+    assert math.isnan(records[0].rre) and math.isnan(records[0].objective)
+    assert math.isfinite(records[0].theorem_bound)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines[1].split(",")[5:7] == ["nan", "nan"]
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lexsort_hard_threshold
+
 from vdslab.priors import (
     EnumerationBudgetError,
     GenerativeNetwork,
@@ -26,6 +28,7 @@ from vdslab.priors import (
     subspace_count_bounds,
     subspace_from_span,
 )
+from vdslab.priors import _hard_threshold, _top_k_support
 
 
 def _coordinate_union(n, supports):
@@ -300,6 +303,40 @@ def test_project_sparse_matches_exhaustive(entries, k):
         for sup in combinations(range(9), k)
     )
     assert got <= best + 1e-12 * (1 + np.linalg.norm(x))
+
+
+# magnitudes from a small set, so most draws carry many ties
+_TIED_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, np.inf])
+
+
+@st.composite
+def _tied_vector_and_k(draw):
+    n = draw(st.integers(1, 40))
+    x = np.array(draw(st.lists(_TIED_VALUES, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x = x.astype(complex)  # set the imaginary part directly: 1j * inf has a NaN real part
+        x.imag = draw(st.lists(_TIED_VALUES, min_size=n, max_size=n))
+    return x, draw(st.integers(1, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tied_vector_and_k())
+def test_hard_threshold_matches_lexsort_reference(case):
+    x, k = case
+    got = _hard_threshold(x, k)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, lexsort_hard_threshold(x, k))
+    support = _top_k_support(x, k)
+    assert np.array_equal(support, np.sort(np.lexsort((np.arange(x.size), -np.abs(x)))[:k]))
+
+
+def test_hard_threshold_rejects_nan():
+    # the lexsort reference ranks NaN below every number; the partition would not
+    x = np.array([1.0, np.nan, 3.0, 0.5])
+    with pytest.raises(ValueError, match="NaN"):
+        _hard_threshold(x, 2)
+    with pytest.raises(ValueError, match="NaN"):
+        project(SparsePrior(4, 2), x)
 
 
 def test_project_union_beats_every_member():

@@ -38,7 +38,13 @@ from vdslab.sampling import (
     optimized_probabilities,
     uniform_plan,
 )
-from vdslab.transforms import make_dense_operator, make_dft_operator, make_haar_operator
+from vdslab.transforms import (
+    UnitaryOperator,
+    compose_measurement_basis,
+    make_dense_operator,
+    make_dft_operator,
+    make_haar_operator,
+)
 
 
 def _rng(seed):
@@ -315,6 +321,48 @@ def test_sparse_matches_exhaustive_oracle():
         if np.linalg.norm(res.x_hat - ref.x_hat) <= 1e-6 * (1.0 + np.linalg.norm(ref.x_hat)):
             matches += 1
     assert matches >= 0.95 * trials
+
+
+class _CountingOperator(UnitaryOperator):
+    """Pass-through wrapper that counts forward and adjoint applications."""
+
+    kind = "counting"
+
+    def __init__(self, inner):
+        super().__init__(inner.n, inner.field)
+        self.inner = inner
+        self.forward_calls = 0
+        self.adjoint_calls = 0
+
+    def _forward(self, x):
+        self.forward_calls += 1
+        return self.inner.forward(x)
+
+    def _adjoint(self, y):
+        self.adjoint_calls += 1
+        return self.inner.adjoint(y)
+
+
+@pytest.mark.parametrize("m, converges", [(20, False), (96, True)])
+def test_sparse_transform_calls_per_iteration(m, converges):
+    """One forward and one adjoint per IHT iteration, plus fixed set-up and refit calls."""
+    n, k, power_iters, max_iters = 64, 3, 10, 60
+    F = _CountingOperator(compose_measurement_basis(make_dft_operator(n), make_haar_operator(n, 3)))
+    plan = uniform_plan(n)
+    sample = draw_sample(plan, m, _rng(4))
+    x0 = np.zeros(n)
+    x0[[3, 17, 40]] = [1.5, -2.0, 0.7]
+    ms = simulate_measurements(F.inner, sample, x0, 0.1, seed=9)
+    res = recover_sparse_two_stage(
+        plan, sample, F, ms, k, {"power_iters": power_iters, "max_iters": max_iters}
+    )
+    assert ("stage1_not_converged" not in res.flags) == converges
+    assert (res.iterations < max_iters) == converges
+    # power iteration: forward + adjoint per step; then one forward for the
+    # initial residual, forward + adjoint per IHT iteration, and one batched
+    # forward for the stage-2 support design
+    assert F.adjoint_calls == power_iters + res.iterations
+    assert F.forward_calls == power_iters + 1 + res.iterations + 1
 
 
 def test_sparse_config_rejects_unknown_keys():

@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dft2d_matrix, dft_matrix, haar2d_matrix, haar_matrix, random_orthogonal
+from oracles import (
+    copying_haar2d,
+    copying_haar_adjoint,
+    copying_haar_forward,
+    dft2d_matrix,
+    dft_matrix,
+    haar2d_matrix,
+    haar_matrix,
+    random_orthogonal,
+)
 
 from vdslab.transforms import (
     compose_measurement_basis,
@@ -91,6 +102,37 @@ def test_fast_transforms_match_dense_oracles(build, oracle):
     """Dense-oracle equivalence for every fast transform at n = 64."""
     op = build()
     assert np.max(np.abs(op.matrix() - oracle())) < 1e-10
+
+
+@st.composite
+def _haar_case(draw, two_dim):
+    levels = draw(st.integers(0, 4))
+    length = (1 << levels) * draw(st.integers(1, 3))
+    n = length * length if two_dim else length
+    batch = draw(st.sampled_from([None, 1, 3]))
+    shape = (n,) if batch is None else (n, batch)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    if draw(st.booleans()):
+        x = x + 1j * rng.standard_normal(shape)
+    return make_haar_operator(n, levels, two_dim=two_dim), length, levels, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_haar_case(two_dim=False))
+def test_haar_1d_bitwise_equals_copying_cascade(case):
+    op, _, levels, x = case
+    assert np.array_equal(op.forward(x), copying_haar_forward(x, levels))
+    assert np.array_equal(op.adjoint(x), copying_haar_adjoint(x, levels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_haar_case(two_dim=True))
+def test_haar_2d_bitwise_equals_copying_cascade(case):
+    op, side, levels, x = case
+    assert np.array_equal(op.forward(x), copying_haar2d(x, side, levels, copying_haar_forward))
+    assert np.array_equal(op.adjoint(x), copying_haar2d(x, side, levels, copying_haar_adjoint))
 
 
 def test_composition_with_identity_is_measurement():
