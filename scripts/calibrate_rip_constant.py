@@ -22,7 +22,7 @@ import numpy as np
 from vdslab.coherence import coherence_vector
 from vdslab.priors import Subspace, SubspaceUnion
 from vdslab.recovery import rip_check
-from vdslab.sampling import draw_sample, optimized_probabilities, sample_complexity
+from vdslab.sampling import SampledOperator, draw_sample, optimized_probabilities, sample_complexity
 from vdslab.transforms import make_dft_operator
 
 N = 256
@@ -48,7 +48,7 @@ def hold_rate(plan, op, union, m):
     for seed in range(SEEDS):
         rng = np.random.Generator(np.random.Philox(seed))
         sample = draw_sample(plan, m, rng)
-        if rip_check(plan, sample, op, union)["holds"]:
+        if rip_check(SampledOperator(op, sample), union)["holds"]:
             held += 1
     return held / SEEDS
 

@@ -53,6 +53,7 @@ from vdslab.recovery import (
 )
 from vdslab.sampling import (
     DrawnSample,
+    SampledOperator,
     SamplingPlan,
     apply_measurement,
     complexity_mu,
@@ -82,6 +83,7 @@ __all__ = [
     "GenerativeNetwork",
     "MeasurementSet",
     "RecoveryResult",
+    "SampledOperator",
     "SamplingPlan",
     "SparsePrior",
     "Subspace",

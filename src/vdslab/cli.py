@@ -27,7 +27,7 @@ from .harness import (
 )
 from .priors import EnumerationBudgetError, SubspaceUnion, difference_union
 from .recovery import rip_check
-from .sampling import draw_sample, save_plan_csv
+from .sampling import SampledOperator, draw_sample, save_plan_csv
 
 __all__ = ["main"]
 
@@ -72,7 +72,7 @@ def _cmd_rip_check(config, args) -> int:
         )
     plan = _plan_for(problem, config, config.scheme)
     sample = draw_sample(plan, config.m, trial_streams(config.master_seed, 0, 0).draw)
-    result = rip_check(plan, sample, problem.operator, differences)
+    result = rip_check(SampledOperator(problem.operator, sample), differences)
     lines = ["subspace,deviation"]
     lines += [f"{i},{dev:.17g}" for i, dev in enumerate(result["per_subspace"])]
     with open(out, "w", newline="\n") as fh:

@@ -44,6 +44,7 @@ from .recovery import (
     theorem_error_bound,
 )
 from .sampling import (
+    SampledOperator,
     draw_sample,
     load_plan_csv,
     noise_factor,
@@ -270,8 +271,9 @@ class ExperimentConfig:
         bad = [k for k in v if k.startswith("solver_") and k not in allowed]
         if bad:
             raise ConfigError(f"solver config keys {bad} do not apply to solver {solver!r}")
-        for key, low in (("trials", 1), ("master_seed", 0), ("coherence_latents", 2)):
-            if v[key] < low:
+        lows = {"trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0}
+        for key, low in lows.items():
+            if not v.get(key, low) >= low:  # written so that NaN fails too
                 raise ConfigError(f"{key} must be at least {low}")
         if not 0.0 < v["bound_delta"] < 1.0:
             raise ConfigError("bound_delta must be in (0, 1)")
@@ -280,7 +282,7 @@ class ExperimentConfig:
             if grid is not None:
                 if len(grid) == 0:
                     raise ConfigError(f"{key} must be non-empty")
-                if any(g < floor for g in grid):
+                if any(not g >= floor for g in grid):
                     raise ConfigError(f"{key} entries must be at least {floor}")
         if v.get("field") is not None and v["field"] not in ("real", "complex"):
             raise ConfigError("field must be real or complex")
@@ -464,17 +466,13 @@ def _draw_signal(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("network output vanished on 100 latent draws")
 
 
-def _solve(problem: _Problem, plan, sample, measurements, solver_seed: int):
+def _solve(problem: _Problem, A: SampledOperator, measurements, solver_seed: int):
     if problem.solver == "oracle":
-        return recover_oracle(plan, sample, problem.operator, measurements, problem.prior)
+        return recover_oracle(A, measurements, problem.prior)
     if problem.solver == "sparse":
-        return recover_sparse_two_stage(
-            plan, sample, problem.operator, measurements, problem.prior.k,
-            problem.solver_config or None,
-        )
-    cfg = dict(problem.solver_config)
-    cfg["seed"] = solver_seed
-    return recover_generative(plan, sample, problem.operator, measurements, problem.prior, cfg)
+        return recover_sparse_two_stage(A, measurements, problem.prior.k, problem.solver_config)
+    cfg = {**problem.solver_config, "seed": solver_seed}
+    return recover_generative(A, measurements, problem.prior, cfg)
 
 
 @dataclass(frozen=True)
@@ -515,9 +513,10 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         measurements = simulate_measurements(
             problem.operator, sample, x0, sigma, seed=streams.noise
         )
-        result = _solve(problem, plan, sample, measurements, streams.solver_seed)
+        A = SampledOperator(problem.operator, sample)
+        result = _solve(problem, A, measurements, streams.solver_seed)
         rre = relative_recovery_error(x0, result.x_hat)
-        objective_value, epsilon = result.objective, result.epsilon
+        objective_value = result.objective
     except Exception as exc:
         warnings.warn(
             f"trial failed (scheme={scheme} m={m} sigma={sigma} trial={trial}): "
@@ -525,11 +524,11 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
             RuntimeWarning,
             stacklevel=2,
         )
-        rre, objective_value, epsilon = float("nan"), float("nan"), 0.0
+        rre, objective_value = float("nan"), float("nan")
     elapsed = (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
     bound = theorem_error_bound(
         plan, sample, problem.alpha, sigma, problem.max_dim, problem.log_subspace_count,
-        delta=config.bound_delta, epsilon=epsilon,
+        delta=config.bound_delta,
     )
     try:
         corollary = deterministic_corollary_bound(sample, problem.alpha, sigma)

@@ -1,11 +1,11 @@
 """Noisy measurement simulation, recovery solvers, and closed-form error bounds.
 
-Every solver minimizes the squared preconditioned residual
-||D~ S F x - D~ b||_2^2 over its prior set. Measurements are never
-pre-scaled; the preconditioner enters at optimization time only. Complex
-systems are handled by stacking real and imaginary parts, so least squares
-and singular values are always computed over the reals, matching the
-real-part convention for complex inner products.
+Every solver takes the draw's preconditioned operator A = D~ S F (a
+SampledOperator) and minimizes ||A x - D~ b||_2^2 over its prior set.
+Measurements are never pre-scaled; the preconditioner enters at optimization
+time only. Complex systems are handled by stacking real and imaginary parts,
+so least squares and singular values are always computed over the reals,
+matching the real-part convention for complex inner products.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .priors import (
     generative_forward,
     generative_pullback,
 )
-from .sampling import DrawnSample, SamplingPlan, _as_alpha, apply_measurement, noise_factor
+from .sampling import DrawnSample, SampledOperator, _as_alpha, apply_measurement, noise_factor
 from .transforms import UnitaryOperator
 
 __all__ = [
@@ -62,23 +62,18 @@ _GENERATIVE_DEFAULTS = {
 class MeasurementSet:
     """Measurements b = S F x0 + (sigma/sqrt(m)) g in the operator's field."""
 
-    def __init__(self, b, sigma: float, field: str, sample_ref: DrawnSample, seed=None):
+    def __init__(self, b, sigma: float, field: str, seed=None):
         if field not in ("real", "complex"):
             raise ValueError("field must be 'real' or 'complex'")
         b = np.asarray(b, dtype=np.complex128 if field == "complex" else np.float64)
         if b.ndim != 1:
             raise ValueError("b must be a vector")
-        if not isinstance(sample_ref, DrawnSample):
-            raise TypeError("sample_ref must be the DrawnSample that produced b")
-        if b.size != sample_ref.m:
-            raise ValueError("b length does not match the draw")
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         b.setflags(write=False)
         self.b = b
         self.sigma = float(sigma)
         self.field = field
-        self.sample_ref = sample_ref
         self.seed = seed
         self.m = b.size
 
@@ -89,20 +84,17 @@ class MeasurementSet:
 class RecoveryResult:
     """Outcome of one solver run on one measurement set.
 
-    ``epsilon`` is the optimization-error certificate; descent solvers report
-    a best-achieved gap instead and say so through the epsilon_uncertified
-    flag. ``rre`` is filled only when the solver was handed the true signal.
+    ``flags`` name what the solver could not certify (a support, an
+    optimization gap) or what went wrong (rank deficiency, no convergence).
     """
 
-    def __init__(self, x_hat, objective, epsilon, rre, solver, iterations, flags=()):
+    def __init__(self, x_hat, objective, solver, iterations, flags=()):
         x_hat = np.asarray(x_hat, dtype=np.float64)
         x_hat.setflags(write=False)
-        if objective < 0 or epsilon < 0:
-            raise ValueError("objective and epsilon must be nonnegative")
+        if objective < 0:
+            raise ValueError("objective must be nonnegative")
         self.x_hat = x_hat
         self.objective = float(objective)
-        self.epsilon = float(epsilon)
-        self.rre = None if rre is None else float(rre)
         self.solver = str(solver)
         self.iterations = int(iterations)
         self.flags = tuple(flags)
@@ -114,14 +106,6 @@ class RecoveryResult:
         )
 
 
-def _measured_values(b) -> np.ndarray:
-    return b.b if isinstance(b, MeasurementSet) else np.asarray(b)
-
-
-def _preconditioned_target(sample: DrawnSample, b) -> np.ndarray:
-    return sample.d_tilde * _measured_values(b)
-
-
 def _stack_real(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a):
         return np.concatenate([a.real, a.imag], axis=0)
@@ -131,14 +115,6 @@ def _stack_real(a: np.ndarray) -> np.ndarray:
 def _residual_sq(design: np.ndarray, w: np.ndarray, target: np.ndarray) -> float:
     r = design @ w - target
     return float(np.real(np.vdot(r, r)))
-
-
-def _adjoint_measurement(F: UnitaryOperator, sample: DrawnSample, v: np.ndarray) -> np.ndarray:
-    """(D~ S F)* v: scatter the weighted vector and run one adjoint transform."""
-    weights = sample.scale * sample.d_tilde * v
-    u = np.zeros(F.n, dtype=weights.dtype)
-    np.add.at(u, sample.omega_sorted, weights)
-    return F.adjoint(u)
 
 
 def simulate_measurements(
@@ -168,18 +144,16 @@ def simulate_measurements(
     else:
         g = rng.standard_normal(sample.m)
     b = clean + (sigma / math.sqrt(sample.m)) * g
-    return MeasurementSet(b, sigma, field, sample, stored)
+    return MeasurementSet(b, sigma, field, stored)
 
 
-def objective(plan: SamplingPlan, sample: DrawnSample, F: UnitaryOperator, x, b) -> float:
-    """Squared preconditioned residual ||D~ S F x - D~ b||_2^2."""
-    if plan.n != F.n:
-        raise ValueError("plan and operator dimensions differ")
-    r = apply_measurement(F, sample, x, preconditioned=True) - _preconditioned_target(sample, b)
+def objective(A: SampledOperator, x, b) -> float:
+    """Squared preconditioned residual ||A x - D~ b||_2^2."""
+    r = A.forward(x) - A.target(b)
     return float(np.real(np.vdot(r, r)))
 
 
-def recover_oracle(plan, sample, F, b, union: SubspaceUnion, *, truth=None) -> RecoveryResult:
+def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResult:
     """Exact minimizer over an enumerated union: per-subspace least squares.
 
     Each subspace is solved in its basis coordinates through an orthogonal
@@ -189,11 +163,11 @@ def recover_oracle(plan, sample, F, b, union: SubspaceUnion, *, truth=None) -> R
     """
     if not isinstance(union, SubspaceUnion):
         raise TypeError("recover_oracle needs an explicitly enumerated union")
-    target = _preconditioned_target(sample, b)
+    target = A.target(b)
     stacked_target = _stack_real(target)
     candidates = []
     for sub in union.subspaces:
-        design = apply_measurement(F, sample, sub.basis, preconditioned=True)
+        design = A.forward(sub.basis)
         w, _, rank, _ = np.linalg.lstsq(_stack_real(design), stacked_target, rcond=_RANK_RTOL)
         candidates.append((_residual_sq(design, w, target), sub.basis @ w, rank < sub.dim))
     best_obj = min(c[0] for c in candidates)
@@ -202,8 +176,7 @@ def recover_oracle(plan, sample, F, b, union: SubspaceUnion, *, truth=None) -> R
     x_hat = _lex_greatest([c[1] for c in tied])
     winner = next(c for c in tied if c[1] is x_hat)
     flags = ("rank_deficient",) if winner[2] else ()
-    rre = None if truth is None else relative_recovery_error(truth, x_hat)
-    return RecoveryResult(x_hat, winner[0], 0.0, rre, "oracle", union.M, flags)
+    return RecoveryResult(x_hat, winner[0], "oracle", union.M, flags)
 
 
 def _merge_config(defaults: dict, config) -> dict:
@@ -216,14 +189,14 @@ def _merge_config(defaults: dict, config) -> dict:
     return merged
 
 
-def _operator_norm_sq(F: UnitaryOperator, sample: DrawnSample, power_iters: int) -> float:
-    """Power-iteration estimate of ||D~ S F||_2^2, inflated 5% for step safety."""
+def _operator_norm_sq(A: SampledOperator, power_iters: int) -> float:
+    """Power-iteration estimate of ||A||_2^2, inflated 5% for step safety."""
     rng = np.random.Generator(np.random.Philox(7))
-    v = rng.standard_normal(F.n)
+    v = rng.standard_normal(A.F.n)
     v /= np.linalg.norm(v)
     lam = 1.0
     for _ in range(power_iters):
-        w = np.real(_adjoint_measurement(F, sample, apply_measurement(F, sample, v, preconditioned=True)))
+        w = np.real(A.adjoint(A.forward(v)))
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 1.0
@@ -231,35 +204,35 @@ def _operator_norm_sq(F: UnitaryOperator, sample: DrawnSample, power_iters: int)
     return 1.05 * lam
 
 
-def recover_sparse_two_stage(plan, sample, F, b, k: int, config=None, *, truth=None) -> RecoveryResult:
+def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> RecoveryResult:
     """Two-stage sparse solver: hard-threshold descent, then support least squares.
 
     Stage 1 runs iterative hard thresholding on the preconditioned system with
     step 1/L, L estimated by power iteration. Stage 2 re-fits exactly on the
-    support of the best stage-1 iterate, so epsilon certifies optimality
-    within that fixed support only; the support itself stays uncertified
-    (flagged). Stage-1 non-convergence keeps the best iterate's support and
-    adds a warning flag.
+    support of the best stage-1 iterate, so the result is optimal within that
+    fixed support only; the support itself stays uncertified (flagged).
+    Stage-1 non-convergence keeps the best iterate's support and adds a
+    warning flag.
     """
     cfg = _merge_config(_SPARSE_DEFAULTS, config)
-    n = F.n
+    n = A.F.n
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    target = _preconditioned_target(sample, b)
-    lam = _operator_norm_sq(F, sample, cfg["power_iters"])
+    target = A.target(b)
+    lam = _operator_norm_sq(A, cfg["power_iters"])
 
     # each iteration costs one forward and one adjoint transform: the residual
     # of the accepted iterate is carried into the next gradient step
     x = np.zeros(n)
-    r = apply_measurement(F, sample, x, preconditioned=True) - target
+    r = A.forward(x) - target
     best_x, best_obj = x, float(np.real(np.vdot(r, r)))
     converged = False
     used = 0
     for used in range(1, cfg["max_iters"] + 1):
-        g = np.real(_adjoint_measurement(F, sample, r))
+        g = np.real(A.adjoint(r))
         x_next = _hard_threshold(x - g / lam, k)
-        r_next = apply_measurement(F, sample, x_next, preconditioned=True) - target
+        r_next = A.forward(x_next) - target
         obj = float(np.real(np.vdot(r_next, r_next)))
         if obj < best_obj:
             best_x, best_obj = x_next, obj
@@ -271,7 +244,7 @@ def recover_sparse_two_stage(plan, sample, F, b, k: int, config=None, *, truth=N
     support = _top_k_support(best_x, k)
     columns = np.zeros((n, k))
     columns[support, np.arange(k)] = 1.0
-    design = apply_measurement(F, sample, columns, preconditioned=True)
+    design = A.forward(columns)
     w, _, rank, _ = np.linalg.lstsq(_stack_real(design), _stack_real(target), rcond=_RANK_RTOL)
     x_hat = np.zeros(n)
     x_hat[support] = w
@@ -280,39 +253,35 @@ def recover_sparse_two_stage(plan, sample, F, b, k: int, config=None, *, truth=N
         flags.append("stage1_not_converged")
     if rank < k:
         flags.append("rank_deficient")
-    rre = None if truth is None else relative_recovery_error(truth, x_hat)
-    return RecoveryResult(
-        x_hat, _residual_sq(design, w, target), 0.0, rre, "sparse_two_stage", used, tuple(flags)
-    )
+    return RecoveryResult(x_hat, _residual_sq(design, w, target), "sparse_two_stage", used, tuple(flags))
 
 
-def recover_generative(plan, sample, F, b, net: GenerativeNetwork, config=None, *, truth=None) -> RecoveryResult:
+def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=None) -> RecoveryResult:
     """Multi-restart latent descent with exact reverse-mode gradients.
 
-    Adam on f(z) = ||D~ S F G(z) - D~ b||_2^2. Each restart starts from the
+    Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
     best of ``init_pool`` seeded candidate latents (config key init_z pins the
     first restart instead) and stops early after ``patience`` iterations
-    without improvement. Returns the best iterate ever evaluated; epsilon is
-    best-achieved minus best-known, zero by construction and flagged
-    uncertified.
+    without improvement. Returns the best iterate ever evaluated; its gap to
+    the global minimum is unknown and flagged epsilon_uncertified.
     """
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
     cfg = _merge_config(_GENERATIVE_DEFAULTS, config)
-    target = _preconditioned_target(sample, b)
+    target = A.target(b)
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     k = net.latent_dim
 
     def value_and_grad(z):
         x, vjp = generative_pullback(net, z)
-        r = apply_measurement(F, sample, x, preconditioned=True) - target
+        r = A.forward(x) - target
         obj = float(np.real(np.vdot(r, r)))
-        gx = 2.0 * np.real(_adjoint_measurement(F, sample, r))
+        gx = 2.0 * np.real(A.adjoint(r))
         return obj, x, vjp(gx)
 
     def best_of_pool():
         pool = rng.standard_normal((k, max(1, cfg["init_pool"])))
-        block = apply_measurement(F, sample, generative_forward(net, pool), preconditioned=True)
+        block = A.forward(generative_forward(net, pool))
         objs = np.sum(np.abs(block - target[:, None]) ** 2, axis=0)
         return pool[:, int(np.argmin(objs))].copy()
 
@@ -346,14 +315,11 @@ def recover_generative(plan, sample, F, b, net: GenerativeNetwork, config=None, 
             step = cfg["step"] * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
             z = z - step
     obj, x_hat = best
-    rre = None if truth is None else relative_recovery_error(truth, x_hat)
-    return RecoveryResult(
-        x_hat, obj, 0.0, rre, "generative_descent", total, ("epsilon_uncertified",)
-    )
+    return RecoveryResult(x_hat, obj, "generative_descent", total, ("epsilon_uncertified",))
 
 
-def rip_check(plan, sample, F, union: SubspaceUnion) -> dict:
-    """Exact per-subspace restricted-isometry deviations of D~ S F.
+def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:
+    """Exact per-subspace restricted-isometry deviations of A = D~ S F.
 
     Complex blocks are stacked into 2m x dim real matrices before the
     singular-value computation; deviation per subspace is
@@ -362,9 +328,7 @@ def rip_check(plan, sample, F, union: SubspaceUnion) -> dict:
     """
     if not isinstance(union, SubspaceUnion):
         raise TypeError("rip_check needs an explicitly enumerated union")
-    block = apply_measurement(
-        F, sample, np.hstack([s.basis for s in union.subspaces]), preconditioned=True
-    )
+    block = A.forward(np.hstack([s.basis for s in union.subspaces]))
     devs = np.empty(union.M)
     start = 0
     for i, sub in enumerate(union.subspaces):

@@ -13,6 +13,7 @@ noise_factor <= max(gathered d) <= max(d) valid in the compressed regime.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .transforms import UnitaryOperator
 __all__ = [
     "SamplingPlan",
     "DrawnSample",
+    "SampledOperator",
     "uniform_plan",
     "make_plan",
     "optimized_probabilities",
@@ -54,7 +56,7 @@ class SamplingPlan:
     support d_i * sqrt(n * p_i) = 1.
     """
 
-    def __init__(self, p: np.ndarray, d: np.ndarray, alpha_ref: CoherenceVector | None = None):
+    def __init__(self, p: np.ndarray, d: np.ndarray):
         p = np.asarray(p, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         if p.ndim != 1 or p.shape != d.shape:
@@ -77,7 +79,6 @@ class SamplingPlan:
         self.d = d
         self.n = n
         self.support = support
-        self.alpha_ref = alpha_ref
 
     def __repr__(self) -> str:
         excluded = int(np.sum(~self.support))
@@ -90,10 +91,10 @@ class DrawnSample:
     ``order`` sorts draws so the gathered preconditioner entries ``d_tilde``
     are non-increasing (stable in draw position on ties); ``omega_sorted`` is
     the draw in that order, the gather index of every measurement; ``scale``
-    is the sqrt(n/m) row normalization of the sampling matrix.
+    is the sqrt(n/m) row normalization for signals of dimension ``n``.
     """
 
-    def __init__(self, omega: np.ndarray, order: np.ndarray, scale: float, d_tilde: np.ndarray):
+    def __init__(self, omega: np.ndarray, order: np.ndarray, n: int, d_tilde: np.ndarray):
         omega = np.asarray(omega, dtype=np.int64)
         order = np.asarray(order, dtype=np.int64)
         d_tilde = np.asarray(d_tilde, dtype=np.float64)
@@ -108,8 +109,9 @@ class DrawnSample:
         self.order = order
         self.omega_sorted = omega_sorted
         self.d_tilde = d_tilde
+        self.n = int(n)
         self.m = omega.size
-        self.scale = float(scale)
+        self.scale = math.sqrt(self.n / self.m)
 
     def __repr__(self) -> str:
         return f"<DrawnSample m={self.m} scale={self.scale:.6g}>"
@@ -123,13 +125,13 @@ def uniform_plan(n: int) -> SamplingPlan:
     return SamplingPlan(np.full(n, 1.0 / n), np.ones(n))
 
 
-def make_plan(p: np.ndarray, alpha_ref: CoherenceVector | None = None) -> SamplingPlan:
+def make_plan(p: np.ndarray) -> SamplingPlan:
     """Plan from arbitrary simplex probabilities; d computed on the support."""
     p = np.asarray(p, dtype=np.float64)
     d = np.zeros_like(p)
     support = p > 0
     d[support] = 1.0 / np.sqrt(p.size * p[support])
-    return SamplingPlan(p, d, alpha_ref)
+    return SamplingPlan(p, d)
 
 
 def optimized_probabilities(alpha) -> SamplingPlan:
@@ -140,8 +142,7 @@ def optimized_probabilities(alpha) -> SamplingPlan:
         raise ValueError("coherence vector is identically zero")
     p = vec**2 / total
     p = p / p.sum()  # renormalize away float drift
-    ref = alpha if isinstance(alpha, CoherenceVector) else CoherenceVector(vec, "exact")
-    return make_plan(p, ref)
+    return make_plan(p)
 
 
 def complexity_mu(alpha, p) -> float:
@@ -172,7 +173,7 @@ def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
     omega = np.searchsorted(cum, rng.random(m), side="right")
     gathered = plan.d[omega]
     order = np.argsort(-gathered, kind="stable")
-    return DrawnSample(omega, order, math.sqrt(plan.n / m), gathered[order])
+    return DrawnSample(omega, order, plan.n, gathered[order])
 
 
 def _truncation_index(v: np.ndarray) -> int:
@@ -266,6 +267,38 @@ def apply_measurement(
     return sample.scale * rows
 
 
+@dataclass(frozen=True)
+class SampledOperator:
+    """A = D~ S F for one draw; every solver minimizes ||A x - D~ b||_2^2.
+
+    ``forward`` takes (n,) or (n, T) inputs, ``adjoint`` one (m,) vector.
+    """
+
+    F: UnitaryOperator
+    sample: DrawnSample
+
+    def __post_init__(self):
+        if self.sample.n != self.F.n:
+            raise ValueError("sample and operator dimensions differ")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return apply_measurement(self.F, self.sample, x, preconditioned=True)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """Scatter the weighted vector, then run one adjoint transform."""
+        weights = self.sample.scale * self.sample.d_tilde * v
+        u = np.zeros(self.F.n, dtype=weights.dtype)
+        np.add.at(u, self.sample.omega_sorted, weights)
+        return self.F.adjoint(u)
+
+    def target(self, b) -> np.ndarray:
+        """D~ b, from a MeasurementSet or a raw length-m vector."""
+        values = np.asarray(getattr(b, "b", b))
+        if values.shape != (self.sample.m,):
+            raise ValueError("b length does not match the draw")
+        return self.sample.d_tilde * values
+
+
 def save_plan_csv(plan: SamplingPlan, path) -> None:
     lines = ["index,p,d"]
     lines += [f"{j},{plan.p[j]:.17g},{plan.d[j]:.17g}" for j in range(plan.n)]
@@ -273,7 +306,7 @@ def save_plan_csv(plan: SamplingPlan, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_plan_csv(path, alpha_ref: CoherenceVector | None = None) -> SamplingPlan:
+def load_plan_csv(path) -> SamplingPlan:
     with open(path, newline="") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != "index,p,d":
@@ -285,7 +318,7 @@ def load_plan_csv(path, alpha_ref: CoherenceVector | None = None) -> SamplingPla
         if int(idx) != row:
             raise ValueError(f"row {row} has index {idx}")
         p[row], d[row] = float(pv), float(dv)
-    return SamplingPlan(p, d, alpha_ref)
+    return SamplingPlan(p, d)
 
 
 def save_sample_csv(sample: DrawnSample, path) -> None:
@@ -311,4 +344,4 @@ def load_sample_csv(path, plan: SamplingPlan) -> DrawnSample:
         raise ValueError("omega indices outside the plan")
     gathered = plan.d[omega]
     order = np.argsort(-gathered, kind="stable")
-    return DrawnSample(omega, order, math.sqrt(plan.n / omega.size), gathered[order])
+    return DrawnSample(omega, order, plan.n, gathered[order])

@@ -3,9 +3,9 @@
 The dense matrices are built from explicit formulas (index grids, block
 products, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
-end (a full lexsort hard threshold, a Haar cascade that copies its bands)
-are the package's earlier implementations, kept as bitwise references for
-the faster ones that replaced them.
+end (a full lexsort hard threshold, a Haar cascade that copies its bands,
+the measurement adjoint as a free function) are the package's earlier
+implementations, kept as bitwise references for the code that replaced them.
 """
 
 import numpy as np
@@ -109,3 +109,11 @@ def copying_haar2d(x, side, levels, step):
     img = step(x.reshape(side, side, -1), levels)
     img = np.moveaxis(step(np.moveaxis(img, 1, 0), levels), 0, 1)
     return img.reshape(x.shape)
+
+
+def scatter_adjoint_measurement(F, sample, v):
+    """Reference (D~ S F)* v: scale and weight v, scatter-add it onto the drawn rows, adjoint."""
+    weights = sample.scale * sample.d_tilde * v
+    u = np.zeros(F.n, dtype=weights.dtype)
+    np.add.at(u, sample.omega_sorted, weights)
+    return F.adjoint(u)

@@ -43,6 +43,7 @@ from vdslab.recovery import (
     simulate_measurements,
 )
 from vdslab.sampling import (
+    SampledOperator,
     complexity_mu,
     draw_sample,
     noise_factor,
@@ -287,7 +288,7 @@ def test_08_isometry_sample_complexity_constant():
 
     def hold_rate(m):
         held = sum(
-            rip_check(plan, draw_sample(plan, m, _philox(seed)), op, union)["holds"]
+            rip_check(SampledOperator(op, draw_sample(plan, m, _philox(seed))), union)["holds"]
             for seed in range(200)
         )
         return held / 200
@@ -361,8 +362,9 @@ def test_11_two_stage_solver_matches_oracle():
         x0[support] = (2.0 * streams.signal.integers(0, 2, size=k) - 1.0) / math.sqrt(k)
         sample = draw_sample(plan, m, streams.draw)
         measured = simulate_measurements(op, sample, x0, sigma, seed=streams.noise)
-        two_stage = recover_sparse_two_stage(plan, sample, op, measured, k, truth=x0)
-        oracle = recover_oracle(plan, sample, op, measured, union, truth=x0)
+        A = SampledOperator(op, sample)
+        two_stage = recover_sparse_two_stage(A, measured, k)
+        oracle = recover_oracle(A, measured, union)
         lhs = frozenset(map(int, np.flatnonzero(np.abs(two_stage.x_hat) > 1e-12)))
         rhs = frozenset(map(int, np.flatnonzero(np.abs(oracle.x_hat) > 1e-12)))
         matches += lhs == rhs

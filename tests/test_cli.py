@@ -1,5 +1,7 @@
 """Exercises the command-line entry points and their exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,16 @@ def test_recover_requires_m_and_sigma(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["recover", "--config", cfg]) == 2
     assert "missing required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [({"m": 0}, "m must be"), ({"sigma": -0.5}, "sigma must be"), ({"sigma": "nan"}, "sigma must be")],
+)
+def test_recover_rejects_out_of_range_point_exits_2(tmp_path, capsys, keys, message):
+    cfg = _write_config(tmp_path, **({"m": 256, "sigma": 0.0} | keys))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no trial may run and fail first
+        assert main(["recover", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -194,6 +194,12 @@ def test_config_nonpositive_m(tmp_path):
         ExperimentConfig(_sparse_mapping(tmp_path, m_grid="0,16"))
 
 
+@pytest.mark.parametrize("grid", ["-0.5,1.0", "0.5,nan"])
+def test_config_negative_or_nan_sigma_grid(tmp_path, grid):
+    with pytest.raises(ConfigError, match="sigma_grid"):
+        ExperimentConfig(_sparse_mapping(tmp_path, sigma_grid=grid))
+
+
 def test_config_bad_delta(tmp_path):
     with pytest.raises(ConfigError, match="bound_delta"):
         ExperimentConfig(_sparse_mapping(tmp_path, bound_delta="1.5"))

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_orthogonal
+from oracles import random_orthogonal, random_unitary, scatter_adjoint_measurement
 
 from vdslab.coherence import coherence_vector
 from vdslab.priors import (
@@ -30,9 +32,9 @@ from vdslab.recovery import (
     simulate_measurements,
     theorem_error_bound,
 )
-from vdslab.recovery import _adjoint_measurement
 from vdslab.sampling import (
     DrawnSample,
+    SampledOperator,
     apply_measurement,
     draw_sample,
     optimized_probabilities,
@@ -53,7 +55,7 @@ def _rng(seed):
 
 def _full_sample(n):
     """Deterministic draw hitting every row once (uniform plan, d = 1)."""
-    return DrawnSample(np.arange(n), np.arange(n), 1.0, np.ones(n))
+    return DrawnSample(np.arange(n), np.arange(n), n, np.ones(n))
 
 
 def _random_union(n, M, dim, rng):
@@ -141,13 +143,69 @@ def test_field_must_match_operator():
 
 
 def test_measurement_set_validation():
-    sample = _full_sample(4)
     with pytest.raises(ValueError, match="field"):
-        MeasurementSet(np.zeros(4), 0.1, "quaternion", sample)
-    with pytest.raises(ValueError, match="length"):
-        MeasurementSet(np.zeros(3), 0.1, "real", sample)
+        MeasurementSet(np.zeros(4), 0.1, "quaternion")
     with pytest.raises(ValueError, match="sigma"):
-        MeasurementSet(np.zeros(4), -1.0, "real", sample)
+        MeasurementSet(np.zeros(4), -1.0, "real")
+
+
+def test_target_rejects_b_of_the_wrong_length():
+    A = SampledOperator(make_dense_operator(np.eye(4)), _full_sample(4))
+    assert np.array_equal(A.target(MeasurementSet(np.ones(4), 0.1, "real")), np.ones(4))
+    for b in (np.zeros(3), MeasurementSet(np.zeros(3), 0.1, "real"), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="length"):
+            A.target(b)
+
+
+def test_sampled_operator_rejects_dimension_mismatch():
+    sample = draw_sample(uniform_plan(8), 5, 0)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        SampledOperator(make_dft_operator(16), sample)
+
+
+@st.composite
+def _adjoint_cases(draw):
+    """(F, draw, v, x): real and complex operators, flat and skewed plans, m up to 3n."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    kind = draw(st.sampled_from(["dft", "haar", "dense_real", "dense_complex"]))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    F = {
+        "dft": lambda: make_dft_operator(n),
+        "haar": lambda: make_haar_operator(n, 2),
+        "dense_real": lambda: make_dense_operator(random_orthogonal(n, rng)),
+        "dense_complex": lambda: make_dense_operator(random_unitary(n, rng)),
+    }[kind]()
+    # a skewed plan puts most of the mass on a few rows, so draws repeat rows often
+    skewed = draw(st.booleans())
+    plan = optimized_probabilities(0.05 + rng.random(n) ** 4) if skewed else uniform_plan(n)
+    sample = draw_sample(plan, draw(st.integers(1, 3 * n)), rng)
+    v = rng.standard_normal(sample.m)
+    if F.field == "complex":
+        v = v + 1j * rng.standard_normal(sample.m)
+    return F, sample, v, rng.standard_normal(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_adjoint_cases())
+def test_adjoint_bitwise_equals_scatter_reference(case):
+    F, sample, v, _ = case
+    got = SampledOperator(F, sample).adjoint(v)
+    want = scatter_adjoint_measurement(F, sample, v)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_adjoint_cases())
+def test_adjoint_identity_against_dense_operator(case):
+    """Re<A x, v> = <x, Re A* v> for real x, with A the dense D~ S F."""
+    F, sample, v, x = case
+    A = SampledOperator(F, sample)
+    dense = _dense_preconditioned(F, sample)
+    assert np.allclose(A.forward(x), dense @ x, atol=1e-12)
+    assert np.allclose(A.adjoint(v), dense.conj().T @ v, atol=1e-12)
+    lhs = float(np.real(np.vdot(v, A.forward(x))))
+    rhs = float(np.dot(x, np.real(A.adjoint(v))))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------------- objective
@@ -160,7 +218,7 @@ def test_objective_zero_at_truth_noiseless():
     sample = draw_sample(plan, 12, 7)
     x0 = _rng(3).standard_normal(n)
     ms = simulate_measurements(F, sample, x0, 0.0)
-    assert objective(plan, sample, F, x0, ms) == pytest.approx(0.0, abs=1e-24)
+    assert objective(SampledOperator(F, sample), x0, ms) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_objective_flat_preconditioner_is_plain_residual():
@@ -172,7 +230,7 @@ def test_objective_flat_preconditioner_is_plain_residual():
     x = rng.standard_normal(n)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     plain = np.sum(np.abs(apply_measurement(F, sample, x) - b) ** 2)
-    assert objective(plan, sample, F, x, b) == pytest.approx(plain, rel=1e-12)
+    assert objective(SampledOperator(F, sample), x, b) == pytest.approx(plain, rel=1e-12)
 
 
 def test_objective_matches_dense_evaluation():
@@ -185,7 +243,7 @@ def test_objective_matches_dense_evaluation():
     x = rng.standard_normal(n)
     b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     dense = np.linalg.norm(_dense_preconditioned(F, sample) @ x - sample.d_tilde * b) ** 2
-    assert objective(plan, sample, F, x, b) == pytest.approx(dense, rel=1e-10)
+    assert objective(SampledOperator(F, sample), x, b) == pytest.approx(dense, rel=1e-10)
 
 
 # -------------------------------------------------------------------- oracle
@@ -199,22 +257,20 @@ def test_oracle_noiseless_exact_recovery():
     alpha = coherence_vector(F, union)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 150, 17)
-    assert rip_check(plan, sample, F, union)["holds"]
+    assert rip_check(SampledOperator(F, sample), union)["holds"]
     x0 = _point_in(union, rng, 2)
     ms = simulate_measurements(F, sample, x0, 0.0)
-    res = recover_oracle(plan, sample, F, ms, union, truth=x0)
+    res = recover_oracle(SampledOperator(F, sample), ms, union)
     assert np.linalg.norm(res.x_hat - x0) < 1e-8
-    assert res.epsilon == 0.0 and res.solver == "oracle" and res.iterations == union.M
-    assert res.rre < 1e-8 and res.flags == ()
+    assert res.solver == "oracle" and res.iterations == union.M and res.flags == ()
 
 
 def test_oracle_picks_dominant_axis():
     eye = np.eye(2)
     F = make_dense_operator(eye)
-    plan = uniform_plan(2)
     sample = _full_sample(2)
     union = SubspaceUnion([Subspace(eye[:, [0]]), Subspace(eye[:, [1]])])
-    res = recover_oracle(plan, sample, F, np.array([1.0, 1e-9]), union)
+    res = recover_oracle(SampledOperator(F, sample), np.array([1.0, 1e-9]), union)
     assert res.x_hat[1] == 0.0
     assert res.x_hat[0] == pytest.approx(1.0, rel=1e-9)
 
@@ -228,7 +284,7 @@ def test_oracle_beats_random_candidates():
     sample = draw_sample(plan, 20, 19)
     x0 = _point_in(union, rng)
     ms = simulate_measurements(F, sample, x0, 0.4, seed=23)
-    res = recover_oracle(plan, sample, F, ms, union)
+    res = recover_oracle(SampledOperator(F, sample), ms, union)
     target = sample.d_tilde * ms.b
     best_random = math.inf
     for sub in union.subspaces:
@@ -237,17 +293,16 @@ def test_oracle_beats_random_candidates():
         objs = np.sum(np.abs(design @ w - target[:, None]) ** 2, axis=0)
         best_random = min(best_random, float(objs.min()))
     assert res.objective <= best_random + 1e-9
-    assert objective(plan, sample, F, res.x_hat, ms) == pytest.approx(res.objective, rel=1e-9)
+    assert objective(SampledOperator(F, sample), res.x_hat, ms) == pytest.approx(res.objective, rel=1e-9)
 
 
 def test_oracle_flags_rank_deficiency():
     n = 4
     F = make_dense_operator(np.eye(n))
-    plan = uniform_plan(n)
     # single row cannot determine two coordinates
-    sample = DrawnSample(np.array([0]), np.array([0]), 2.0, np.array([1.0]))
+    sample = DrawnSample(np.array([0]), np.array([0]), n, np.array([1.0]))
     union = SubspaceUnion([Subspace(np.eye(n)[:, :2])])
-    res = recover_oracle(plan, sample, F, np.array([1.0]), union)
+    res = recover_oracle(SampledOperator(F, sample), np.array([1.0]), union)
     assert "rank_deficient" in res.flags
     # minimum-norm solution: second coordinate stays zero
     assert res.x_hat[1] == pytest.approx(0.0, abs=1e-12)
@@ -256,10 +311,9 @@ def test_oracle_flags_rank_deficiency():
 def test_oracle_requires_explicit_union():
     n = 4
     F = make_dense_operator(np.eye(n))
-    plan = uniform_plan(n)
     sample = _full_sample(n)
     with pytest.raises(TypeError, match="enumerated"):
-        recover_oracle(plan, sample, F, np.zeros(n), object())
+        recover_oracle(SampledOperator(F, sample), np.zeros(n), object())
 
 
 def test_oracle_tie_breaks_lexicographically_greatest():
@@ -267,10 +321,9 @@ def test_oracle_tie_breaks_lexicographically_greatest():
     # sign-flipped bases of the same line must also resolve deterministically
     eye = np.eye(2)
     F = make_dense_operator(eye)
-    plan = uniform_plan(2)
     sample = _full_sample(2)
     union = SubspaceUnion([Subspace(eye[:, [0]]), Subspace(eye[:, [1]])])
-    res = recover_oracle(plan, sample, F, np.zeros(2), union)
+    res = recover_oracle(SampledOperator(F, sample), np.zeros(2), union)
     assert np.array_equal(res.x_hat, np.zeros(2))
 
 
@@ -281,12 +334,11 @@ def test_sparse_full_sampling_exact():
     n = 16
     rng = _rng(8)
     F = make_dft_operator(n)
-    plan = uniform_plan(n)
     sample = _full_sample(n)
     x0 = np.zeros(n)
     x0[[2, 7, 11]] = rng.standard_normal(3)
     ms = simulate_measurements(F, sample, x0, 0.0)
-    res = recover_sparse_two_stage(plan, sample, F, ms, 3, truth=x0)
+    res = recover_sparse_two_stage(SampledOperator(F, sample), ms, 3)
     assert np.linalg.norm(res.x_hat - x0) < 1e-8
     assert "support_uncertified" in res.flags
     assert res.solver == "sparse_two_stage"
@@ -295,9 +347,8 @@ def test_sparse_full_sampling_exact():
 def test_sparse_zero_signal_returns_zero():
     n = 8
     F = make_dft_operator(n)
-    plan = uniform_plan(n)
     sample = _full_sample(n)
-    res = recover_sparse_two_stage(plan, sample, F, np.zeros(n, dtype=complex), 2)
+    res = recover_sparse_two_stage(SampledOperator(F, sample), np.zeros(n, dtype=complex), 2)
     assert np.array_equal(res.x_hat, np.zeros(n))
     assert res.objective == 0.0
 
@@ -315,8 +366,8 @@ def test_sparse_matches_exhaustive_oracle():
         support = rng.choice(n, size=k, replace=False)
         x0[support] = rng.standard_normal(k)
         ms = simulate_measurements(F, sample, x0, 0.02, seed=rng)
-        res = recover_sparse_two_stage(plan, sample, F, ms, k)
-        ref = recover_oracle(plan, sample, F, ms, union)
+        res = recover_sparse_two_stage(SampledOperator(F, sample), ms, k)
+        ref = recover_oracle(SampledOperator(F, sample), ms, union)
         assert res.objective <= 1.1 * ref.objective + 1e-12
         if np.linalg.norm(res.x_hat - ref.x_hat) <= 1e-6 * (1.0 + np.linalg.norm(ref.x_hat)):
             matches += 1
@@ -354,7 +405,7 @@ def test_sparse_transform_calls_per_iteration(m, converges):
     x0[[3, 17, 40]] = [1.5, -2.0, 0.7]
     ms = simulate_measurements(F.inner, sample, x0, 0.1, seed=9)
     res = recover_sparse_two_stage(
-        plan, sample, F, ms, k, {"power_iters": power_iters, "max_iters": max_iters}
+        SampledOperator(F, sample), ms, k, {"power_iters": power_iters, "max_iters": max_iters}
     )
     assert ("stage1_not_converged" not in res.flags) == converges
     assert (res.iterations < max_iters) == converges
@@ -370,7 +421,7 @@ def test_sparse_config_rejects_unknown_keys():
     F = make_dft_operator(n)
     with pytest.raises(ValueError, match="unknown config"):
         recover_sparse_two_stage(
-            uniform_plan(n), _full_sample(n), F, np.zeros(n, dtype=complex), 2, {"steps": 3}
+            SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), 2, {"steps": 3}
         )
 
 
@@ -378,7 +429,7 @@ def test_sparse_k_validation():
     n = 8
     F = make_dft_operator(n)
     with pytest.raises(ValueError, match="k must"):
-        recover_sparse_two_stage(uniform_plan(n), _full_sample(n), F, np.zeros(n, dtype=complex), 0)
+        recover_sparse_two_stage(SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), 0)
 
 
 # ----------------------------------------------------------------- generative
@@ -394,12 +445,11 @@ def test_generative_seeded_at_truth_is_exact():
     rng = _rng(9)
     net = _random_net((2, 8, 16), rng)
     F = make_dft_operator(n)
-    plan = uniform_plan(n)
     sample = _full_sample(n)
     z0 = rng.standard_normal(2)
     x0 = generative_forward(net, z0)
     ms = simulate_measurements(F, sample, x0, 0.0)
-    res = recover_generative(plan, sample, F, ms, net, {"init_z": z0, "restarts": 1, "iters": 5})
+    res = recover_generative(SampledOperator(F, sample), ms, net, {"init_z": z0, "restarts": 1, "iters": 5})
     assert res.objective == 0.0
     assert np.array_equal(res.x_hat, x0)
     assert res.flags == ("epsilon_uncertified",)
@@ -414,10 +464,10 @@ def test_generative_gradient_matches_finite_differences():
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 12, 29)
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    target = sample.d_tilde * b
+    A = SampledOperator(F, sample)
 
     def value(z):
-        return objective(plan, sample, F, generative_forward(net, z), b)
+        return objective(A, generative_forward(net, z), b)
 
     checked = 0
     attempt = 0
@@ -429,8 +479,8 @@ def test_generative_gradient_matches_finite_differences():
         if np.min(np.abs(pre)) < 1e-2:
             continue
         x, vjp = generative_pullback(net, z)
-        r = apply_measurement(F, sample, x, preconditioned=True) - target
-        analytic = vjp(2.0 * np.real(_adjoint_measurement(F, sample, r)))
+        r = A.forward(x) - A.target(b)
+        analytic = vjp(2.0 * np.real(A.adjoint(r)))
         fd = np.zeros(3)
         for i in range(3):
             e = np.zeros(3)
@@ -458,7 +508,7 @@ def test_generative_recovery_success_rate():
             continue
         ms = simulate_measurements(F, sample, x0, 0.0)
         res = recover_generative(
-            plan, sample, F, ms, net, {"restarts": 6, "iters": 1500, "seed": trial}
+            SampledOperator(F, sample), ms, net, {"restarts": 6, "iters": 1500, "seed": trial}
         )
         if relative_recovery_error(x0, res.x_hat) <= 1e-3:
             hits += 1
@@ -472,7 +522,7 @@ def test_generative_init_z_shape_checked():
     F = make_dft_operator(n)
     with pytest.raises(ValueError, match="init_z"):
         recover_generative(
-            uniform_plan(n), _full_sample(n), F, np.zeros(n, dtype=complex), net,
+            SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), net,
             {"init_z": np.zeros(3)},
         )
 
@@ -483,10 +533,9 @@ def test_generative_init_z_shape_checked():
 def test_rip_full_sampling_flat_deviation_zero():
     n = 16
     F = make_dft_operator(n)
-    plan = uniform_plan(n)
     sample = _full_sample(n)
     union = _random_union(n, 4, 3, _rng(12))
-    report = rip_check(plan, sample, F, union)
+    report = rip_check(SampledOperator(F, sample), union)
     assert report["max_deviation"] < 1e-10
     assert report["holds"]
     assert report["per_subspace"].shape == (4,)
@@ -500,7 +549,7 @@ def test_rip_matches_random_search():
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 10, 31)
     union = _random_union(n, 3, 2, rng)
-    report = rip_check(plan, sample, F, union)
+    report = rip_check(SampledOperator(F, sample), union)
     brute = 0.0
     for sub in union.subspaces:
         design = apply_measurement(F, sample, sub.basis, preconditioned=True)
@@ -516,10 +565,9 @@ def test_rip_wide_subspace_cannot_hold():
     # one drawn row against a 2-dimensional subspace: sigma_min is zero
     n = 4
     F = make_dense_operator(np.eye(n))
-    plan = uniform_plan(n)
-    sample = DrawnSample(np.array([0]), np.array([0]), 2.0, np.array([1.0]))
+    sample = DrawnSample(np.array([0]), np.array([0]), n, np.array([1.0]))
     union = SubspaceUnion([Subspace(np.eye(n)[:, :2])])
-    report = rip_check(plan, sample, F, union)
+    report = rip_check(SampledOperator(F, sample), union)
     assert report["per_subspace"][0] >= 1.0
     assert not report["holds"]
 
@@ -531,7 +579,7 @@ def test_rip_holds_with_generous_oversampling():
     union = _random_union(n, 10, 3, rng)
     plan = optimized_probabilities(coherence_vector(F, union))
     held = sum(
-        rip_check(plan, draw_sample(plan, 600, 100 + s), F, union)["holds"] for s in range(10)
+        rip_check(SampledOperator(F, draw_sample(plan, 600, 100 + s)), union)["holds"] for s in range(10)
     )
     assert held == 10
 
@@ -644,7 +692,7 @@ def test_corollary_single_measurement():
 
 
 def test_corollary_rejects_zero_coherence_rows():
-    sample = DrawnSample(np.array([1]), np.array([0]), 2.0, np.array([1.0]))
+    sample = DrawnSample(np.array([1]), np.array([0]), 4, np.array([1.0]))
     with pytest.raises(ValueError, match="positive coherence"):
         deterministic_corollary_bound(sample, np.array([1.0, 0.0, 1.0, 1.0]), 0.5)
 
@@ -672,11 +720,11 @@ def test_noiseless_exactness_both_fields(kind):
     plan = optimized_probabilities(coherence_vector(F, union))
     for trial in range(10):
         sample = draw_sample(plan, 60, 500 + trial)
-        if not rip_check(plan, sample, F, union)["holds"]:
+        if not rip_check(SampledOperator(F, sample), union)["holds"]:
             continue
         x0 = _point_in(union, rng)
         ms = simulate_measurements(F, sample, x0, 0.0)
-        res = recover_oracle(plan, sample, F, ms, union)
+        res = recover_oracle(SampledOperator(F, sample), ms, union)
         assert np.linalg.norm(res.x_hat - x0) <= 1e-6 * (1.0 + np.linalg.norm(x0))
 
 
@@ -693,7 +741,7 @@ def test_bound_validity_rate():
         sample = draw_sample(plan, 48, 700 + trial)
         x0 = _point_in(union, rng)
         ms = simulate_measurements(F, sample, x0, 0.5, seed=9000 + trial)
-        res = recover_oracle(plan, sample, F, ms, union)
+        res = recover_oracle(SampledOperator(F, sample), ms, union)
         bound = theorem_error_bound(
             plan, sample, alpha, 0.5, union.max_dim, log_m_count, delta=0.05
         )
@@ -714,9 +762,9 @@ def test_objective_consistency_oracle():
         sample = draw_sample(plan, 14, 1500 + trial)
         x0 = _point_in(union, rng) + 0.05 * rng.standard_normal(n)
         ms = simulate_measurements(F, sample, x0, 0.3, seed=1600 + trial)
-        res = recover_oracle(plan, sample, F, ms, union)
-        reference = objective(plan, sample, F, project(union, x0), ms)
-        assert res.objective <= reference + res.epsilon + 1e-9
+        res = recover_oracle(SampledOperator(F, sample), ms, union)
+        reference = objective(SampledOperator(F, sample), project(union, x0), ms)
+        assert res.objective <= reference + 1e-9
 
 
 # --------------------------------------------------------------- signal files
@@ -748,4 +796,4 @@ def test_signal_size_mismatch(tmp_path):
 
 def test_recovery_result_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        RecoveryResult(np.zeros(2), -1.0, 0.0, None, "oracle", 1)
+        RecoveryResult(np.zeros(2), -1.0, "oracle", 1)
