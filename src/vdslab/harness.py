@@ -124,8 +124,6 @@ _KEY_PARSERS = {
     "out": str,
     "record_timing": _parse_bool,
     "bound_delta": float,
-    "fit_window_lo": int,
-    "fit_window_hi": int,
     "coherence_latents": int,
     "solver_max_iters": int,
     "solver_tol": float,
@@ -133,7 +131,6 @@ _KEY_PARSERS = {
     "solver_restarts": int,
     "solver_iters": int,
     "solver_step": float,
-    "solver_patience": int,
     "solver_init_pool": int,
 }
 
@@ -158,7 +155,6 @@ _SOLVER_KEYS = {
         "solver_restarts",
         "solver_iters",
         "solver_step",
-        "solver_patience",
         "solver_init_pool",
     ),
     "oracle": (),
@@ -271,10 +267,16 @@ class ExperimentConfig:
         bad = [k for k in v if k.startswith("solver_") and k not in allowed]
         if bad:
             raise ConfigError(f"solver config keys {bad} do not apply to solver {solver!r}")
-        lows = {"trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0}
+        lows = {
+            "trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0,
+            "solver_restarts": 1, "solver_iters": 1, "solver_init_pool": 1,
+            "solver_max_iters": 1, "solver_power_iters": 1, "solver_tol": 0,
+        }
         for key, low in lows.items():
             if not v.get(key, low) >= low:  # written so that NaN fails too
                 raise ConfigError(f"{key} must be at least {low}")
+        if not v.get("solver_step", 1.0) > 0:
+            raise ConfigError("solver_step must be positive")
         if not 0.0 < v["bound_delta"] < 1.0:
             raise ConfigError("bound_delta must be in (0, 1)")
         for key, floor in (("m_grid", 1), ("sigma_grid", 0)):
@@ -286,9 +288,6 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} entries must be at least {floor}")
         if v.get("field") is not None and v["field"] not in ("real", "complex"):
             raise ConfigError("field must be real or complex")
-        lo, hi = v.get("fit_window_lo"), v.get("fit_window_hi")
-        if lo is not None and hi is not None and lo >= hi:
-            raise ConfigError("fit_window_lo must be below fit_window_hi")
 
     def solver_config(self) -> dict:
         prefix = "solver_"
@@ -527,7 +526,7 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         rre, objective_value = float("nan"), float("nan")
     elapsed = (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
     bound = theorem_error_bound(
-        plan, sample, problem.alpha, sigma, problem.max_dim, problem.log_subspace_count,
+        sample, problem.alpha, sigma, problem.max_dim, problem.log_subspace_count,
         delta=config.bound_delta,
     )
     try:
@@ -536,7 +535,7 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         corollary = float("nan")
     return ExperimentRecord(
         scheme, m, sigma, trial, streams.seed_id, rre, objective_value,
-        noise_factor(plan, sample, problem.alpha), bound, corollary, elapsed,
+        noise_factor(sample, problem.alpha), bound, corollary, elapsed,
     )
 
 

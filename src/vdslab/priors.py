@@ -374,8 +374,9 @@ def project(
     """Euclidean projection of x onto the prior set.
 
     Exact for sparse priors and subspace unions. Generative projection is
-    approximate: multi-restart latent gradient descent with step halving on
-    plateau (the keyword arguments only apply there).
+    approximate: ``restarts`` standard-normal latents from
+    ``default_rng(seed)``, each followed by ``iters`` Adam steps of size
+    ``step`` on ||G(z) - x||_2^2 (the keyword arguments only apply there).
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(prior, SparsePrior):
@@ -391,7 +392,16 @@ def project(
         tied = [p for p, r in zip(projections, residuals) if r <= residuals.min() + tol]
         return _lex_greatest(tied)
     if isinstance(prior, GenerativeNetwork):
-        return _latent_descent(prior, x, restarts, iters, step, seed)[0]
+        rng = np.random.default_rng(seed)
+
+        def value_and_grad(z):
+            out, vjp = generative_pullback(prior, z)
+            r = out - x
+            return float(np.sum(r**2)), out, vjp(2.0 * r)
+
+        starts = (rng.standard_normal(prior.latent_dim) for _ in range(restarts))
+        (_, out), _ = _latent_adam(value_and_grad, starts, iters, step)
+        return out
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
@@ -428,36 +438,34 @@ def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
     return out, vjp
 
 
-def _latent_descent(net, x, restarts, iters, step0, seed):
-    """Multi-restart projected gradient in latent space; returns (G(z), z)."""
-    rng = np.random.default_rng(seed)
-    best_val = np.inf
-    best = (np.zeros(net.n), np.zeros(net.latent_dim))
-    for _ in range(restarts):
-        z = rng.standard_normal(net.latent_dim)
-        step = step0
-        out, vjp = generative_pullback(net, z)
-        val = float(np.sum((out - x) ** 2))
-        stall = 0
-        for _ in range(iters):
-            grad = vjp(2.0 * (out - x))
-            z_new = z - step * grad
-            out_new, vjp_new = generative_pullback(net, z_new)
-            val_new = float(np.sum((out_new - x) ** 2))
-            if val_new < val - 1e-12 * (1.0 + val):
-                z, out, vjp, val = z_new, out_new, vjp_new, val_new
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 10:  # plateau: halve the step and keep going
-                    step *= 0.5
-                    stall = 0
-                    if step < 1e-9:
-                        break
-        if val < best_val:
-            best_val = val
-            best = (out, z)
-    return best
+def _latent_adam(value_and_grad, starts, iters: int, step: float):
+    """Multi-start Adam in latent space with a fixed budget of ``iters`` evaluations per start.
+
+    ``value_and_grad(z)`` returns (objective, G(z), gradient). Returns the
+    first lowest-objective ``(objective, G(z))`` over every evaluated iterate,
+    in start order, and the number of evaluations. ``starts`` is consumed
+    lazily, one start at a time.
+    """
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+    best = None
+    total = 0
+    for z in starts:
+        m1 = np.zeros_like(z)
+        m2 = np.zeros_like(z)
+        for it in range(1, iters + 1):
+            obj, x, gz = value_and_grad(z)
+            if best is None or obj < best[0]:
+                best = (obj, x)
+            if it == iters:
+                break  # the budget is spent; a further step would go unevaluated
+            m1 = 0.9 * m1 + 0.1 * gz
+            m2 = 0.999 * m2 + 0.001 * gz**2
+            z = z - step * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
+        total += iters
+    if best is None:
+        raise ValueError("latent descent needs at least one start")
+    return best, total
 
 
 def save_network(net: GenerativeNetwork, path) -> None:

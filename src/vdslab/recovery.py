@@ -20,6 +20,7 @@ from .priors import (
     GenerativeNetwork,
     SubspaceUnion,
     _hard_threshold,
+    _latent_adam,
     _lex_greatest,
     _top_k_support,
     generative_forward,
@@ -50,9 +51,8 @@ _SIGNAL_MAGIC = b"VDSX"
 _SPARSE_DEFAULTS = {"max_iters": 500, "tol": 1e-8, "power_iters": 40}
 _GENERATIVE_DEFAULTS = {
     "restarts": 10,
-    "iters": 2000,
+    "iters": 100,
     "step": 0.05,
-    "patience": 100,
     "init_pool": 16,
     "seed": 0,
     "init_z": None,
@@ -261,9 +261,9 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
 
     Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
     best of ``init_pool`` seeded candidate latents (config key init_z pins the
-    first restart instead) and stops early after ``patience`` iterations
-    without improvement. Returns the best iterate ever evaluated; its gap to
-    the global minimum is unknown and flagged epsilon_uncertified.
+    first restart instead) and runs exactly ``iters`` Adam steps; there is no
+    early stop. Returns the best iterate ever evaluated; its gap to the global
+    minimum is unknown and flagged epsilon_uncertified.
     """
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
@@ -280,41 +280,22 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
         return obj, x, vjp(gx)
 
     def best_of_pool():
-        pool = rng.standard_normal((k, max(1, cfg["init_pool"])))
+        pool = rng.standard_normal((k, cfg["init_pool"]))
         block = A.forward(generative_forward(net, pool))
         objs = np.sum(np.abs(block - target[:, None]) ** 2, axis=0)
         return pool[:, int(np.argmin(objs))].copy()
 
-    best = None
-    total = 0
-    for restart in range(cfg["restarts"]):
-        if restart == 0 and cfg["init_z"] is not None:
-            z = np.asarray(cfg["init_z"], dtype=np.float64).copy()
-            if z.shape != (k,):
-                raise ValueError("init_z must have the latent dimension")
-        else:
-            z = best_of_pool()
-        m1 = np.zeros(k)
-        m2 = np.zeros(k)
-        local_best = math.inf
-        stall = 0
-        for it in range(1, cfg["iters"] + 1):
-            total += 1
-            obj, x, gz = value_and_grad(z)
-            if best is None or obj < best[0]:
-                best = (obj, x)
-            if obj < local_best - 1e-12 * (1.0 + abs(local_best)):
-                local_best = obj
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg["patience"]:
-                    break
-            m1 = 0.9 * m1 + 0.1 * gz
-            m2 = 0.999 * m2 + 0.001 * gz**2
-            step = cfg["step"] * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
-            z = z - step
-    obj, x_hat = best
+    init_z = cfg["init_z"]
+    if init_z is not None:
+        init_z = np.asarray(init_z, dtype=np.float64)
+        if init_z.shape != (k,):
+            raise ValueError("init_z must have the latent dimension")
+
+    def starts():
+        for restart in range(cfg["restarts"]):
+            yield init_z if restart == 0 and init_z is not None else best_of_pool()
+
+    (obj, x_hat), total = _latent_adam(value_and_grad, starts(), cfg["iters"], cfg["step"])
     return RecoveryResult(x_hat, obj, "generative_descent", total, ("epsilon_uncertified",))
 
 
@@ -343,7 +324,6 @@ def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:
 
 
 def theorem_error_bound(
-    plan,
     sample,
     alpha,
     sigma: float,
@@ -378,7 +358,7 @@ def theorem_error_bound(
     noise_term = (
         9.0
         * (sigma / math.sqrt(sample.m))
-        * noise_factor(plan, sample, alpha)
+        * noise_factor(sample, alpha)
         * (math.sqrt(max_dim) + math.sqrt(log_subspace_count) + t)
     )
     return noise_term + mismatch_norm + 6.0 * preconditioned_mismatch_norm + 1.5 * math.sqrt(epsilon)

@@ -204,16 +204,16 @@ def unit_truncation(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sorted_gathers(plan: SamplingPlan, sample: DrawnSample, alpha) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_gathers(sample: DrawnSample, alpha) -> tuple[np.ndarray, np.ndarray]:
     vec = _as_alpha(alpha)
-    if vec.size != plan.n:
-        raise ValueError("alpha length does not match the plan")
+    if vec.size != sample.n:
+        raise ValueError("alpha length does not match the sample")
     return sample.d_tilde, vec[sample.omega_sorted]
 
 
-def noise_factor(plan: SamplingPlan, sample: DrawnSample, alpha) -> float:
+def noise_factor(sample: DrawnSample, alpha) -> float:
     """||D~ T(S D alpha)||_2 with rows sorted so the gathered d is non-increasing."""
-    d_tilde, alpha_sorted = _sorted_gathers(plan, sample, alpha)
+    d_tilde, alpha_sorted = _sorted_gathers(sample, alpha)
     truncated = unit_truncation(sample.scale * d_tilde * alpha_sorted)
     return float(np.linalg.norm(d_tilde * truncated))
 
@@ -225,7 +225,7 @@ def noise_factor_bounds(plan: SamplingPlan, sample: DrawnSample, alpha, t: float
     S D^2 alpha to the truncation window; optimized_closed_bound(t) holds with
     probability at least 1 - t under optimized sampling.
     """
-    d_tilde, alpha_sorted = _sorted_gathers(plan, sample, alpha)
+    d_tilde, alpha_sorted = _sorted_gathers(sample, alpha)
     sd_alpha = sample.scale * d_tilde * alpha_sorted
     idx = _truncation_index(sd_alpha)
     truncated_norm = float(np.linalg.norm(sample.scale * d_tilde[: idx + 1] ** 2 * alpha_sorted[: idx + 1]))

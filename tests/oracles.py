@@ -4,11 +4,16 @@ The dense matrices are built from explicit formulas (index grids, block
 products, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
 end (a full lexsort hard threshold, a Haar cascade that copies its bands,
-the measurement adjoint as a free function) are the package's earlier
-implementations, kept as bitwise references for the code that replaced them.
+the measurement adjoint as a free function, the generative restart loop with
+its patience stop) are the package's earlier implementations, kept as bitwise
+references for the code that replaced them.
 """
 
+import math
+
 import numpy as np
+
+from vdslab.priors import generative_forward, generative_pullback
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)  # the package's scale constant, so results compare bitwise
 
@@ -117,3 +122,60 @@ def scatter_adjoint_measurement(F, sample, v):
     u = np.zeros(F.n, dtype=weights.dtype)
     np.add.at(u, sample.omega_sorted, weights)
     return F.adjoint(u)
+
+
+def patience_recover_generative(A, b, net, config):
+    """Reference generative solver: the Adam restart loop with its patience stop.
+
+    ``local_best`` starts at inf, and ``obj < inf - 1e-12 * (1 + inf)`` compares
+    against NaN, so the stop counted every step and each restart ran exactly
+    min(iters, patience) steps. Returns (x_hat, objective, iterations).
+    """
+    cfg = {"restarts": 10, "iters": 2000, "step": 0.05, "patience": 100, "init_pool": 16, "seed": 0,
+           "init_z": None, **config}
+    target = A.target(b)
+    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
+    k = net.latent_dim
+
+    def value_and_grad(z):
+        x, vjp = generative_pullback(net, z)
+        r = A.forward(x) - target
+        obj = float(np.real(np.vdot(r, r)))
+        gx = 2.0 * np.real(A.adjoint(r))
+        return obj, x, vjp(gx)
+
+    def best_of_pool():
+        pool = rng.standard_normal((k, max(1, cfg["init_pool"])))
+        block = A.forward(generative_forward(net, pool))
+        objs = np.sum(np.abs(block - target[:, None]) ** 2, axis=0)
+        return pool[:, int(np.argmin(objs))].copy()
+
+    best = None
+    total = 0
+    for restart in range(cfg["restarts"]):
+        if restart == 0 and cfg["init_z"] is not None:
+            z = np.asarray(cfg["init_z"], dtype=np.float64).copy()
+        else:
+            z = best_of_pool()
+        m1 = np.zeros(k)
+        m2 = np.zeros(k)
+        local_best = math.inf
+        stall = 0
+        for it in range(1, cfg["iters"] + 1):
+            total += 1
+            obj, x, gz = value_and_grad(z)
+            if best is None or obj < best[0]:
+                best = (obj, x)
+            if obj < local_best - 1e-12 * (1.0 + abs(local_best)):
+                local_best = obj
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg["patience"]:
+                    break
+            m1 = 0.9 * m1 + 0.1 * gz
+            m2 = 0.999 * m2 + 0.001 * gz**2
+            step = cfg["step"] * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
+            z = z - step
+    obj, x_hat = best
+    return x_hat, obj, total

@@ -10,7 +10,7 @@ from oracles import random_orthogonal
 from vdslab.cli import main
 from vdslab.coherence import load_coherence_csv
 from vdslab.harness import CSV_HEADER
-from vdslab.priors import Subspace, SubspaceUnion, save_union
+from vdslab.priors import GenerativeNetwork, Subspace, SubspaceUnion, save_network, save_union
 from vdslab.sampling import load_plan_csv
 
 
@@ -162,11 +162,30 @@ def test_recover_requires_m_and_sigma(tmp_path, capsys):
     assert "missing required" in capsys.readouterr().err
 
 
+_GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
+
+
 @pytest.mark.parametrize(
     "keys, message",
-    [({"m": 0}, "m must be"), ({"sigma": -0.5}, "sigma must be"), ({"sigma": "nan"}, "sigma must be")],
+    [
+        ({"m": 0}, "m must be"),
+        ({"sigma": -0.5}, "sigma must be"),
+        ({"sigma": "nan"}, "sigma must be"),
+        ({"solver_max_iters": 0}, "solver_max_iters must be"),
+        ({"solver_power_iters": 0}, "solver_power_iters must be"),
+        ({"solver_tol": -1e-9}, "solver_tol must be"),
+        (_GENERATIVE | {"solver_restarts": 0}, "solver_restarts must be"),
+        (_GENERATIVE | {"solver_iters": 0}, "solver_iters must be"),
+        (_GENERATIVE | {"solver_init_pool": 0}, "solver_init_pool must be"),
+        (_GENERATIVE | {"solver_step": -1}, "solver_step must be"),
+        (_GENERATIVE | {"solver_step": "nan"}, "solver_step must be"),
+    ],
 )
 def test_recover_rejects_out_of_range_point_exits_2(tmp_path, capsys, keys, message):
+    if keys.get("prior") == "generative":
+        net = GenerativeNetwork([_rng(1).standard_normal((8, 2)), _rng(2).standard_normal((16, 8))])
+        save_network(net, tmp_path / "g.vdsg")
+        keys = keys | {"network_file": str(tmp_path / "g.vdsg")}
     cfg = _write_config(tmp_path, **({"m": 256, "sigma": 0.0} | keys))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no trial may run and fail first

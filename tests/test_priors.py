@@ -28,7 +28,7 @@ from vdslab.priors import (
     subspace_count_bounds,
     subspace_from_span,
 )
-from vdslab.priors import _hard_threshold, _top_k_support
+from vdslab.priors import _hard_threshold, _latent_adam, _top_k_support
 
 
 def _coordinate_union(n, supports):
@@ -355,6 +355,18 @@ def test_project_generative_nonnegative_orthant():
     net = GenerativeNetwork([np.eye(2), np.eye(2)])
     out = project(net, np.array([1.0, -1.0]))
     assert np.linalg.norm(out - np.array([1.0, 0.0])) < 1e-3
+
+
+def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
+    """A flat objective ties every iterate: the first evaluated one wins, and each start gets iters evaluations."""
+    calls = []
+
+    def flat(z):
+        calls.append(z)
+        return 1.0, z.copy(), np.zeros_like(z)
+
+    (obj, x), total = _latent_adam(flat, iter([np.array([1.0]), np.array([2.0])]), 7, 0.1)
+    assert (obj, x.tolist(), total, len(calls)) == (1.0, [1.0], 14, 14)
 
 
 # ---------------------------------------------------------------- forward / pullback

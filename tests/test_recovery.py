@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_orthogonal, random_unitary, scatter_adjoint_measurement
+from oracles import (
+    patience_recover_generative,
+    random_orthogonal,
+    random_unitary,
+    scatter_adjoint_measurement,
+)
 
 from vdslab.coherence import coherence_vector
 from vdslab.priors import (
@@ -508,7 +513,7 @@ def test_generative_recovery_success_rate():
             continue
         ms = simulate_measurements(F, sample, x0, 0.0)
         res = recover_generative(
-            SampledOperator(F, sample), ms, net, {"restarts": 6, "iters": 1500, "seed": trial}
+            SampledOperator(F, sample), ms, net, {"restarts": 6, "iters": 100, "seed": trial}
         )
         if relative_recovery_error(x0, res.x_hat) <= 1e-3:
             hits += 1
@@ -524,6 +529,68 @@ def test_generative_init_z_shape_checked():
         recover_generative(
             SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), net,
             {"init_z": np.zeros(3)},
+        )
+
+
+@st.composite
+def _generative_cases(draw):
+    """(A, b, net, config): real Haar and complex DFT draws, iters <= 100, with and without init_z."""
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([16, 32]))
+    F = make_haar_operator(n, 2) if draw(st.booleans()) else make_dft_operator(n)
+    net = _random_net((draw(st.integers(1, 3)), 8, n), rng)
+    plan = optimized_probabilities(0.5 + rng.random(n))
+    sample = draw_sample(plan, draw(st.integers(1, 2 * n)), rng)
+    x0 = generative_forward(net, rng.standard_normal(net.latent_dim))
+    ms = simulate_measurements(F, sample, x0, draw(st.sampled_from([0.0, 0.5])), seed=rng)
+    config = {
+        "restarts": draw(st.integers(1, 4)),
+        "iters": draw(st.integers(1, 100)),
+        "init_pool": draw(st.integers(1, 16)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if draw(st.booleans()):
+        config["init_z"] = rng.standard_normal(net.latent_dim)
+    return SampledOperator(F, sample), ms, net, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generative_cases())
+def test_generative_bitwise_equals_patience_loop(case):
+    """Within the 100 steps the old patience stop allowed, the fixed-budget core is the same computation."""
+    A, ms, net, config = case
+    res = recover_generative(A, ms, net, config)
+    x_hat, obj, iterations = patience_recover_generative(A, ms, net, config)
+    assert np.array_equal(res.x_hat, x_hat)
+    assert res.objective == obj
+    assert res.iterations == iterations
+
+
+def test_generative_runs_the_full_iteration_budget():
+    n = 16
+    rng = _rng(12)
+    net = _random_net((2, 8, n), rng)
+    F = make_dft_operator(n)
+    sample = draw_sample(optimized_probabilities(0.5 + rng.random(n)), 12, rng)
+    ms = simulate_measurements(F, sample, generative_forward(net, rng.standard_normal(2)), 0.5, seed=3)
+    res = recover_generative(SampledOperator(F, sample), ms, net, {"restarts": 3, "iters": 150})
+    assert res.iterations == 450
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"patience": 5}, "unknown config keys"),
+        ({"iters": 0}, "iters must be at least 1"),
+        ({"restarts": 0}, "at least one start"),
+    ],
+)
+def test_generative_rejects_bad_config(config, message):
+    n = 16
+    net = _random_net((2, 8, n), _rng(13))
+    with pytest.raises(ValueError, match=message):
+        recover_generative(
+            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), net, config
         )
 
 
@@ -587,7 +654,7 @@ def test_rip_holds_with_generous_oversampling():
 # ------------------------------------------------------------------ the bounds
 
 
-def _local_noise_factor(plan, sample, alpha):
+def _local_noise_factor(sample, alpha):
     """Spreadsheet-style reimplementation of the theorem's noise factor."""
     d_sorted = sample.d_tilde
     a_sorted = np.asarray(alpha)[sample.omega_sorted]
@@ -603,10 +670,9 @@ def _local_noise_factor(plan, sample, alpha):
 
 def test_theorem_bound_zero_case():
     n = 8
-    plan = uniform_plan(n)
     sample = _full_sample(n)
     alpha = np.ones(n)
-    assert theorem_error_bound(plan, sample, alpha, 0.0, 2, math.log(3), t=1.0) == 0.0
+    assert theorem_error_bound(sample, alpha, 0.0, 2, math.log(3), t=1.0) == 0.0
 
 
 def test_theorem_bound_linear_in_sigma():
@@ -615,8 +681,8 @@ def test_theorem_bound_linear_in_sigma():
     alpha = 0.5 + rng.random(n)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 9, 37)
-    one = theorem_error_bound(plan, sample, alpha, 1.0, 3, math.log(7), t=2.0)
-    two = theorem_error_bound(plan, sample, alpha, 2.0, 3, math.log(7), t=2.0)
+    one = theorem_error_bound(sample, alpha, 1.0, 3, math.log(7), t=2.0)
+    two = theorem_error_bound(sample, alpha, 2.0, 3, math.log(7), t=2.0)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -628,14 +694,14 @@ def test_theorem_bound_hand_computed():
     sample = draw_sample(plan, 21, 41)
     sigma, ell, log_m_count, t, eps = 0.3, 4, math.log(11), 1.7, 1e-4
     by_hand = (
-        9.0 * (sigma / math.sqrt(21)) * _local_noise_factor(plan, sample, alpha)
+        9.0 * (sigma / math.sqrt(21)) * _local_noise_factor(sample, alpha)
         * (math.sqrt(ell) + math.sqrt(log_m_count) + t)
         + 0.25
         + 6.0 * 0.125
         + 1.5 * math.sqrt(eps)
     )
     value = theorem_error_bound(
-        plan, sample, alpha, sigma, ell, log_m_count,
+        sample, alpha, sigma, ell, log_m_count,
         t=t, epsilon=eps, mismatch_norm=0.25, preconditioned_mismatch_norm=0.125,
     )
     assert value == pytest.approx(by_hand, rel=1e-12)
@@ -647,22 +713,21 @@ def test_theorem_bound_delta_maps_to_tail():
     alpha = 0.5 + rng.random(n)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 5, 43)
-    via_delta = theorem_error_bound(plan, sample, alpha, 1.0, 2, 0.0, delta=0.05)
-    via_t = theorem_error_bound(plan, sample, alpha, 1.0, 2, 0.0, t=math.sqrt(math.log(40.0)))
+    via_delta = theorem_error_bound(sample, alpha, 1.0, 2, 0.0, delta=0.05)
+    via_t = theorem_error_bound(sample, alpha, 1.0, 2, 0.0, t=math.sqrt(math.log(40.0)))
     assert via_delta == pytest.approx(via_t, rel=1e-15)
 
 
 def test_theorem_bound_input_validation():
     n = 4
-    plan = uniform_plan(n)
     sample = _full_sample(n)
     alpha = np.ones(n)
     with pytest.raises(ValueError, match="exactly one"):
-        theorem_error_bound(plan, sample, alpha, 1.0, 2, 0.0)
+        theorem_error_bound(sample, alpha, 1.0, 2, 0.0)
     with pytest.raises(ValueError, match="exactly one"):
-        theorem_error_bound(plan, sample, alpha, 1.0, 2, 0.0, delta=0.1, t=1.0)
+        theorem_error_bound(sample, alpha, 1.0, 2, 0.0, delta=0.1, t=1.0)
     with pytest.raises(ValueError, match="delta"):
-        theorem_error_bound(plan, sample, alpha, 1.0, 2, 0.0, delta=1.5)
+        theorem_error_bound(sample, alpha, 1.0, 2, 0.0, delta=1.5)
 
 
 def test_corollary_flat_alpha_grows_with_m():
@@ -743,7 +808,7 @@ def test_bound_validity_rate():
         ms = simulate_measurements(F, sample, x0, 0.5, seed=9000 + trial)
         res = recover_oracle(SampledOperator(F, sample), ms, union)
         bound = theorem_error_bound(
-            plan, sample, alpha, 0.5, union.max_dim, log_m_count, delta=0.05
+            sample, alpha, 0.5, union.max_dim, log_m_count, delta=0.05
         )
         if np.linalg.norm(res.x_hat - x0) <= bound:
             valid += 1

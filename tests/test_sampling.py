@@ -234,7 +234,7 @@ def test_noise_factor_optimized_truncation_count():
     assert np.allclose(sd_alpha, np.linalg.norm(alpha) / math.sqrt(m), atol=1e-12)
     kept = np.count_nonzero(unit_truncation(sd_alpha))
     assert kept == math.ceil(m / np.sum(alpha**2))
-    noise_factor(plan, sample, alpha)  # defined, no error
+    noise_factor(sample, alpha)  # defined, no error
 
 
 def test_noise_factor_uniform_flat_is_one():
@@ -243,7 +243,7 @@ def test_noise_factor_uniform_flat_is_one():
     plan = uniform_plan(n)
     alpha = np.full(n, math.sqrt(s / n))
     sample = draw_sample(plan, m, 12)
-    assert noise_factor(plan, sample, alpha) == pytest.approx(1.0, abs=1e-12)
+    assert noise_factor(sample, alpha) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noise_factor_matches_dense_evaluation():
@@ -251,7 +251,7 @@ def test_noise_factor_matches_dense_evaluation():
     alpha = _positive_alpha(16, rng)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 20, 13)
-    got = noise_factor(plan, sample, alpha)
+    got = noise_factor(sample, alpha)
     # independent dense arithmetic, straight from the definitions
     omega = sample.omega[np.argsort(-plan.d[sample.omega], kind="stable")]
     d_t = plan.d[omega]
@@ -270,14 +270,20 @@ def test_noise_factor_short_vector_error_propagates():
     # m=0 invalid anyway; use m < ||alpha||^2 boundary: m must satisfy m >= 1
     sample = draw_sample(plan, 1, 14)
     # S D alpha has a single entry 1/sqrt(1) = 1 -> fine at the boundary
-    assert noise_factor(plan, sample, alpha) == pytest.approx(1.0, abs=1e-12)
+    assert noise_factor(sample, alpha) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_noise_factor_rejects_alpha_of_the_wrong_length():
+    sample = draw_sample(uniform_plan(8), 5, 17)
+    with pytest.raises(ValueError, match="alpha length"):
+        noise_factor(sample, np.ones(16))
 
 
 def test_bounds_coincide_for_flat_unit_alpha():
     alpha = np.full(4, 0.5)  # ||alpha|| = 1, optimized plan is uniform
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 4, 15)
-    nf = noise_factor(plan, sample, alpha)
+    nf = noise_factor(sample, alpha)
     bounds = noise_factor_bounds(plan, sample, alpha, t=1.0)
     assert nf == pytest.approx(1.0, abs=1e-12)
     for key in ("max_Sd", "max_d", "truncated_SD2alpha_norm", "optimized_closed_bound"):
@@ -293,7 +299,7 @@ def test_noise_factor_below_bounds_over_draws():
     t = 16 * np.min(alpha) ** 2  # closed bound reduces to its deterministic part
     for _ in range(1000):
         sample = draw_sample(plan, 12, stream)
-        nf = noise_factor(plan, sample, alpha)
+        nf = noise_factor(sample, alpha)
         bounds = noise_factor_bounds(plan, sample, alpha, t=min(t, 1.0))
         assert nf <= bounds["max_Sd"] + 1e-12
         assert bounds["max_Sd"] <= bounds["max_d"] + 1e-12
@@ -320,7 +326,7 @@ def test_markov_tail_fraction():
     draws = 10_000
     factors = np.empty(draws)
     for i in range(draws):
-        factors[i] = noise_factor(plan, draw_sample(plan, 16, stream), alpha)
+        factors[i] = noise_factor(draw_sample(plan, 16, stream), alpha)
     norm = np.linalg.norm(alpha)
     for t in (0.1, 0.25):
         assert np.mean(factors > norm / math.sqrt(t)) <= t
