@@ -41,7 +41,6 @@ from vdslab.priors import (
     subspace_from_span,
 )
 from vdslab.recovery import (
-    MeasurementSet,
     RecoveryResult,
     deterministic_corollary_bound,
     recover_generative,
@@ -81,7 +80,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "GenerativeNetwork",
-    "MeasurementSet",
     "RecoveryResult",
     "SampledOperator",
     "SamplingPlan",

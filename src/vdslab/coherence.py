@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .priors import GenerativeNetwork, ImplicitSparseUnion, Subspace, SubspaceUnion, generative_forward
+from .priors import GenerativeNetwork, Subspace, SubspaceUnion, generative_forward
 from .transforms import UnitaryOperator
 
 __all__ = [
@@ -37,7 +37,7 @@ class CoherenceVector:
     sampling downstream.
     """
 
-    def __init__(self, alpha: np.ndarray, method: str, prior_descriptor: str = ""):
+    def __init__(self, alpha: np.ndarray, method: str):
         alpha = np.asarray(alpha, dtype=np.float64)
         if alpha.ndim != 1:
             raise ValueError("alpha must be a vector")
@@ -49,7 +49,6 @@ class CoherenceVector:
         alpha.setflags(write=False)
         self.alpha = alpha
         self.method = method
-        self.prior_descriptor = prior_descriptor
         self.n = alpha.size
 
     def __repr__(self) -> str:
@@ -90,14 +89,7 @@ def _union_subspaces(prior):
 
 
 def coherence_vector(op: UnitaryOperator, prior) -> CoherenceVector:
-    """Exact coherence of every row of ``op`` against a subspace union.
-
-    An ImplicitSparseUnion dispatches to the sparse upper-bound estimator
-    since exact enumeration is out of reach by construction.
-    """
-    if isinstance(prior, ImplicitSparseUnion):
-        cv = sparse_coherence_vector(op, prior.s)
-        return CoherenceVector(cv.alpha, "upper_bound", f"implicit_sparse(s={prior.s})")
+    """Exact coherence of every row of ``op`` against a subspace or subspace union."""
     subspaces = _union_subspaces(prior)
     if any(s.n != op.n for s in subspaces):
         raise ValueError("prior ambient dimension does not match the operator")
@@ -109,8 +101,7 @@ def coherence_vector(op: UnitaryOperator, prior) -> CoherenceVector:
         rows = stacked[:, start : start + s.dim]
         np.maximum(alpha, _row_sup_norms(rows), out=alpha)
         start += s.dim
-    descriptor = f"union(M={len(subspaces)}, max_dim={max(s.dim for s in subspaces)})"
-    return CoherenceVector(alpha, "exact", descriptor)
+    return CoherenceVector(alpha, "exact")
 
 
 def sparse_coherence_upper(f: np.ndarray, s: int) -> float:
@@ -132,7 +123,7 @@ def sparse_coherence_vector(op: UnitaryOperator, s: int) -> CoherenceVector:
     mags = np.abs(op.matrix()) ** 2
     top = np.partition(mags, op.n - s, axis=1)[:, op.n - s :]
     alpha = np.sqrt(np.sum(top, axis=1))
-    return CoherenceVector(alpha, "upper_bound", f"sparse(s={s})")
+    return CoherenceVector(alpha, "upper_bound")
 
 
 def sparse_coherence_exact(op: UnitaryOperator, s: int) -> CoherenceVector:
@@ -150,7 +141,7 @@ def sparse_coherence_exact(op: UnitaryOperator, s: int) -> CoherenceVector:
     for chunk in np.array_split(supports, max(1, len(supports) // 4096)):
         rows = mat[:, chunk]  # (n, chunk, s)
         np.maximum(alpha, _row_sup_norms(rows).max(axis=1), out=alpha)
-    return CoherenceVector(alpha, "exact", f"sparse_exact(s={s})")
+    return CoherenceVector(alpha, "exact")
 
 
 def empirical_generative_coherence(
@@ -179,9 +170,7 @@ def empirical_generative_coherence(
             continue
         diffs = np.abs(fx[:, a + 1 :][:, keep] - fx[:, a : a + 1])
         np.maximum(alpha, (diffs / norms[keep]).max(axis=1), out=alpha)
-    return CoherenceVector(
-        alpha, "empirical", f"generative(num_latents={num_latents}, seed={rng_seed})"
-    )
+    return CoherenceVector(alpha, "empirical")
 
 
 def save_coherence_csv(cv: CoherenceVector, path) -> None:
@@ -206,4 +195,4 @@ def load_coherence_csv(path) -> CoherenceVector:
         methods.add(method)
     if len(methods) != 1:
         raise ValueError("mixed methods in coherence CSV")
-    return CoherenceVector(alpha, methods.pop(), "loaded")
+    return CoherenceVector(alpha, methods.pop())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,9 @@ from .priors import (
     subspace_count_bounds,
 )
 from .recovery import (
+    _GENERATIVE_DEFAULTS,
+    _SPARSE_DEFAULTS,
+    _merge_config,
     deterministic_corollary_bound,
     recover_generative,
     recover_oracle,
@@ -73,11 +76,6 @@ __all__ = [
     "load_image_pgm",
     "sparsify_in_basis",
 ]
-
-CSV_HEADER = (
-    "scheme,m,sigma,trial,seed,rre,objective,noise_factor,"
-    "theorem_bound,corollary_bound,wall_time_ms"
-)
 
 _RRE_CLAMP = 1e-15
 
@@ -119,8 +117,6 @@ _KEY_PARSERS = {
     "sigma": float,
     "trials": int,
     "master_seed": int,
-    "field": str,
-    "solver": str,
     "out": str,
     "record_timing": _parse_bool,
     "bound_delta": float,
@@ -148,17 +144,7 @@ _PRIORS = ("sparse", "union", "generative")
 _SCHEMES = ("optimized", "uniform", "custom", "both")
 _MEASUREMENTS = ("dft", "dft2", "haar", "haar2")
 _SPARSITIES = ("none",) + _MEASUREMENTS
-_SOLVER_BY_PRIOR = {"sparse": "sparse", "union": "oracle", "generative": "generative"}
-_SOLVER_KEYS = {
-    "sparse": ("solver_max_iters", "solver_tol", "solver_power_iters"),
-    "generative": (
-        "solver_restarts",
-        "solver_iters",
-        "solver_step",
-        "solver_init_pool",
-    ),
-    "oracle": (),
-}
+_SOLVER_DEFAULTS = {"sparse": _SPARSE_DEFAULTS, "union": {}, "generative": _GENERATIVE_DEFAULTS}
 
 
 def _coerce_value(key, raw):
@@ -257,26 +243,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} does not exist: {path}")
         if v["scheme"] == "custom" and v.get("plan_file") is None:
             raise ConfigError("scheme custom needs plan_file")
-        solver = v.get("solver")
-        expected = _SOLVER_BY_PRIOR[v["prior"]]
-        if solver is None:
-            v["solver"] = solver = expected
-        elif solver != expected:
-            raise ConfigError(f"solver {solver!r} does not fit prior {v['prior']!r}")
-        allowed = set(_SOLVER_KEYS[solver])
-        bad = [k for k in v if k.startswith("solver_") and k not in allowed]
-        if bad:
-            raise ConfigError(f"solver config keys {bad} do not apply to solver {solver!r}")
-        lows = {
-            "trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0,
-            "solver_restarts": 1, "solver_iters": 1, "solver_init_pool": 1,
-            "solver_max_iters": 1, "solver_power_iters": 1, "solver_tol": 0,
-        }
+        try:  # the prior's solver checks its own settings, as it does for library callers
+            _merge_config(_SOLVER_DEFAULTS[v["prior"]], self.solver_config(), prefix="solver_")
+        except ValueError as exc:
+            raise ConfigError(f"prior {v['prior']!r}: {exc}") from exc
+        lows = {"trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0}
         for key, low in lows.items():
             if not v.get(key, low) >= low:  # written so that NaN fails too
                 raise ConfigError(f"{key} must be at least {low}")
-        if not v.get("solver_step", 1.0) > 0:
-            raise ConfigError("solver_step must be positive")
         if not 0.0 < v["bound_delta"] < 1.0:
             raise ConfigError("bound_delta must be in (0, 1)")
         for key, floor in (("m_grid", 1), ("sigma_grid", 0)):
@@ -286,8 +260,6 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} must be non-empty")
                 if any(not g >= floor for g in grid):
                     raise ConfigError(f"{key} entries must be at least {floor}")
-        if v.get("field") is not None and v["field"] not in ("real", "complex"):
-            raise ConfigError("field must be real or complex")
 
     def solver_config(self) -> dict:
         prefix = "solver_"
@@ -334,11 +306,13 @@ class ExperimentRecord:
     wall_time_ms: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
+
+
 @dataclass(frozen=True)
 class _Problem:
     operator: object
     prior: object
-    solver: str
     solver_config: dict
     alpha: object
     n: int
@@ -419,11 +393,8 @@ def build_problem(config: ExperimentConfig) -> _Problem:
         log_count, max_dim = subspace_count_bounds(prior)
     if config.n is not None and config.n != n:
         raise ConfigError(f"config n={config.n} but the prior lives in dimension {n}")
-    if config.field is not None and config.field != operator.field:
-        raise ConfigError(f"config field {config.field!r} but the operator is {operator.field!r}")
     return _Problem(
-        operator, prior, config.solver, config.solver_config(), alpha, n,
-        max_dim, log_count, support_weights,
+        operator, prior, config.solver_config(), alpha, n, max_dim, log_count, support_weights
     )
 
 
@@ -465,13 +436,14 @@ def _draw_signal(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("network output vanished on 100 latent draws")
 
 
-def _solve(problem: _Problem, A: SampledOperator, measurements, solver_seed: int):
-    if problem.solver == "oracle":
-        return recover_oracle(A, measurements, problem.prior)
-    if problem.solver == "sparse":
-        return recover_sparse_two_stage(A, measurements, problem.prior.k, problem.solver_config)
-    cfg = {**problem.solver_config, "seed": solver_seed}
-    return recover_generative(A, measurements, problem.prior, cfg)
+def _solve(problem: _Problem, A: SampledOperator, b: np.ndarray, solver_seed: int):
+    """Run the prior's own solver: IHT for sparse, the oracle for unions, latent Adam for networks."""
+    prior = problem.prior
+    if isinstance(prior, SparsePrior):
+        return recover_sparse_two_stage(A, b, prior.k, problem.solver_config)
+    if isinstance(prior, SubspaceUnion):
+        return recover_oracle(A, b, prior)
+    return recover_generative(A, b, prior, {**problem.solver_config, "seed": solver_seed})
 
 
 @dataclass(frozen=True)
@@ -509,11 +481,9 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
     sample = draw_sample(plan, m, streams.draw)
     started = time.perf_counter()
     try:
-        measurements = simulate_measurements(
-            problem.operator, sample, x0, sigma, seed=streams.noise
-        )
+        b = simulate_measurements(problem.operator, sample, x0, sigma, seed=streams.noise)
         A = SampledOperator(problem.operator, sample)
-        result = _solve(problem, A, measurements, streams.solver_seed)
+        result = _solve(problem, A, b, streams.solver_seed)
         rre = relative_recovery_error(x0, result.x_hat)
         objective_value = result.objective
     except Exception as exc:
@@ -525,17 +495,16 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         )
         rre, objective_value = float("nan"), float("nan")
     elapsed = (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
+    nf = noise_factor(sample, problem.alpha)
     bound = theorem_error_bound(
-        sample, problem.alpha, sigma, problem.max_dim, problem.log_subspace_count,
-        delta=config.bound_delta,
+        nf, m, sigma, problem.max_dim, problem.log_subspace_count, delta=config.bound_delta
     )
     try:
         corollary = deterministic_corollary_bound(sample, problem.alpha, sigma)
     except ValueError:
         corollary = float("nan")
     return ExperimentRecord(
-        scheme, m, sigma, trial, streams.seed_id, rre, objective_value,
-        noise_factor(sample, problem.alpha), bound, corollary, elapsed,
+        scheme, m, sigma, trial, streams.seed_id, rre, objective_value, nf, bound, corollary, elapsed
     )
 
 
@@ -565,16 +534,7 @@ def _format_value(v) -> str:
 
 def write_records_csv(records, path) -> None:
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _format_value(v)
-                for v in (
-                    r.scheme, r.m, r.sigma, r.trial, r.seed, r.rre, r.objective,
-                    r.noise_factor, r.theorem_bound, r.corollary_bound, r.wall_time_ms,
-                )
-            )
-        )
+    lines += [",".join(_format_value(v) for v in astuple(r)) for r in records]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

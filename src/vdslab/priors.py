@@ -19,7 +19,6 @@ __all__ = [
     "SubspaceUnion",
     "SparsePrior",
     "GenerativeNetwork",
-    "ImplicitSparseUnion",
     "EnumerationBudgetError",
     "subspace_from_span",
     "difference_union",
@@ -67,13 +66,9 @@ class Subspace:
 
 
 class SubspaceUnion:
-    """A finite union of nontrivial subspaces of a common ambient space.
+    """A finite union of nontrivial subspaces of a common ambient space."""
 
-    ``nominal_count`` optionally records the pre-deduplication subspace count
-    when the union was produced by a difference-set expansion.
-    """
-
-    def __init__(self, subspaces, nominal_count: int | None = None):
+    def __init__(self, subspaces):
         subspaces = tuple(subspaces)
         if not subspaces:
             raise ValueError("union needs at least one subspace")
@@ -87,7 +82,6 @@ class SubspaceUnion:
         self.n = n
         self.M = len(subspaces)
         self.max_dim = max(s.dim for s in subspaces)
-        self.nominal_count = nominal_count
 
     def __iter__(self):
         return iter(self.subspaces)
@@ -108,24 +102,6 @@ class SparsePrior:
 
     def __repr__(self) -> str:
         return f"<SparsePrior n={self.n} k={self.k}>"
-
-
-class ImplicitSparseUnion:
-    """Implicit stand-in for the union of all s-sparse coordinate subspaces.
-
-    Returned by difference_union when explicit enumeration would exceed the
-    budget; coherence and sampling consume it through closed forms instead of
-    a subspace list.
-    """
-
-    def __init__(self, n: int, s: int):
-        self.n = int(n)
-        self.s = int(s)
-        self.M = math.comb(self.n, self.s)
-        self.max_dim = self.s
-
-    def __repr__(self) -> str:
-        return f"<ImplicitSparseUnion n={self.n} s={self.s}>"
 
 
 class GenerativeNetwork:
@@ -156,22 +132,13 @@ class GenerativeNetwork:
         self.depth = len(weights)
         self.latent_dim = widths[0]
         self.n = widths[-1]
-        self.activation = "relu"
 
     def __repr__(self) -> str:
         return f"<GenerativeNetwork widths={self.layer_widths}>"
 
 
 class EnumerationBudgetError(Exception):
-    """Difference-set enumeration would exceed the budget.
-
-    ``implicit_available`` tells the caller whether an implicit closed-form
-    representation exists for this prior family.
-    """
-
-    def __init__(self, message: str, implicit_available: bool):
-        super().__init__(message)
-        self.implicit_available = implicit_available
+    """Difference-set enumeration would exceed the budget."""
 
 
 def subspace_from_span(vectors: np.ndarray) -> Subspace:
@@ -255,41 +222,35 @@ def _piece_matrix(net: GenerativeNetwork, pattern) -> np.ndarray:
 def difference_union(prior, budget: int = 100_000, *, latent_samples: int = 4096, seed: int = 0):
     """Build a SubspaceUnion covering the difference set Q - Q of a prior.
 
-    Sparse priors over budget return an ImplicitSparseUnion handle instead of
-    raising, since closed forms exist downstream. Subspace-union and
-    generative priors raise EnumerationBudgetError when the pairwise
-    expansion would exceed ``budget``.
+    Raises EnumerationBudgetError when the enumeration would exceed
+    ``budget`` subspaces: C(n, min(2k, n)) supports for a sparse prior, the
+    pairwise expansion for a subspace union, and the activation-pattern pairs
+    for a generative network.
     """
     if isinstance(prior, SparsePrior):
         s = min(2 * prior.k, prior.n)
         count = math.comb(prior.n, s)
         if count > budget:
-            return ImplicitSparseUnion(prior.n, s)
+            raise EnumerationBudgetError(f"C({prior.n}, {s}) = {count} sparse supports exceed budget {budget}")
         eye = np.eye(prior.n)
         subs = [Subspace(eye[:, list(sup)]) for sup in combinations(range(prior.n), s)]
-        return SubspaceUnion(subs, nominal_count=count)
+        return SubspaceUnion(subs)
 
     if isinstance(prior, SubspaceUnion):
         pairs = prior.M * (prior.M + 1) // 2
         if pairs > budget:
-            raise EnumerationBudgetError(
-                f"pairwise expansion needs {pairs} subspaces, budget is {budget}",
-                implicit_available=False,
-            )
+            raise EnumerationBudgetError(f"pairwise expansion needs {pairs} subspaces, budget is {budget}")
         sums = []
         for i, a in enumerate(prior.subspaces):
             for b in prior.subspaces[i:]:
                 sums.append(subspace_from_span(np.hstack([a.basis, b.basis])))
-        return SubspaceUnion(_dedup_subspaces(sums), nominal_count=pairs)
+        return SubspaceUnion(_dedup_subspaces(sums))
 
     if isinstance(prior, GenerativeNetwork):
         patterns = _activation_patterns(prior, latent_samples, seed)
         n_patterns = len(patterns)
         if n_patterns * n_patterns > budget:
-            raise EnumerationBudgetError(
-                f"{n_patterns}^2 pattern pairs exceed budget {budget}",
-                implicit_available=False,
-            )
+            raise EnumerationBudgetError(f"{n_patterns}^2 pattern pairs exceed budget {budget}")
         pieces = [_piece_matrix(prior, p) for p in patterns]
         subs = []
         for i in range(n_patterns):
@@ -300,7 +261,7 @@ def difference_union(prior, budget: int = 100_000, *, latent_samples: int = 4096
                 subs.append(subspace_from_span(stacked))
         if not subs:
             raise ValueError("network is identically zero; difference set is trivial")
-        return SubspaceUnion(_dedup_subspaces(subs), nominal_count=n_patterns * n_patterns)
+        return SubspaceUnion(_dedup_subspaces(subs))
 
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
@@ -315,9 +276,7 @@ def subspace_count_bounds(prior) -> tuple[float, int]:
     if isinstance(prior, SparsePrior):
         s = min(2 * prior.k, prior.n)
         return s * math.log(math.e * prior.n / s), s
-    if isinstance(prior, (SubspaceUnion, ImplicitSparseUnion)):
-        if isinstance(prior, ImplicitSparseUnion):
-            return prior.s * math.log(math.e * prior.n / prior.s), prior.s
+    if isinstance(prior, SubspaceUnion):
         return math.log(prior.M * (prior.M + 1) // 2), min(2 * prior.max_dim, prior.n)
     if isinstance(prior, GenerativeNetwork):
         k = prior.latent_dim
@@ -381,8 +340,6 @@ def project(
     x = np.asarray(x, dtype=np.float64)
     if isinstance(prior, SparsePrior):
         return _hard_threshold(x, prior.k)
-    if isinstance(prior, ImplicitSparseUnion):
-        return _hard_threshold(x, prior.s)
     if isinstance(prior, Subspace):
         return prior.project(x)
     if isinstance(prior, SubspaceUnion):

@@ -26,11 +26,10 @@ from .priors import (
     generative_forward,
     generative_pullback,
 )
-from .sampling import DrawnSample, SampledOperator, _as_alpha, apply_measurement, noise_factor
+from .sampling import DrawnSample, SampledOperator, _as_alpha, apply_measurement
 from .transforms import UnitaryOperator
 
 __all__ = [
-    "MeasurementSet",
     "RecoveryResult",
     "simulate_measurements",
     "objective",
@@ -58,27 +57,8 @@ _GENERATIVE_DEFAULTS = {
     "init_z": None,
 }
 
-
-class MeasurementSet:
-    """Measurements b = S F x0 + (sigma/sqrt(m)) g in the operator's field."""
-
-    def __init__(self, b, sigma: float, field: str, seed=None):
-        if field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
-        b = np.asarray(b, dtype=np.complex128 if field == "complex" else np.float64)
-        if b.ndim != 1:
-            raise ValueError("b must be a vector")
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        b.setflags(write=False)
-        self.b = b
-        self.sigma = float(sigma)
-        self.field = field
-        self.seed = seed
-        self.m = b.size
-
-    def __repr__(self) -> str:
-        return f"<MeasurementSet m={self.m} sigma={self.sigma:.6g} field={self.field}>"
+# the least legal value of each numeric solver setting; step must be above 0
+_SETTING_FLOORS = {"max_iters": 1, "tol": 0, "power_iters": 1, "restarts": 1, "iters": 1, "init_pool": 1}
 
 
 class RecoveryResult:
@@ -118,33 +98,29 @@ def _residual_sq(design: np.ndarray, w: np.ndarray, target: np.ndarray) -> float
 
 
 def simulate_measurements(
-    F: UnitaryOperator, sample: DrawnSample, x0: np.ndarray, sigma: float, field=None, seed=0
-) -> MeasurementSet:
-    """Measure a real signal and add seeded Gaussian noise scaled by sigma/sqrt(m).
+    F: UnitaryOperator, sample: DrawnSample, x0: np.ndarray, sigma: float, seed=0
+) -> np.ndarray:
+    """Measure a real signal and add seeded Gaussian noise: b = S F x0 + (sigma/sqrt(m)) g.
 
-    The field must follow the operator: complex noise has iid real and
-    imaginary parts, so E||eta||_2^2 is 2 sigma^2 rather than sigma^2. ``seed``
-    may be an existing Generator, in which case the caller owns reproducibility
-    and the stored seed is None.
+    Returns b as a read-only length-m array in the operator's field: complex
+    noise has iid real and imaginary parts, so E||eta||_2^2 is 2 sigma^2
+    rather than sigma^2. ``seed`` may be an existing Generator, in which case
+    the caller owns reproducibility.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.size != F.n:
         raise ValueError("x0 must be a real length-n vector")
-    if field is None:
-        field = F.field
-    elif field != F.field:
-        raise ValueError(f"field {field!r} does not match the operator field {F.field!r}")
-    if isinstance(seed, np.random.Generator):
-        rng, stored = seed, None
-    else:
-        rng, stored = np.random.Generator(np.random.Philox(seed)), seed
+    if not sigma >= 0:  # written so that NaN fails too
+        raise ValueError("sigma must be nonnegative")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.Philox(seed))
     clean = apply_measurement(F, sample, x0)
-    if field == "complex":
+    if F.field == "complex":
         g = rng.standard_normal(sample.m) + 1j * rng.standard_normal(sample.m)
     else:
         g = rng.standard_normal(sample.m)
     b = clean + (sigma / math.sqrt(sample.m)) * g
-    return MeasurementSet(b, sigma, field, stored)
+    b.setflags(write=False)
+    return b
 
 
 def objective(A: SampledOperator, x, b) -> float:
@@ -179,13 +155,23 @@ def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResul
     return RecoveryResult(x_hat, winner[0], "oracle", union.M, flags)
 
 
-def _merge_config(defaults: dict, config) -> dict:
+def _merge_config(defaults: dict, config, prefix: str = "") -> dict:
+    """``defaults`` updated by ``config``; unknown keys and out-of-range values raise ValueError.
+
+    Messages name each key with ``prefix`` in front (the experiment config
+    spells solver settings ``solver_<key>``).
+    """
     merged = dict(defaults)
     if config:
         unknown = set(config) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(prefix + key for key in unknown)}")
         merged.update(config)
+    for key, low in _SETTING_FLOORS.items():
+        if key in merged and not merged[key] >= low:  # written so that NaN fails too
+            raise ValueError(f"{prefix}{key} must be at least {low}")
+    if "step" in merged and not merged["step"] > 0:
+        raise ValueError(f"{prefix}step must be positive")
     return merged
 
 
@@ -324,8 +310,8 @@ def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:
 
 
 def theorem_error_bound(
-    sample,
-    alpha,
+    nf: float,
+    m: int,
     sigma: float,
     max_dim: int,
     log_subspace_count: float,
@@ -340,9 +326,9 @@ def theorem_error_bound(
 
     Evaluates 9 (sigma/sqrt(m)) nf (sqrt(max_dim) + sqrt(log_subspace_count) + t)
     + mismatch_norm + 6 preconditioned_mismatch_norm + (3/2) sqrt(epsilon),
-    where nf is the noise factor of the draw. Given delta instead of the tail
-    parameter, t = sqrt(log(2/delta)) so the bound fails with probability at
-    most delta over the noise. The mismatch norms are ||x - proj(x)||_2 and
+    where nf is the noise factor of the m-row draw (``sampling.noise_factor``).
+    Given delta instead of the tail parameter, t = sqrt(log(2/delta)) so the
+    bound fails with probability at most delta over the noise. The mismatch norms are ||x - proj(x)||_2 and
     its preconditioned-measurement image.
     """
     if (delta is None) == (t is None):
@@ -351,14 +337,14 @@ def theorem_error_bound(
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         t = math.sqrt(math.log(2.0 / delta))
-    if t < 0 or sigma < 0 or epsilon < 0 or max_dim < 1 or log_subspace_count < 0:
+    if nf < 0 or m < 1 or t < 0 or sigma < 0 or epsilon < 0 or max_dim < 1 or log_subspace_count < 0:
         raise ValueError("invalid bound inputs")
     if mismatch_norm < 0 or preconditioned_mismatch_norm < 0:
         raise ValueError("mismatch norms must be nonnegative")
     noise_term = (
         9.0
-        * (sigma / math.sqrt(sample.m))
-        * noise_factor(sample, alpha)
+        * (sigma / math.sqrt(m))
+        * nf
         * (math.sqrt(max_dim) + math.sqrt(log_subspace_count) + t)
     )
     return noise_term + mismatch_norm + 6.0 * preconditioned_mismatch_norm + 1.5 * math.sqrt(epsilon)

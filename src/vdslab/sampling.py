@@ -291,9 +291,9 @@ class SampledOperator:
         np.add.at(u, self.sample.omega_sorted, weights)
         return self.F.adjoint(u)
 
-    def target(self, b) -> np.ndarray:
-        """D~ b, from a MeasurementSet or a raw length-m vector."""
-        values = np.asarray(getattr(b, "b", b))
+    def target(self, b: np.ndarray) -> np.ndarray:
+        """D~ b for a length-m measurement vector b."""
+        values = np.asarray(b)
         if values.shape != (self.sample.m,):
             raise ValueError("b length does not match the draw")
         return self.sample.d_tilde * values

@@ -87,6 +87,22 @@ def test_rip_check_fails_when_undersampled(tmp_path, capsys):
     assert "holds=false" in capsys.readouterr().out
 
 
+def test_rip_check_sparse_over_budget_exits_2(tmp_path, capsys):
+    # n=64, k=3: the difference set has C(64, 6) supports, past the enumeration budget
+    cfg = _write_config(tmp_path, m=32)
+    assert main(["rip-check", "--config", cfg]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("solver", "sparse"), ("field", "complex")])
+def test_solver_and_field_are_unknown_keys(tmp_path, capsys, key, value):
+    # the solver follows the prior and the field follows the operator; neither is a setting
+    cfg = _write_config(tmp_path, **{key: value})
+    assert main(["coherence", "--config", cfg]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
 def test_recover_command(tmp_path, capsys):
     cfg = _write_config(tmp_path, m=256, sigma=0.0)
     assert main(["recover", "--config", cfg]) == 0

@@ -247,7 +247,7 @@ def test_exact_alpha_norm_at_least_one():
 
 def test_coherence_csv_round_trip(tmp_path):
     rng = np.random.default_rng(33)
-    cv = CoherenceVector(rng.random(6), "exact", "test")
+    cv = CoherenceVector(rng.random(6), "exact")
     path = tmp_path / "alpha.csv"
     save_coherence_csv(cv, path)
     back = load_coherence_csv(path)

@@ -23,7 +23,6 @@ from vdslab.priors import (
     generative_pullback,
 )
 from vdslab.recovery import (
-    MeasurementSet,
     RecoveryResult,
     deterministic_corollary_bound,
     load_signal,
@@ -42,6 +41,7 @@ from vdslab.sampling import (
     SampledOperator,
     apply_measurement,
     draw_sample,
+    noise_factor,
     optimized_probabilities,
     uniform_plan,
 )
@@ -101,9 +101,10 @@ def test_sigma_zero_measures_exactly():
     plan = uniform_plan(n)
     sample = draw_sample(plan, 12, 3)
     x0 = _rng(0).standard_normal(n)
-    ms = simulate_measurements(F, sample, x0, 0.0, seed=5)
-    assert np.array_equal(ms.b, apply_measurement(F, sample, x0))
-    assert ms.sigma == 0.0 and ms.field == "complex" and ms.m == 12
+    b = simulate_measurements(F, sample, x0, 0.0, seed=5)
+    assert np.array_equal(b, apply_measurement(F, sample, x0))
+    assert b.shape == (12,) and b.dtype == np.complex128
+    assert not b.flags.writeable
 
 
 def test_fixed_seed_reproduces_measurements():
@@ -114,9 +115,8 @@ def test_fixed_seed_reproduces_measurements():
     a = simulate_measurements(F, sample, x0, 0.7, seed=42)
     b = simulate_measurements(F, sample, x0, 0.7, seed=42)
     c = simulate_measurements(F, sample, x0, 0.7, seed=43)
-    assert np.array_equal(a.b, b.b)
-    assert not np.array_equal(a.b, c.b)
-    assert a.seed == 42
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_noise_second_moment_real_field():
@@ -125,39 +125,34 @@ def test_noise_second_moment_real_field():
     F = make_dense_operator(random_orthogonal(n, _rng(2)))
     sample = draw_sample(uniform_plan(n), 10_000, 4)
     x0 = np.zeros(n)
-    ms = simulate_measurements(F, sample, x0, 1.0, seed=9)
-    assert ms.b.dtype == np.float64
-    assert abs(np.sum(ms.b**2) - 1.0) < 0.05
+    b = simulate_measurements(F, sample, x0, 1.0, seed=9)
+    assert b.dtype == np.float64
+    assert abs(np.sum(b**2) - 1.0) < 0.05
 
 
 def test_noise_second_moment_complex_field():
     n = 16
     F = make_dft_operator(n)
     sample = draw_sample(uniform_plan(n), 10_000, 5)
-    ms = simulate_measurements(F, sample, np.zeros(n), 1.0, seed=10)
-    assert ms.b.dtype == np.complex128
-    assert abs(np.sum(np.abs(ms.b) ** 2) - 2.0) < 0.1
-
-
-def test_field_must_match_operator():
-    n = 8
-    F = make_dft_operator(n)
-    sample = draw_sample(uniform_plan(n), 4, 0)
-    with pytest.raises(ValueError, match="field"):
-        simulate_measurements(F, sample, np.zeros(n), 0.1, field="real")
+    b = simulate_measurements(F, sample, np.zeros(n), 1.0, seed=10)
+    assert b.dtype == np.complex128
+    assert abs(np.sum(np.abs(b) ** 2) - 2.0) < 0.1
 
 
 def test_measurement_set_validation():
-    with pytest.raises(ValueError, match="field"):
-        MeasurementSet(np.zeros(4), 0.1, "quaternion")
-    with pytest.raises(ValueError, match="sigma"):
-        MeasurementSet(np.zeros(4), -1.0, "real")
+    """simulate_measurements rejects a negative or NaN sigma before drawing noise."""
+    n = 8
+    F = make_dft_operator(n)
+    sample = draw_sample(uniform_plan(n), 4, 0)
+    for sigma in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            simulate_measurements(F, sample, np.zeros(n), sigma)
 
 
 def test_target_rejects_b_of_the_wrong_length():
     A = SampledOperator(make_dense_operator(np.eye(4)), _full_sample(4))
-    assert np.array_equal(A.target(MeasurementSet(np.ones(4), 0.1, "real")), np.ones(4))
-    for b in (np.zeros(3), MeasurementSet(np.zeros(3), 0.1, "real"), np.zeros((4, 1))):
+    assert np.array_equal(A.target(np.ones(4)), np.ones(4))
+    for b in (np.zeros(3), np.zeros((4, 1))):
         with pytest.raises(ValueError, match="length"):
             A.target(b)
 
@@ -290,7 +285,7 @@ def test_oracle_beats_random_candidates():
     x0 = _point_in(union, rng)
     ms = simulate_measurements(F, sample, x0, 0.4, seed=23)
     res = recover_oracle(SampledOperator(F, sample), ms, union)
-    target = sample.d_tilde * ms.b
+    target = sample.d_tilde * ms
     best_random = math.inf
     for sub in union.subspaces:
         design = apply_measurement(F, sample, sub.basis, preconditioned=True)
@@ -427,6 +422,23 @@ def test_sparse_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config"):
         recover_sparse_two_stage(
             SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), 2, {"steps": 3}
+        )
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"power_iters": 0}, "power_iters must be at least 1"),
+        ({"tol": -1.0}, "tol must be at least 0"),
+        ({"tol": math.nan}, "tol must be at least 0"),
+    ],
+)
+def test_sparse_rejects_out_of_range_config(config, message):
+    n = 8
+    with pytest.raises(ValueError, match=message):
+        recover_sparse_two_stage(
+            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), 2, config
         )
 
 
@@ -582,7 +594,11 @@ def test_generative_runs_the_full_iteration_budget():
     [
         ({"patience": 5}, "unknown config keys"),
         ({"iters": 0}, "iters must be at least 1"),
-        ({"restarts": 0}, "at least one start"),
+        ({"restarts": 0}, "restarts must be at least 1"),
+        ({"init_pool": 0}, "init_pool must be at least 1"),
+        ({"step": -1.0}, "step must be positive"),
+        ({"step": 0.0}, "step must be positive"),
+        ({"step": math.nan}, "step must be positive"),
     ],
 )
 def test_generative_rejects_bad_config(config, message):
@@ -672,7 +688,7 @@ def test_theorem_bound_zero_case():
     n = 8
     sample = _full_sample(n)
     alpha = np.ones(n)
-    assert theorem_error_bound(sample, alpha, 0.0, 2, math.log(3), t=1.0) == 0.0
+    assert theorem_error_bound(noise_factor(sample, alpha), sample.m, 0.0, 2, math.log(3), t=1.0) == 0.0
 
 
 def test_theorem_bound_linear_in_sigma():
@@ -681,8 +697,9 @@ def test_theorem_bound_linear_in_sigma():
     alpha = 0.5 + rng.random(n)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 9, 37)
-    one = theorem_error_bound(sample, alpha, 1.0, 3, math.log(7), t=2.0)
-    two = theorem_error_bound(sample, alpha, 2.0, 3, math.log(7), t=2.0)
+    nf = noise_factor(sample, alpha)
+    one = theorem_error_bound(nf, sample.m, 1.0, 3, math.log(7), t=2.0)
+    two = theorem_error_bound(nf, sample.m, 2.0, 3, math.log(7), t=2.0)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -701,7 +718,7 @@ def test_theorem_bound_hand_computed():
         + 1.5 * math.sqrt(eps)
     )
     value = theorem_error_bound(
-        sample, alpha, sigma, ell, log_m_count,
+        noise_factor(sample, alpha), sample.m, sigma, ell, log_m_count,
         t=t, epsilon=eps, mismatch_norm=0.25, preconditioned_mismatch_norm=0.125,
     )
     assert value == pytest.approx(by_hand, rel=1e-12)
@@ -713,21 +730,24 @@ def test_theorem_bound_delta_maps_to_tail():
     alpha = 0.5 + rng.random(n)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 5, 43)
-    via_delta = theorem_error_bound(sample, alpha, 1.0, 2, 0.0, delta=0.05)
-    via_t = theorem_error_bound(sample, alpha, 1.0, 2, 0.0, t=math.sqrt(math.log(40.0)))
+    nf = noise_factor(sample, alpha)
+    via_delta = theorem_error_bound(nf, sample.m, 1.0, 2, 0.0, delta=0.05)
+    via_t = theorem_error_bound(nf, sample.m, 1.0, 2, 0.0, t=math.sqrt(math.log(40.0)))
     assert via_delta == pytest.approx(via_t, rel=1e-15)
 
 
 def test_theorem_bound_input_validation():
     n = 4
-    sample = _full_sample(n)
-    alpha = np.ones(n)
+    nf, m = noise_factor(_full_sample(n), np.ones(n)), n
     with pytest.raises(ValueError, match="exactly one"):
-        theorem_error_bound(sample, alpha, 1.0, 2, 0.0)
+        theorem_error_bound(nf, m, 1.0, 2, 0.0)
     with pytest.raises(ValueError, match="exactly one"):
-        theorem_error_bound(sample, alpha, 1.0, 2, 0.0, delta=0.1, t=1.0)
+        theorem_error_bound(nf, m, 1.0, 2, 0.0, delta=0.1, t=1.0)
     with pytest.raises(ValueError, match="delta"):
-        theorem_error_bound(sample, alpha, 1.0, 2, 0.0, delta=1.5)
+        theorem_error_bound(nf, m, 1.0, 2, 0.0, delta=1.5)
+    for bad_nf, bad_m in ((-1.0, m), (nf, 0)):
+        with pytest.raises(ValueError, match="invalid"):
+            theorem_error_bound(bad_nf, bad_m, 1.0, 2, 0.0, t=1.0)
 
 
 def test_corollary_flat_alpha_grows_with_m():
@@ -808,7 +828,7 @@ def test_bound_validity_rate():
         ms = simulate_measurements(F, sample, x0, 0.5, seed=9000 + trial)
         res = recover_oracle(SampledOperator(F, sample), ms, union)
         bound = theorem_error_bound(
-            sample, alpha, 0.5, union.max_dim, log_m_count, delta=0.05
+            noise_factor(sample, alpha), sample.m, 0.5, union.max_dim, log_m_count, delta=0.05
         )
         if np.linalg.norm(res.x_hat - x0) <= bound:
             valid += 1
