@@ -25,7 +25,7 @@ from .harness import (
     write_manifest,
     write_records_csv,
 )
-from .priors import EnumerationBudgetError, difference_union
+from .priors import EnumerationBudgetError, _sparse_support_size, difference_union
 from .recovery import rip_check
 from .sampling import SampledOperator, draw_sample, save_plan_csv
 
@@ -63,6 +63,9 @@ def _cmd_rip_check(config, args) -> int:
     config.require("m")
     if config.scheme == "both":
         raise ConfigError("rip-check needs one concrete scheme")
+    if config.prior == "sparse":
+        # the size of the sparse difference set follows from (n, k): check it before the coherence build
+        _sparse_support_size(config.n, config.sparse_k)
     problem = build_problem(config)
     differences = difference_union(problem.prior)
     plan = _plan_for(problem, config, config.scheme)

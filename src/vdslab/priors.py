@@ -34,6 +34,7 @@ __all__ = [
 
 _RANK_RTOL = 1e-10
 _DEDUP_TOL = 1e-10
+_ENUMERATION_BUDGET = 100_000
 
 
 def _readonly(a):
@@ -219,7 +220,19 @@ def _piece_matrix(net: GenerativeNetwork, pattern) -> np.ndarray:
     return mat
 
 
-def difference_union(prior, budget: int = 100_000, *, latent_samples: int = 4096, seed: int = 0):
+def _sparse_support_size(n: int, k: int, budget: int = _ENUMERATION_BUDGET) -> int:
+    """Support size s = min(2k, n) of a k-sparse difference.
+
+    Raises EnumerationBudgetError when its C(n, s) supports exceed ``budget``.
+    """
+    s = min(2 * k, n)
+    count = math.comb(n, s)
+    if count > budget:
+        raise EnumerationBudgetError(f"C({n}, {s}) = {count} sparse supports exceed budget {budget}")
+    return s
+
+
+def difference_union(prior, budget: int = _ENUMERATION_BUDGET, *, latent_samples: int = 4096, seed: int = 0):
     """Build a SubspaceUnion covering the difference set Q - Q of a prior.
 
     Raises EnumerationBudgetError when the enumeration would exceed
@@ -228,10 +241,7 @@ def difference_union(prior, budget: int = 100_000, *, latent_samples: int = 4096
     for a generative network.
     """
     if isinstance(prior, SparsePrior):
-        s = min(2 * prior.k, prior.n)
-        count = math.comb(prior.n, s)
-        if count > budget:
-            raise EnumerationBudgetError(f"C({prior.n}, {s}) = {count} sparse supports exceed budget {budget}")
+        s = _sparse_support_size(prior.n, prior.k, budget)
         eye = np.eye(prior.n)
         subs = [Subspace(eye[:, list(sup)]) for sup in combinations(range(prior.n), s)]
         return SubspaceUnion(subs)
@@ -334,8 +344,9 @@ def project(
 
     Exact for sparse priors and subspace unions. Generative projection is
     approximate: ``restarts`` standard-normal latents from
-    ``default_rng(seed)``, each followed by ``iters`` Adam steps of size
-    ``step`` on ||G(z) - x||_2^2 (the keyword arguments only apply there).
+    ``default_rng(seed)``, run as one (k, restarts) block of ``iters`` Adam
+    steps of size ``step`` on ||G(z) - x||_2^2 (the keyword arguments only
+    apply there).
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(prior, SparsePrior):
@@ -349,14 +360,13 @@ def project(
         tied = [p for p, r in zip(projections, residuals) if r <= residuals.min() + tol]
         return _lex_greatest(tied)
     if isinstance(prior, GenerativeNetwork):
-        rng = np.random.default_rng(seed)
-
         def value_and_grad(z):
             out, vjp = generative_pullback(prior, z)
-            r = out - x
-            return float(np.sum(r**2)), out, vjp(2.0 * r)
+            r = out - x[:, None]
+            return np.sum(r**2, axis=0), out, vjp(2.0 * r)
 
-        starts = (rng.standard_normal(prior.latent_dim) for _ in range(restarts))
+        # row i is the i-th draw of k values, so the starts match drawing one start at a time
+        starts = np.random.default_rng(seed).standard_normal((restarts, prior.latent_dim)).T
         (_, out), _ = _latent_adam(value_and_grad, starts, iters, step)
         return out
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
@@ -395,34 +405,44 @@ def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
     return out, vjp
 
 
-def _latent_adam(value_and_grad, starts, iters: int, step: float):
-    """Multi-start Adam in latent space with a fixed budget of ``iters`` evaluations per start.
+def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
+    """Multi-start Adam in latent space, every start a column of one (k, R) block.
 
-    ``value_and_grad(z)`` returns (objective, G(z), gradient). Returns the
-    first lowest-objective ``(objective, G(z))`` over every evaluated iterate,
-    in start order, and the number of evaluations. ``starts`` is consumed
-    lazily, one start at a time.
+    ``value_and_grad(Z)`` returns the per-column objectives (R,), G(Z) and
+    the gradients (k, R); each column keeps its own Adam moments and gets
+    exactly ``iters`` evaluations, with no early stop. Returns the first
+    lowest-objective ``(objective, G(z))`` over every evaluated iterate in
+    start-major order (strict ``<`` within a column, the lowest column on
+    ties across columns) and the number of evaluations. A non-finite
+    objective raises ValueError. ``recover_generative`` runs it on the
+    draw's folded system, ``project`` on ||G(z) - x||_2^2.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    best = None
-    total = 0
-    for z in starts:
-        m1 = np.zeros_like(z)
-        m2 = np.zeros_like(z)
-        for it in range(1, iters + 1):
-            obj, x, gz = value_and_grad(z)
-            if best is None or obj < best[0]:
-                best = (obj, x)
-            if it == iters:
-                break  # the budget is spent; a further step would go unevaluated
-            m1 = 0.9 * m1 + 0.1 * gz
-            m2 = 0.999 * m2 + 0.001 * gz**2
-            z = z - step * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
-        total += iters
-    if best is None:
-        raise ValueError("latent descent needs at least one start")
-    return best, total
+    z = np.array(starts, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("latent descent needs a (k, R) block of at least one start")
+    m1 = np.zeros_like(z)
+    m2 = np.zeros_like(z)
+    best_obj = np.full(z.shape[1], np.inf)
+    best_x = None
+    for it in range(1, iters + 1):
+        obj, x, gz = value_and_grad(z)
+        if not np.all(np.isfinite(obj)):
+            raise ValueError("latent descent met a non-finite objective")
+        better = obj < best_obj
+        best_obj = np.where(better, obj, best_obj)
+        if best_x is None:
+            best_x = np.array(x)
+        else:
+            best_x[:, better] = x[:, better]
+        if it == iters:
+            break  # the budget is spent; a further step would go unevaluated
+        m1 = 0.9 * m1 + 0.1 * gz
+        m2 = 0.999 * m2 + 0.001 * gz**2
+        z = z - step * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
+    col = int(np.argmin(best_obj))
+    return (float(best_obj[col]), best_x[:, col].copy()), z.shape[1] * iters
 
 
 def save_network(net: GenerativeNetwork, path) -> None:

@@ -71,7 +71,7 @@ class RecoveryResult:
     def __init__(self, x_hat, objective, solver, iterations, flags=()):
         x_hat = np.asarray(x_hat, dtype=np.float64)
         x_hat.setflags(write=False)
-        if objective < 0:
+        if not objective >= 0:  # written so that NaN fails too
             raise ValueError("objective must be nonnegative")
         self.x_hat = x_hat
         self.objective = float(objective)
@@ -248,7 +248,10 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
     Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
     best of ``init_pool`` seeded candidate latents (config key init_z pins the
     first restart instead) and runs exactly ``iters`` Adam steps; there is no
-    early stop. Returns the best iterate ever evaluated; its gap to the global
+    early stop. The restarts run as one (k, restarts) block on the draw's
+    folded system (``SampledOperator.folded``), which visits each distinct
+    row once; the reported objective is the folded residual plus its
+    constant. Returns the best iterate ever evaluated; its gap to the global
     minimum is unknown and flagged epsilon_uncertified.
     """
     if not isinstance(net, GenerativeNetwork):
@@ -258,31 +261,29 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     k = net.latent_dim
 
-    def value_and_grad(z):
-        x, vjp = generative_pullback(net, z)
-        r = A.forward(x) - target
-        obj = float(np.real(np.vdot(r, r)))
-        gx = 2.0 * np.real(A.adjoint(r))
-        return obj, x, vjp(gx)
-
     def best_of_pool():
+        # ranked on the m-row draw, so the starts do not depend on the fold
         pool = rng.standard_normal((k, cfg["init_pool"]))
         block = A.forward(generative_forward(net, pool))
         objs = np.sum(np.abs(block - target[:, None]) ** 2, axis=0)
-        return pool[:, int(np.argmin(objs))].copy()
+        return pool[:, int(np.argmin(objs))]
 
     init_z = cfg["init_z"]
     if init_z is not None:
         init_z = np.asarray(init_z, dtype=np.float64)
         if init_z.shape != (k,):
             raise ValueError("init_z must have the latent dimension")
+    # drawn eagerly in restart order: the rng is read exactly as one restart at a time would
+    starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(cfg["restarts"])]
+    fold = A.folded(b)
 
-    def starts():
-        for restart in range(cfg["restarts"]):
-            yield init_z if restart == 0 and init_z is not None else best_of_pool()
+    def value_and_grad(z):
+        x, vjp = generative_pullback(net, z)
+        r = fold.forward(x) - fold.u[:, None]
+        return np.sum((r * r.conj()).real, axis=0), x, vjp(2.0 * np.real(fold.adjoint(r)))
 
-    (obj, x_hat), total = _latent_adam(value_and_grad, starts(), cfg["iters"], cfg["step"])
-    return RecoveryResult(x_hat, obj, "generative_descent", total, ("epsilon_uncertified",))
+    (obj, x_hat), total = _latent_adam(value_and_grad, np.column_stack(starts), cfg["iters"], cfg["step"])
+    return RecoveryResult(x_hat, obj + fold.const, "generative_descent", total, ("epsilon_uncertified",))
 
 
 def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:
@@ -337,7 +338,7 @@ def theorem_error_bound(
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         t = math.sqrt(math.log(2.0 / delta))
-    if nf < 0 or m < 1 or t < 0 or sigma < 0 or epsilon < 0 or max_dim < 1 or log_subspace_count < 0:
+    if nf < 0 or m < 1 or t < 0 or not sigma >= 0 or epsilon < 0 or max_dim < 1 or log_subspace_count < 0:
         raise ValueError("invalid bound inputs")
     if mismatch_norm < 0 or preconditioned_mismatch_norm < 0:
         raise ValueError("mismatch norms must be nonnegative")
@@ -356,7 +357,7 @@ def deterministic_corollary_bound(sample: DrawnSample, alpha, sigma: float) -> f
     (sigma/sqrt(m)) ||alpha||_2 sum_i 1/(sqrt(n) alpha_{omega_i}); for flat
     coherences this grows like sigma sqrt(m) instead of decaying.
     """
-    if sigma < 0:
+    if not sigma >= 0:  # written so that NaN fails too
         raise ValueError("sigma must be nonnegative")
     vec = _as_alpha(alpha)
     gathered = vec[sample.omega]

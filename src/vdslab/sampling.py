@@ -24,6 +24,7 @@ __all__ = [
     "SamplingPlan",
     "DrawnSample",
     "SampledOperator",
+    "FoldedSystem",
     "uniform_plan",
     "make_plan",
     "optimized_probabilities",
@@ -86,12 +87,13 @@ class SamplingPlan:
 
 
 class DrawnSample:
-    """A with-replacement draw omega with its sorting permutation.
+    """A with-replacement draw omega, sorted for the preconditioner.
 
-    ``order`` sorts draws so the gathered preconditioner entries ``d_tilde``
-    are non-increasing (stable in draw position on ties); ``omega_sorted`` is
-    the draw in that order, the gather index of every measurement; ``scale``
-    is the sqrt(n/m) row normalization for signals of dimension ``n``.
+    The constructor's ``order`` sorts draws so the gathered preconditioner
+    entries ``d_tilde`` are non-increasing (stable in draw position on ties);
+    ``omega_sorted`` is the draw in that order, the gather index of every
+    measurement; ``scale`` is the sqrt(n/m) row normalization for signals of
+    dimension ``n``.
     """
 
     def __init__(self, omega: np.ndarray, order: np.ndarray, n: int, d_tilde: np.ndarray):
@@ -103,10 +105,9 @@ class DrawnSample:
         if np.any(np.diff(d_tilde) > 0):
             raise ValueError("d_tilde must be non-increasing")
         omega_sorted = omega[order]
-        for a in (omega, order, d_tilde, omega_sorted):
+        for a in (omega, d_tilde, omega_sorted):
             a.setflags(write=False)
         self.omega = omega
-        self.order = order
         self.omega_sorted = omega_sorted
         self.d_tilde = d_tilde
         self.n = int(n)
@@ -297,6 +298,59 @@ class SampledOperator:
         if values.shape != (self.sample.m,):
             raise ValueError("b length does not match the draw")
         return self.sample.d_tilde * values
+
+    def folded(self, b: np.ndarray) -> "FoldedSystem":
+        """The least squares ||A x - D~ b||_2^2 folded onto the draw's distinct rows.
+
+        A row j drawn several times acts as one row of weight sqrt(c_j), with
+        c_j = (n/m) sum_{i: omega_i = j} d~_i^2, and the folded target
+        u_j = sum_{i: omega_i = j} sqrt(n/m) d~_i t_i / sqrt(c_j), t = D~ b.
+        Then ||A x - t||^2 = ||sqrt(c) * (F x)_rows - u||^2 + const, exactly,
+        with const = ||t||^2 - ||u||^2 >= 0 by Cauchy-Schwarz (clamped at 0
+        against rounding).
+        """
+        t = self.target(b)
+        rows, inverse = np.unique(self.sample.omega_sorted, return_inverse=True)
+        w = self.sample.scale * self.sample.d_tilde
+        c = np.bincount(inverse, weights=w * w, minlength=rows.size)
+        wt = w * t
+        if np.iscomplexobj(wt):
+            folded_t = np.bincount(inverse, wt.real, rows.size) + 1j * np.bincount(inverse, wt.imag, rows.size)
+        else:
+            folded_t = np.bincount(inverse, wt, rows.size)
+        sqrt_c = np.sqrt(c)
+        u = folded_t / sqrt_c
+        const = float(np.real(np.vdot(t, t)) - np.real(np.vdot(u, u)))
+        return FoldedSystem(self.F, rows, sqrt_c, u, max(const, 0.0))
+
+
+@dataclass(frozen=True)
+class FoldedSystem:
+    """One draw's least squares on its distinct rows: ||A x - D~ b||^2 = ||forward(x) - u||^2 + const.
+
+    Built by ``SampledOperator.folded``. ``rows`` holds each drawn row once
+    (increasing) and ``weights`` its sqrt(c_j); ``forward`` takes (n,) or
+    (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones.
+    """
+
+    F: UnitaryOperator
+    rows: np.ndarray
+    weights: np.ndarray
+    u: np.ndarray
+    const: float
+
+    def _weigh(self, v: np.ndarray) -> np.ndarray:
+        return v * (self.weights if v.ndim == 1 else self.weights[:, None])
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._weigh(self.F.forward(x)[self.rows])
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """Assign the weighted rows (they are distinct, so nothing adds up), then one adjoint transform."""
+        weighted = self._weigh(v)
+        full = np.zeros((self.F.n,) + weighted.shape[1:], dtype=weighted.dtype)
+        full[self.rows] = weighted
+        return self.F.adjoint(full)
 
 
 def save_plan_csv(plan: SamplingPlan, path) -> None:

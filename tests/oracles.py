@@ -5,8 +5,9 @@ products, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
 end (a full lexsort hard threshold, a Haar cascade that copies its bands,
 the measurement adjoint as a free function, the generative restart loop with
-its patience stop) are the package's earlier implementations, kept as bitwise
-references for the code that replaced them.
+its patience stop) are the package's earlier implementations, kept as
+references for the code that replaced them: bitwise, except the generative
+loop, which the batched folded solver matches to rounding.
 """
 
 import math
@@ -129,7 +130,8 @@ def patience_recover_generative(A, b, net, config):
 
     ``local_best`` starts at inf, and ``obj < inf - 1e-12 * (1 + inf)`` compares
     against NaN, so the stop counted every step and each restart ran exactly
-    min(iters, patience) steps. Returns (x_hat, objective, iterations).
+    min(iters, patience) steps. Returns (x_hat, objective, iterations, starts),
+    with ``starts`` the (k, restarts) block of the latents each restart began from.
     """
     cfg = {"restarts": 10, "iters": 2000, "step": 0.05, "patience": 100, "init_pool": 16, "seed": 0,
            "init_z": None, **config}
@@ -152,11 +154,13 @@ def patience_recover_generative(A, b, net, config):
 
     best = None
     total = 0
+    starts = []
     for restart in range(cfg["restarts"]):
         if restart == 0 and cfg["init_z"] is not None:
             z = np.asarray(cfg["init_z"], dtype=np.float64).copy()
         else:
             z = best_of_pool()
+        starts.append(z)
         m1 = np.zeros(k)
         m2 = np.zeros(k)
         local_best = math.inf
@@ -178,4 +182,4 @@ def patience_recover_generative(A, b, net, config):
             step = cfg["step"] * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
             z = z - step
     obj, x_hat = best
-    return x_hat, obj, total
+    return x_hat, obj, total, np.column_stack(starts)

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import random_orthogonal
 
+from vdslab import harness
 from vdslab.cli import main
 from vdslab.coherence import load_coherence_csv
 from vdslab.harness import CSV_HEADER
@@ -93,6 +94,16 @@ def test_rip_check_sparse_over_budget_exits_2(tmp_path, capsys):
     assert main(["rip-check", "--config", cfg]) == 2
     assert "budget" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_rip_check_sparse_over_budget_exits_before_the_coherence_build(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense coherence was built")
+
+    monkeypatch.setattr(harness, "sparse_coherence_vector", refuse)
+    cfg = _write_config(tmp_path, n=2048, sparse_k=10, m=32)
+    assert main(["rip-check", "--config", cfg]) == 2
+    assert "exceed budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("solver", "sparse"), ("field", "complex")])

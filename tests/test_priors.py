@@ -348,15 +348,40 @@ def test_project_generative_nonnegative_orthant():
 
 
 def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
-    """A flat objective ties every iterate: the first evaluated one wins, and each start gets iters evaluations."""
-    calls = []
+    """Flat objectives tie every iterate while the latents move: within a column the first
+    iterate wins, across columns the lowest column, and each start gets iters evaluations."""
+    blocks = []
 
     def flat(z):
-        calls.append(z)
-        return 1.0, z.copy(), np.zeros_like(z)
+        blocks.append(z.copy())
+        return np.ones(z.shape[1]), z.copy(), np.ones_like(z)
 
-    (obj, x), total = _latent_adam(flat, iter([np.array([1.0]), np.array([2.0])]), 7, 0.1)
-    assert (obj, x.tolist(), total, len(calls)) == (1.0, [1.0], 14, 14)
+    (obj, x), total = _latent_adam(flat, np.array([[1.0, 2.0, 3.0]]), 7, 0.1)
+    assert (obj, x.tolist(), total) == (1.0, [1.0], 21)
+    assert len(blocks) == 7 and all(b.shape == (1, 3) for b in blocks)
+    assert np.all(blocks[-1] < blocks[0])  # the ties were between distinct iterates
+
+
+def test_latent_adam_columns_run_independently():
+    """Each column keeps its own Adam moments: the block gives the single-column runs."""
+    centre = np.array([[0.5], [-2.0]])
+
+    def quadratic(z):
+        r = z - centre
+        return np.sum(r**2, axis=0), z.copy(), 2.0 * r
+
+    block = np.array([[3.0, -1.0, 0.2], [1.0, 4.0, -0.7]])
+    (obj, x), _ = _latent_adam(quadratic, block, 25, 0.05)
+    singles = [_latent_adam(quadratic, block[:, [j]], 25, 0.05)[0] for j in range(3)]
+    best = min(singles, key=lambda pair: pair[0])
+    assert obj == best[0] and np.array_equal(x, best[1])
+
+
+def test_latent_adam_rejects_non_finite_objectives_and_empty_blocks():
+    with pytest.raises(ValueError, match="non-finite"):
+        _latent_adam(lambda z: (np.array([1.0, np.nan]), z, z), np.ones((1, 2)), 3, 0.1)
+    with pytest.raises(ValueError, match="at least one start"):
+        _latent_adam(lambda z: (np.ones(0), z, z), np.ones((1, 0)), 3, 0.1)
 
 
 # ---------------------------------------------------------------- forward / pullback

@@ -12,6 +12,7 @@ from oracles import random_orthogonal
 from vdslab.coherence import CoherenceVector
 from vdslab.sampling import (
     DrawnSample,
+    SampledOperator,
     SamplingPlan,
     apply_measurement,
     complexity_mu,
@@ -160,7 +161,7 @@ def test_draw_order_sorts_d_nonincreasing():
 def test_draw_tie_break_is_stable_in_draw_position():
     plan = uniform_plan(4)  # all d equal: order must stay 0..m-1
     sample = draw_sample(plan, 20, 10)
-    assert np.array_equal(sample.order, np.arange(20))
+    assert np.array_equal(sample.omega_sorted, sample.omega)
 
 
 def test_draws_deterministic_per_seed():
@@ -474,6 +475,59 @@ def test_sample_csv_round_trip(tmp_path):
     save_sample_csv(sample, path)
     back = load_sample_csv(path, plan)
     assert np.array_equal(back.omega, sample.omega)
-    assert np.array_equal(back.order, sample.order)
+    assert np.array_equal(back.omega_sorted, sample.omega_sorted)
     assert np.array_equal(back.d_tilde, sample.d_tilde)
     assert back.scale == sample.scale
+
+
+# ---------------------------------------------------------------- folded system
+
+
+@st.composite
+def _folded_cases(draw):
+    """(A, b, X): real Haar and complex DFT draws of up to 4n rows (so rows repeat), flat
+    and skewed plans (some skewed rows excluded), sigma 0 or 0.5; X holds the truth and
+    random signals."""
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([8, 16, 32]))
+    F = make_haar_operator(n, 2) if draw(st.booleans()) else make_dft_operator(n)
+    if draw(st.booleans()):
+        plan = uniform_plan(n)
+    else:
+        p = rng.random(n) ** 4 * (rng.random(n) > 0.25)
+        p[rng.integers(n)] += 1.0
+        plan = make_plan(p / p.sum())
+    m = draw(st.integers(1, 4 * n))
+    sample = draw_sample(plan, m, rng)
+    x = rng.standard_normal((n, 3))
+    noise = rng.standard_normal(m) + (1j * rng.standard_normal(m) if F.field == "complex" else 0.0)
+    b = apply_measurement(F, sample, x[:, 0]) + draw(st.sampled_from([0.0, 0.5])) / math.sqrt(m) * noise
+    return SampledOperator(F, sample), b, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_folded_cases())
+def test_folded_system_matches_the_raw_draw(case):
+    """Folded residual plus const is ||A x - D~ b||^2, and 2 Re of the folded adjoint of the
+    folded residual is the gradient 2 Re A*(A x - D~ b), both checked on the m-row operator."""
+    A, b, x = case
+    fold = A.folded(b)
+    t = A.target(b)
+    assert fold.const >= 0.0
+    assert np.array_equal(fold.rows, np.unique(A.sample.omega))
+
+    raw_fx = A.forward(x)
+    raw_r = raw_fx - t[:, None]
+    fold_r = fold.forward(x) - fold.u[:, None]
+    raw_obj = np.sum(np.abs(raw_r) ** 2, axis=0)
+    fold_obj = np.sum(np.abs(fold_r) ** 2, axis=0) + fold.const
+    size = np.sum(np.abs(raw_fx) ** 2, axis=0) + np.real(np.vdot(t, t))
+    assert np.all(np.abs(fold_obj - raw_obj) <= 1e-12 * (1.0 + size))
+
+    fold_g = 2.0 * np.real(fold.adjoint(fold_r))
+    for j in range(x.shape[1]):
+        raw_g = 2.0 * np.real(A.adjoint(raw_r[:, j]))
+        g_size = np.linalg.norm(A.adjoint(raw_fx[:, j])) + np.linalg.norm(A.adjoint(t))
+        assert np.linalg.norm(fold_g[:, j] - raw_g) <= 1e-12 * (1.0 + g_size)
+        single_g = 2.0 * np.real(fold.adjoint(fold.forward(x[:, j]) - fold.u))
+        assert np.linalg.norm(single_g - fold_g[:, j]) <= 1e-12 * (1.0 + g_size)
