@@ -123,7 +123,6 @@ _KEY_PARSERS = {
     "coherence_latents": int,
     "solver_max_iters": int,
     "solver_tol": float,
-    "solver_power_iters": int,
     "solver_restarts": int,
     "solver_iters": int,
     "solver_step": float,
@@ -143,7 +142,8 @@ _DEFAULTS = {
 _PRIORS = ("sparse", "union", "generative")
 _SCHEMES = ("optimized", "uniform", "custom", "both")
 _MEASUREMENTS = ("dft", "dft2", "haar", "haar2")
-_SPARSITIES = ("none",) + _MEASUREMENTS
+# real bases only: under a complex one the sparse step's closed-form ||A||^2 is only a bound
+_SPARSITIES = ("none", "haar", "haar2")
 _SOLVER_DEFAULTS = {"sparse": _SPARSE_DEFAULTS, "union": {}, "generative": _GENERATIVE_DEFAULTS}
 
 

@@ -3,9 +3,10 @@
 Every solver takes the draw's preconditioned operator A = D~ S F (a
 SampledOperator) and minimizes ||A x - D~ b||_2^2 over its prior set.
 Measurements are never pre-scaled; the preconditioner enters at optimization
-time only. Complex systems are handled by stacking real and imaginary parts,
-so least squares and singular values are always computed over the reals,
-matching the real-part convention for complex inner products.
+time only. The sparse and generative solvers descend on the draw's folded
+system (``SampledOperator.folded``). Complex systems are handled by stacking
+real and imaginary parts, so least squares and singular values are always
+computed over the reals, matching the real-part convention for complex inner products.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 _RANK_RTOL = 1e-10
 _SIGNAL_MAGIC = b"VDSX"
 
-_SPARSE_DEFAULTS = {"max_iters": 500, "tol": 1e-8, "power_iters": 40}
+_SPARSE_DEFAULTS = {"max_iters": 500, "tol": 1e-8}
 _GENERATIVE_DEFAULTS = {
     "restarts": 10,
     "iters": 100,
@@ -58,7 +59,7 @@ _GENERATIVE_DEFAULTS = {
 }
 
 # the least legal value of each numeric solver setting; step must be above 0
-_SETTING_FLOORS = {"max_iters": 1, "tol": 0, "power_iters": 1, "restarts": 1, "iters": 1, "init_pool": 1}
+_SETTING_FLOORS = {"max_iters": 1, "tol": 0, "restarts": 1, "iters": 1, "init_pool": 1}
 
 
 class RecoveryResult:
@@ -175,50 +176,36 @@ def _merge_config(defaults: dict, config, prefix: str = "") -> dict:
     return merged
 
 
-def _operator_norm_sq(A: SampledOperator, power_iters: int) -> float:
-    """Power-iteration estimate of ||A||_2^2, inflated 5% for step safety."""
-    rng = np.random.Generator(np.random.Philox(7))
-    v = rng.standard_normal(A.F.n)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(power_iters):
-        w = np.real(A.adjoint(A.forward(v)))
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 1.0
-        v = w / lam
-    return 1.05 * lam
-
-
 def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> RecoveryResult:
     """Two-stage sparse solver: hard-threshold descent, then support least squares.
 
-    Stage 1 runs iterative hard thresholding on the preconditioned system with
-    step 1/L, L estimated by power iteration. Stage 2 re-fits exactly on the
-    support of the best stage-1 iterate, so the result is optimal within that
-    fixed support only; the support itself stays uncertified (flagged).
+    Both stages run on the draw's folded system. Stage 1 is iterative hard
+    thresholding with step 1/L, L = 1.05 ||A||^2 in closed form from the draw
+    (``FoldedSystem.norm_sq``), so step * ||A||^2 < 1. Stage 2 re-fits exactly
+    on the support of the best stage-1 iterate, so the result is optimal within
+    that fixed support only; the support itself stays uncertified (flagged).
     Stage-1 non-convergence keeps the best iterate's support and adds a
-    warning flag.
+    warning flag. The objective is the folded residual plus its constant.
     """
     cfg = _merge_config(_SPARSE_DEFAULTS, config)
     n = A.F.n
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    target = A.target(b)
-    lam = _operator_norm_sq(A, cfg["power_iters"])
+    fold = A.folded(b)
+    lam = 1.05 * fold.norm_sq
 
     # each iteration costs one forward and one adjoint transform: the residual
     # of the accepted iterate is carried into the next gradient step
     x = np.zeros(n)
-    r = A.forward(x) - target
+    r = fold.forward(x) - fold.u
     best_x, best_obj = x, float(np.real(np.vdot(r, r)))
     converged = False
     used = 0
     for used in range(1, cfg["max_iters"] + 1):
-        g = np.real(A.adjoint(r))
+        g = np.real(fold.adjoint(r))
         x_next = _hard_threshold(x - g / lam, k)
-        r_next = A.forward(x_next) - target
+        r_next = fold.forward(x_next) - fold.u
         obj = float(np.real(np.vdot(r_next, r_next)))
         if obj < best_obj:
             best_x, best_obj = x_next, obj
@@ -230,8 +217,8 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     support = _top_k_support(best_x, k)
     columns = np.zeros((n, k))
     columns[support, np.arange(k)] = 1.0
-    design = A.forward(columns)
-    w, _, rank, _ = np.linalg.lstsq(_stack_real(design), _stack_real(target), rcond=_RANK_RTOL)
+    design = fold.forward(columns)
+    w, _, rank, _ = np.linalg.lstsq(_stack_real(design), _stack_real(fold.u), rcond=_RANK_RTOL)
     x_hat = np.zeros(n)
     x_hat[support] = w
     flags = ["support_uncertified"]
@@ -239,7 +226,8 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
         flags.append("stage1_not_converged")
     if rank < k:
         flags.append("rank_deficient")
-    return RecoveryResult(x_hat, _residual_sq(design, w, target), "sparse_two_stage", used, tuple(flags))
+    obj = _residual_sq(design, w, fold.u) + fold.const
+    return RecoveryResult(x_hat, obj, "sparse_two_stage", used, tuple(flags))
 
 
 def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=None) -> RecoveryResult:
@@ -248,25 +236,23 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
     Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
     best of ``init_pool`` seeded candidate latents (config key init_z pins the
     first restart instead) and runs exactly ``iters`` Adam steps; there is no
-    early stop. The restarts run as one (k, restarts) block on the draw's
-    folded system (``SampledOperator.folded``), which visits each distinct
-    row once; the reported objective is the folded residual plus its
-    constant. Returns the best iterate ever evaluated; its gap to the global
-    minimum is unknown and flagged epsilon_uncertified.
+    early stop. The restarts run as one (k, restarts) block on the folded
+    system, and the objective is the folded residual plus its constant.
+    Returns the best iterate ever evaluated; its gap to the global minimum is
+    unknown and flagged epsilon_uncertified.
     """
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
     cfg = _merge_config(_GENERATIVE_DEFAULTS, config)
-    target = A.target(b)
+    fold = A.folded(b)  # reads no rng
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     k = net.latent_dim
 
     def best_of_pool():
-        # ranked on the m-row draw, so the starts do not depend on the fold
+        # the folded residuals rank as the m-row ones: they differ by the shared const
         pool = rng.standard_normal((k, cfg["init_pool"]))
-        block = A.forward(generative_forward(net, pool))
-        objs = np.sum(np.abs(block - target[:, None]) ** 2, axis=0)
-        return pool[:, int(np.argmin(objs))]
+        r = fold.forward(generative_forward(net, pool)) - fold.u[:, None]
+        return pool[:, int(np.argmin(np.sum(np.abs(r) ** 2, axis=0)))]
 
     init_z = cfg["init_z"]
     if init_z is not None:
@@ -275,7 +261,6 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
             raise ValueError("init_z must have the latent dimension")
     # drawn eagerly in restart order: the rng is read exactly as one restart at a time would
     starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(cfg["restarts"])]
-    fold = A.folded(b)
 
     def value_and_grad(z):
         x, vjp = generative_pullback(net, z)

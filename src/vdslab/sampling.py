@@ -272,7 +272,7 @@ def apply_measurement(
 class SampledOperator:
     """A = D~ S F for one draw; every solver minimizes ||A x - D~ b||_2^2.
 
-    ``forward`` takes (n,) or (n, T) inputs, ``adjoint`` one (m,) vector.
+    ``forward`` takes (n,) or (n, T) inputs; ``folded(b)`` carries the adjoint.
     """
 
     F: UnitaryOperator
@@ -284,13 +284,6 @@ class SampledOperator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return apply_measurement(self.F, self.sample, x, preconditioned=True)
-
-    def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """Scatter the weighted vector, then run one adjoint transform."""
-        weights = self.sample.scale * self.sample.d_tilde * v
-        u = np.zeros(self.F.n, dtype=weights.dtype)
-        np.add.at(u, self.sample.omega_sorted, weights)
-        return self.F.adjoint(u)
 
     def target(self, b: np.ndarray) -> np.ndarray:
         """D~ b for a length-m measurement vector b."""
@@ -307,30 +300,33 @@ class SampledOperator:
         u_j = sum_{i: omega_i = j} sqrt(n/m) d~_i t_i / sqrt(c_j), t = D~ b.
         Then ||A x - t||^2 = ||sqrt(c) * (F x)_rows - u||^2 + const, exactly,
         with const = ||t||^2 - ||u||^2 >= 0 by Cauchy-Schwarz (clamped at 0
-        against rounding).
+        against rounding). A's Gram is F* diag(c) F, so ``norm_sq``, ||A||^2
+        on real inputs, is max_j (c_j + c_{P j}) / 2 with P = F.conjugate_rows().
         """
         t = self.target(b)
-        rows, inverse = np.unique(self.sample.omega_sorted, return_inverse=True)
+        index = self.sample.omega_sorted
         w = self.sample.scale * self.sample.d_tilde
-        c = np.bincount(inverse, weights=w * w, minlength=rows.size)
+        c = np.bincount(index, weights=w * w, minlength=self.F.n)
+        rows = np.flatnonzero(c)
         wt = w * t
         if np.iscomplexobj(wt):
-            folded_t = np.bincount(inverse, wt.real, rows.size) + 1j * np.bincount(inverse, wt.imag, rows.size)
+            folded_t = np.bincount(index, wt.real, c.size) + 1j * np.bincount(index, wt.imag, c.size)
         else:
-            folded_t = np.bincount(inverse, wt, rows.size)
-        sqrt_c = np.sqrt(c)
-        u = folded_t / sqrt_c
+            folded_t = np.bincount(index, wt, c.size)
+        sqrt_c = np.sqrt(c[rows])
+        u = folded_t[rows] / sqrt_c
         const = float(np.real(np.vdot(t, t)) - np.real(np.vdot(u, u)))
-        return FoldedSystem(self.F, rows, sqrt_c, u, max(const, 0.0))
+        norm_sq = float(np.max(c + c[self.F.conjugate_rows()])) / 2.0
+        return FoldedSystem(self.F, rows, sqrt_c, u, max(const, 0.0), norm_sq)
 
 
 @dataclass(frozen=True)
 class FoldedSystem:
     """One draw's least squares on its distinct rows: ||A x - D~ b||^2 = ||forward(x) - u||^2 + const.
 
-    Built by ``SampledOperator.folded``. ``rows`` holds each drawn row once
-    (increasing) and ``weights`` its sqrt(c_j); ``forward`` takes (n,) or
-    (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones.
+    Built by ``SampledOperator.folded``. ``rows`` holds each drawn row of
+    nonzero weight once (increasing) and ``weights`` its sqrt(c_j); ``forward``
+    takes (n,) or (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones.
     """
 
     F: UnitaryOperator
@@ -338,6 +334,7 @@ class FoldedSystem:
     weights: np.ndarray
     u: np.ndarray
     const: float
+    norm_sq: float
 
     def _weigh(self, v: np.ndarray) -> np.ndarray:
         return v * (self.weights if v.ndim == 1 else self.weights[:, None])

@@ -62,6 +62,13 @@ class UnitaryOperator:
         """Return the dense n x n matrix (column j is forward(e_j))."""
         return self.forward(np.eye(self.n))
 
+    def conjugate_rows(self) -> np.ndarray:
+        """Row permutation P with conj(forward(x)) == forward(x)[P] for every real x.
+
+        The identity: exact for real operators; for complex ones it makes the fold's ||A||^2 a bound.
+        """
+        return np.arange(self.n)
+
     def _forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -83,6 +90,9 @@ class _Dft1d(UnitaryOperator):
 
     def _adjoint(self, y):
         return np.fft.ifft(y, axis=0, norm="ortho")
+
+    def conjugate_rows(self):
+        return -np.arange(self.n) % self.n
 
 
 class _Dft2d(UnitaryOperator):
@@ -107,6 +117,10 @@ class _Dft2d(UnitaryOperator):
         img, batched = self._image(y)
         out = np.fft.ifft2(img, axes=(0, 1), norm="ortho")
         return out.reshape(self.n, -1) if batched else out.reshape(self.n)
+
+    def conjugate_rows(self):
+        neg = -np.arange(self.side) % self.side
+        return (neg[:, None] * self.side + neg).ravel()
 
 
 def _haar_forward_axis0(arr: np.ndarray, levels: int) -> np.ndarray:
@@ -243,6 +257,10 @@ class _Composed(UnitaryOperator):
 
     def _adjoint(self, y):
         return self.sparsity.forward(self.measurement.adjoint(y))
+
+    def conjugate_rows(self):
+        # a real sparsity basis keeps x real on its way into the measurement
+        return (self.measurement if self.sparsity.field == "real" else super()).conjugate_rows()
 
 
 def make_dft_operator(n: int, *, two_dim: bool = False) -> UnitaryOperator:

@@ -4,10 +4,11 @@ The dense matrices are built from explicit formulas (index grids, block
 products, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
 end (a full lexsort hard threshold, a Haar cascade that copies its bands,
-the measurement adjoint as a free function, the generative restart loop with
-its patience stop) are the package's earlier implementations, kept as
-references for the code that replaced them: bitwise, except the generative
-loop, which the batched folded solver matches to rounding.
+the m-row scatter adjoint of the measurement, the generative restart loop
+with its patience stop) are the package's earlier implementations, kept as
+references for the code that replaced them: bitwise, except the scatter
+adjoint and the generative loop, which the folded system and the batched
+folded solver match to rounding.
 """
 
 import math
@@ -143,7 +144,7 @@ def patience_recover_generative(A, b, net, config):
         x, vjp = generative_pullback(net, z)
         r = A.forward(x) - target
         obj = float(np.real(np.vdot(r, r)))
-        gx = 2.0 * np.real(A.adjoint(r))
+        gx = 2.0 * np.real(scatter_adjoint_measurement(A.F, A.sample, r))
         return obj, x, vjp(gx)
 
     def best_of_pool():

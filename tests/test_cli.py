@@ -199,7 +199,7 @@ _GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
         ({"sigma": -0.5}, "sigma must be"),
         ({"sigma": "nan"}, "sigma must be"),
         ({"solver_max_iters": 0}, "solver_max_iters must be"),
-        ({"solver_power_iters": 0}, "solver_power_iters must be"),
+        ({"solver_power_iters": 40}, "unknown config keys"),
         ({"solver_tol": -1e-9}, "solver_tol must be"),
         (_GENERATIVE | {"solver_restarts": 0}, "solver_restarts must be"),
         (_GENERATIVE | {"solver_iters": 0}, "solver_iters must be"),

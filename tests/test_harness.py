@@ -178,6 +178,12 @@ def test_config_sparsity_only_for_sparse_prior(tmp_path):
         ExperimentConfig(mapping)
 
 
+def test_config_sparsity_basis_must_be_real(tmp_path):
+    """A DFT sparsity basis has no conjugate-row permutation, so the sparse step would only be a bound."""
+    with pytest.raises(ConfigError, match="sparsity must be one of"):
+        ExperimentConfig(_sparse_mapping(tmp_path, sparsity="dft"))
+
+
 def test_config_custom_scheme_needs_plan(tmp_path):
     with pytest.raises(ConfigError, match="plan_file"):
         ExperimentConfig(_sparse_mapping(tmp_path, scheme="custom"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_orthogonal
+from oracles import random_orthogonal, random_unitary, scatter_adjoint_measurement
 
 from vdslab.coherence import CoherenceVector
 from vdslab.sampling import (
@@ -29,7 +29,12 @@ from vdslab.sampling import (
     uniform_plan,
     unit_truncation,
 )
-from vdslab.transforms import make_dense_operator, make_dft_operator, make_haar_operator
+from vdslab.transforms import (
+    compose_measurement_basis,
+    make_dense_operator,
+    make_dft_operator,
+    make_haar_operator,
+)
 
 
 def _rng(seed):
@@ -483,14 +488,41 @@ def test_sample_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------- folded system
 
 
+# operator kind -> (constructor from (n, rng), whether conjugate_rows is an exact P);
+# the inexact ones are complex maps with no conjugate-row permutation
+_FOLD_KINDS = {
+    "dft1d": (lambda n, rng: make_dft_operator(n), True),
+    "dft2d": (lambda n, rng: make_dft_operator(n, two_dim=True), True),
+    "haar1d": (lambda n, rng: make_haar_operator(n, 2), True),
+    "haar2d": (lambda n, rng: make_haar_operator(n, 2, two_dim=True), True),
+    "dense_real": (lambda n, rng: make_dense_operator(random_orthogonal(n, rng)), True),
+    "dft_haar": (
+        lambda n, rng: compose_measurement_basis(make_dft_operator(n), make_haar_operator(n, 2)), True
+    ),
+    "dft2_haar2": (
+        lambda n, rng: compose_measurement_basis(
+            make_dft_operator(n, two_dim=True), make_haar_operator(n, 2, two_dim=True)
+        ),
+        True,
+    ),
+    "dense_complex": (lambda n, rng: make_dense_operator(random_unitary(n, rng)), False),
+    "dft_dft": (lambda n, rng: compose_measurement_basis(make_dft_operator(n), make_dft_operator(n)), False),
+    "haar_dft": (
+        lambda n, rng: compose_measurement_basis(make_haar_operator(n, 2), make_dft_operator(n)), False
+    ),
+}
+
+
 @st.composite
 def _folded_cases(draw):
-    """(A, b, X): real Haar and complex DFT draws of up to 4n rows (so rows repeat), flat
-    and skewed plans (some skewed rows excluded), sigma 0 or 0.5; X holds the truth and
-    random signals."""
+    """(A, b, X, exact): every operator kind, 1-D and 2-D, draws of up to 4n rows (so rows
+    repeat), flat and skewed plans (some skewed rows excluded), sigma 0 or 0.5; X holds the
+    truth and random signals, and ``exact`` says whether the kind has a conjugate-row permutation."""
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.sampled_from([8, 16, 32]))
-    F = make_haar_operator(n, 2) if draw(st.booleans()) else make_dft_operator(n)
+    kind = draw(st.sampled_from(sorted(_FOLD_KINDS)))
+    make, exact = _FOLD_KINDS[kind]
+    n = draw(st.sampled_from([16, 64] if kind in ("dft2d", "haar2d", "dft2_haar2") else [8, 16, 32]))
+    F = make(n, rng)
     if draw(st.booleans()):
         plan = uniform_plan(n)
     else:
@@ -502,7 +534,7 @@ def _folded_cases(draw):
     x = rng.standard_normal((n, 3))
     noise = rng.standard_normal(m) + (1j * rng.standard_normal(m) if F.field == "complex" else 0.0)
     b = apply_measurement(F, sample, x[:, 0]) + draw(st.sampled_from([0.0, 0.5])) / math.sqrt(m) * noise
-    return SampledOperator(F, sample), b, x
+    return SampledOperator(F, sample), b, x, exact
 
 
 @settings(max_examples=80, deadline=None)
@@ -510,7 +542,7 @@ def _folded_cases(draw):
 def test_folded_system_matches_the_raw_draw(case):
     """Folded residual plus const is ||A x - D~ b||^2, and 2 Re of the folded adjoint of the
     folded residual is the gradient 2 Re A*(A x - D~ b), both checked on the m-row operator."""
-    A, b, x = case
+    A, b, x, _ = case
     fold = A.folded(b)
     t = A.target(b)
     assert fold.const >= 0.0
@@ -524,10 +556,51 @@ def test_folded_system_matches_the_raw_draw(case):
     size = np.sum(np.abs(raw_fx) ** 2, axis=0) + np.real(np.vdot(t, t))
     assert np.all(np.abs(fold_obj - raw_obj) <= 1e-12 * (1.0 + size))
 
+    def adjoint(v):
+        return scatter_adjoint_measurement(A.F, A.sample, v)
+
     fold_g = 2.0 * np.real(fold.adjoint(fold_r))
     for j in range(x.shape[1]):
-        raw_g = 2.0 * np.real(A.adjoint(raw_r[:, j]))
-        g_size = np.linalg.norm(A.adjoint(raw_fx[:, j])) + np.linalg.norm(A.adjoint(t))
+        raw_g = 2.0 * np.real(adjoint(raw_r[:, j]))
+        g_size = np.linalg.norm(adjoint(raw_fx[:, j])) + np.linalg.norm(adjoint(t))
         assert np.linalg.norm(fold_g[:, j] - raw_g) <= 1e-12 * (1.0 + g_size)
         single_g = 2.0 * np.real(fold.adjoint(fold.forward(x[:, j]) - fold.u))
         assert np.linalg.norm(single_g - fold_g[:, j]) <= 1e-12 * (1.0 + g_size)
+
+
+def test_folded_system_leaves_out_zero_weight_rows(tmp_path):
+    """A drawn row the plan excludes (d = 0, as a sample CSV loaded against that plan may hold)
+    carries no weight: the fold leaves it out instead of dividing by its zero c_j."""
+    n = 16
+    p = np.ones(n)
+    p[3] = 0.0
+    plan = make_plan(p / p.sum())
+    path = tmp_path / "sample.csv"
+    path.write_text("position,omega\n" + "".join(f"{i},{j}\n" for i, j in enumerate([3, 5, 5, 7, 3, 9])))
+    A = SampledOperator(make_dft_operator(n), load_sample_csv(path, plan))
+    rng = _rng(1)
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x = rng.standard_normal(n)
+    fold = A.folded(b)
+    assert np.array_equal(fold.rows, [5, 7, 9])
+    raw_r = A.forward(x) - A.target(b)
+    fold_r = fold.forward(x) - fold.u
+    raw_obj = np.real(np.vdot(raw_r, raw_r))
+    assert np.real(np.vdot(fold_r, fold_r)) + fold.const == pytest.approx(raw_obj, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_folded_cases())
+def test_folded_norm_is_the_dense_gram_norm(case):
+    """conj(F x) == (F x)[P] for real x, and the fold's closed-form norm_sq is
+    ||Re(M^H M)||_2 of the dense m-row M = D~ S F: equal where P exists, an upper bound where not."""
+    A, b, x, exact = case
+    fold = A.folded(b)
+    M = A.forward(np.eye(A.F.n))
+    want = np.linalg.norm(np.real(M.conj().T @ M), 2)
+    if exact:
+        fx = A.F.forward(x)
+        assert np.allclose(np.conj(fx), fx[A.F.conjugate_rows()], rtol=0, atol=1e-12 * np.abs(fx).max())
+        assert fold.norm_sq == pytest.approx(want, rel=1e-12)
+    else:
+        assert fold.norm_sq >= want * (1.0 - 1e-12)
