@@ -197,9 +197,6 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         return cls(parse_config_file(path))
 
-    def get(self, key, default=None):
-        return self._values.get(key, default)
-
     def __getattr__(self, key):
         if key.startswith("_"):
             raise AttributeError(key)

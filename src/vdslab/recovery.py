@@ -1,12 +1,15 @@
 """Noisy measurement simulation, recovery solvers, and closed-form error bounds.
 
-Every solver takes the draw's preconditioned operator A = D~ S F (a
-SampledOperator) and minimizes ||A x - D~ b||_2^2 over its prior set.
-Measurements are never pre-scaled; the preconditioner enters at optimization
-time only. The sparse and generative solvers descend on the draw's folded
-system (``SampledOperator.folded``). Complex systems are handled by stacking
-real and imaginary parts, so least squares and singular values are always
-computed over the reals, matching the real-part convention for complex inner products.
+Every solver, ``objective`` and ``rip_check`` take the draw's preconditioned
+operator A = D~ S F (a SampledOperator), which acts on the draw's distinct
+rows. The solvers minimize ||A x - D~ b||_2^2 over their prior set in its
+folded form ||A.forward(x) - u||^2 + const, with (u, const) = A.fold(b), and
+report that sum as the objective. Measurements are never pre-scaled; the
+preconditioner enters at optimization time only. Only the simulation, the
+noise factor and the bounds read the m-row draw. Complex systems are handled
+by stacking real and imaginary parts, so least squares and singular values
+are always computed over the reals, matching the real-part convention for
+complex inner products.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ def simulate_measurements(
 
 
 def objective(A: SampledOperator, x, b) -> float:
-    """Squared preconditioned residual ||A x - D~ b||_2^2."""
-    r = A.forward(x) - A.target(b)
-    return float(np.real(np.vdot(r, r)))
+    """Squared preconditioned residual ||A x - D~ b||_2^2, as the folded residual plus its constant."""
+    u, const = A.fold(b)
+    r = A.forward(x) - u
+    return float(np.real(np.vdot(r, r))) + const
 
 
 def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResult:
@@ -137,18 +141,20 @@ def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResul
     factorization with rank tolerance 1e-10 relative to the top singular
     value; a rank-deficient winner takes the minimum-norm solution and flags
     the result. Objective ties go to the lexicographically greatest signal.
+    The fits run on the folded system; each objective is the folded residual
+    plus its constant.
     """
     if not isinstance(union, SubspaceUnion):
         raise TypeError("recover_oracle needs an explicitly enumerated union")
-    target = A.target(b)
-    stacked_target = _stack_real(target)
+    u, const = A.fold(b)
+    stacked_u = _stack_real(u)
     candidates = []
     for sub in union.subspaces:
         design = A.forward(sub.basis)
-        w, _, rank, _ = np.linalg.lstsq(_stack_real(design), stacked_target, rcond=_RANK_RTOL)
-        candidates.append((_residual_sq(design, w, target), sub.basis @ w, rank < sub.dim))
+        w, _, rank, _ = np.linalg.lstsq(_stack_real(design), stacked_u, rcond=_RANK_RTOL)
+        candidates.append((_residual_sq(design, w, u) + const, sub.basis @ w, rank < sub.dim))
     best_obj = min(c[0] for c in candidates)
-    tie_tol = 1e-12 * (1.0 + float(np.real(np.vdot(target, target))))
+    tie_tol = 1e-12 * (1.0 + float(np.real(np.vdot(u, u))) + const)  # ||D~ b||^2 = ||u||^2 + const
     tied = [c for c in candidates if c[0] <= best_obj + tie_tol]
     x_hat = _lex_greatest([c[1] for c in tied])
     winner = next(c for c in tied if c[1] is x_hat)
@@ -181,7 +187,7 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
 
     Both stages run on the draw's folded system. Stage 1 is iterative hard
     thresholding with step 1/L, L = 1.05 ||A||^2 in closed form from the draw
-    (``FoldedSystem.norm_sq``), so step * ||A||^2 < 1. Stage 2 re-fits exactly
+    (``A.norm_sq``), so step * ||A||^2 < 1. Stage 2 re-fits exactly
     on the support of the best stage-1 iterate, so the result is optimal within
     that fixed support only; the support itself stays uncertified (flagged).
     Stage-1 non-convergence keeps the best iterate's support and adds a
@@ -192,20 +198,21 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    fold = A.folded(b)
-    lam = 1.05 * fold.norm_sq
+    u, const = A.fold(b)
+    lam = 1.05 * A.norm_sq
 
     # each iteration costs one forward and one adjoint transform: the residual
-    # of the accepted iterate is carried into the next gradient step
+    # of the accepted iterate is carried into the next gradient step, and at
+    # x = 0 it is -u
     x = np.zeros(n)
-    r = fold.forward(x) - fold.u
+    r = -u
     best_x, best_obj = x, float(np.real(np.vdot(r, r)))
     converged = False
     used = 0
     for used in range(1, cfg["max_iters"] + 1):
-        g = np.real(fold.adjoint(r))
+        g = np.real(A.adjoint(r))
         x_next = _hard_threshold(x - g / lam, k)
-        r_next = fold.forward(x_next) - fold.u
+        r_next = A.forward(x_next) - u
         obj = float(np.real(np.vdot(r_next, r_next)))
         if obj < best_obj:
             best_x, best_obj = x_next, obj
@@ -217,8 +224,8 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     support = _top_k_support(best_x, k)
     columns = np.zeros((n, k))
     columns[support, np.arange(k)] = 1.0
-    design = fold.forward(columns)
-    w, _, rank, _ = np.linalg.lstsq(_stack_real(design), _stack_real(fold.u), rcond=_RANK_RTOL)
+    design = A.forward(columns)
+    w, _, rank, _ = np.linalg.lstsq(_stack_real(design), _stack_real(u), rcond=_RANK_RTOL)
     x_hat = np.zeros(n)
     x_hat[support] = w
     flags = ["support_uncertified"]
@@ -226,7 +233,7 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
         flags.append("stage1_not_converged")
     if rank < k:
         flags.append("rank_deficient")
-    obj = _residual_sq(design, w, fold.u) + fold.const
+    obj = _residual_sq(design, w, u) + const
     return RecoveryResult(x_hat, obj, "sparse_two_stage", used, tuple(flags))
 
 
@@ -244,14 +251,14 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
     cfg = _merge_config(_GENERATIVE_DEFAULTS, config)
-    fold = A.folded(b)  # reads no rng
+    u, const = A.fold(b)  # reads no rng
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     k = net.latent_dim
 
     def best_of_pool():
         # the folded residuals rank as the m-row ones: they differ by the shared const
         pool = rng.standard_normal((k, cfg["init_pool"]))
-        r = fold.forward(generative_forward(net, pool)) - fold.u[:, None]
+        r = A.forward(generative_forward(net, pool)) - u[:, None]
         return pool[:, int(np.argmin(np.sum(np.abs(r) ** 2, axis=0)))]
 
     init_z = cfg["init_z"]
@@ -264,18 +271,20 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
 
     def value_and_grad(z):
         x, vjp = generative_pullback(net, z)
-        r = fold.forward(x) - fold.u[:, None]
-        return np.sum((r * r.conj()).real, axis=0), x, vjp(2.0 * np.real(fold.adjoint(r)))
+        r = A.forward(x) - u[:, None]
+        return np.sum((r * r.conj()).real, axis=0), x, vjp(2.0 * np.real(A.adjoint(r)))
 
     (obj, x_hat), total = _latent_adam(value_and_grad, np.column_stack(starts), cfg["iters"], cfg["step"])
-    return RecoveryResult(x_hat, obj + fold.const, "generative_descent", total, ("epsilon_uncertified",))
+    return RecoveryResult(x_hat, obj + const, "generative_descent", total, ("epsilon_uncertified",))
 
 
 def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:
     """Exact per-subspace restricted-isometry deviations of A = D~ S F.
 
-    Complex blocks are stacked into 2m x dim real matrices before the
-    singular-value computation; deviation per subspace is
+    The blocks are A's distinct-row form; its Gram is that of the m-row
+    D~ S F, so the singular values are the same. Complex blocks are stacked
+    into real matrices of twice the rows before the singular-value
+    computation; deviation per subspace is
     max(sigma_max - 1, 1 - sigma_min), and the property holds when the worst
     deviation is at most 1/3.
     """

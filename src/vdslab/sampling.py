@@ -13,7 +13,6 @@ noise_factor <= max(gathered d) <= max(d) valid in the compressed regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "SamplingPlan",
     "DrawnSample",
     "SampledOperator",
-    "FoldedSystem",
     "uniform_plan",
     "make_plan",
     "optimized_probabilities",
@@ -90,7 +88,8 @@ class DrawnSample:
     """A with-replacement draw omega, sorted for the preconditioner.
 
     The constructor's ``order`` sorts draws so the gathered preconditioner
-    entries ``d_tilde`` are non-increasing (stable in draw position on ties);
+    entries ``d_tilde`` are non-increasing (stable in draw position on ties)
+    and each is positive, so a row the plan excludes cannot be drawn;
     ``omega_sorted`` is the draw in that order, the gather index of every
     measurement; ``scale`` is the sqrt(n/m) row normalization for signals of
     dimension ``n``.
@@ -104,6 +103,8 @@ class DrawnSample:
             raise ValueError("omega, order, d_tilde must be vectors of equal length")
         if np.any(np.diff(d_tilde) > 0):
             raise ValueError("d_tilde must be non-increasing")
+        if not np.all(d_tilde > 0):  # written so that NaN fails too
+            raise ValueError("every drawn row needs d_tilde > 0 (a row the plan excludes was drawn)")
         omega_sorted = omega[order]
         for a in (omega, d_tilde, omega_sorted):
             a.setflags(write=False)
@@ -171,7 +172,11 @@ def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
         rng = np.random.Generator(np.random.Philox(rng_seed))
     cum = np.cumsum(plan.p)
     cum[-1] = 1.0  # close the table exactly; u < 1 always lands
-    omega = np.searchsorted(cum, rng.random(m), side="right")
+    return _sorted_sample(plan, np.searchsorted(cum, rng.random(m), side="right"))
+
+
+def _sorted_sample(plan: SamplingPlan, omega: np.ndarray) -> DrawnSample:
+    """The draw omega ordered so the gathered d is non-increasing, stable in draw position."""
     gathered = plan.d[omega]
     order = np.argsort(-gathered, kind="stable")
     return DrawnSample(omega, order, plan.n, gathered[order])
@@ -258,7 +263,9 @@ def apply_measurement(
     """Measure x: one full transform, then a scaled sorted-row gather.
 
     Entry i is sqrt(n/m) * (Fx)_{omega_i} in the non-increasing-d row order,
-    additionally multiplied by d_{omega_i} when ``preconditioned``.
+    additionally multiplied by d_{omega_i} when ``preconditioned``. The
+    preconditioned form is the m-row D~ S F x, row for row; the solvers read
+    the same least squares folded onto distinct rows (``SampledOperator``).
     """
     fx = F.forward(x)
     rows = fx[sample.omega_sorted]
@@ -268,73 +275,30 @@ def apply_measurement(
     return sample.scale * rows
 
 
-@dataclass(frozen=True)
 class SampledOperator:
-    """A = D~ S F for one draw; every solver minimizes ||A x - D~ b||_2^2.
+    """A = D~ S F for one draw, written on the draw's distinct rows.
 
-    ``forward`` takes (n,) or (n, T) inputs; ``folded(b)`` carries the adjoint.
+    A row j drawn several times acts as one row of weight sqrt(c_j), with
+    c_j = (n/m) sum_{i: omega_i = j} d~_i^2: ``rows`` holds each drawn row
+    once (increasing) and ``weights`` its sqrt(c_j). ``forward`` takes (n,) or
+    (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones; A's Gram
+    is F* diag(c) F, the Gram of the m-row D~ S F, so ``norm_sq``, ||A||^2 on
+    real inputs, is max_j (c_j + c_{P j}) / 2 with P = F.conjugate_rows().
+    Every solver minimizes ||A x - u||^2 + const, with (u, const) = ``fold(b)``.
     """
 
-    F: UnitaryOperator
-    sample: DrawnSample
-
-    def __post_init__(self):
-        if self.sample.n != self.F.n:
+    def __init__(self, F: UnitaryOperator, sample: DrawnSample):
+        if sample.n != F.n:
             raise ValueError("sample and operator dimensions differ")
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return apply_measurement(self.F, self.sample, x, preconditioned=True)
-
-    def target(self, b: np.ndarray) -> np.ndarray:
-        """D~ b for a length-m measurement vector b."""
-        values = np.asarray(b)
-        if values.shape != (self.sample.m,):
-            raise ValueError("b length does not match the draw")
-        return self.sample.d_tilde * values
-
-    def folded(self, b: np.ndarray) -> "FoldedSystem":
-        """The least squares ||A x - D~ b||_2^2 folded onto the draw's distinct rows.
-
-        A row j drawn several times acts as one row of weight sqrt(c_j), with
-        c_j = (n/m) sum_{i: omega_i = j} d~_i^2, and the folded target
-        u_j = sum_{i: omega_i = j} sqrt(n/m) d~_i t_i / sqrt(c_j), t = D~ b.
-        Then ||A x - t||^2 = ||sqrt(c) * (F x)_rows - u||^2 + const, exactly,
-        with const = ||t||^2 - ||u||^2 >= 0 by Cauchy-Schwarz (clamped at 0
-        against rounding). A's Gram is F* diag(c) F, so ``norm_sq``, ||A||^2
-        on real inputs, is max_j (c_j + c_{P j}) / 2 with P = F.conjugate_rows().
-        """
-        t = self.target(b)
-        index = self.sample.omega_sorted
-        w = self.sample.scale * self.sample.d_tilde
-        c = np.bincount(index, weights=w * w, minlength=self.F.n)
-        rows = np.flatnonzero(c)
-        wt = w * t
-        if np.iscomplexobj(wt):
-            folded_t = np.bincount(index, wt.real, c.size) + 1j * np.bincount(index, wt.imag, c.size)
-        else:
-            folded_t = np.bincount(index, wt, c.size)
-        sqrt_c = np.sqrt(c[rows])
-        u = folded_t[rows] / sqrt_c
-        const = float(np.real(np.vdot(t, t)) - np.real(np.vdot(u, u)))
-        norm_sq = float(np.max(c + c[self.F.conjugate_rows()])) / 2.0
-        return FoldedSystem(self.F, rows, sqrt_c, u, max(const, 0.0), norm_sq)
-
-
-@dataclass(frozen=True)
-class FoldedSystem:
-    """One draw's least squares on its distinct rows: ||A x - D~ b||^2 = ||forward(x) - u||^2 + const.
-
-    Built by ``SampledOperator.folded``. ``rows`` holds each drawn row of
-    nonzero weight once (increasing) and ``weights`` its sqrt(c_j); ``forward``
-    takes (n,) or (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones.
-    """
-
-    F: UnitaryOperator
-    rows: np.ndarray
-    weights: np.ndarray
-    u: np.ndarray
-    const: float
-    norm_sq: float
+        self.F = F
+        self.sample = sample
+        w = sample.scale * sample.d_tilde
+        c = np.bincount(sample.omega_sorted, weights=w * w, minlength=F.n)
+        self.rows = np.flatnonzero(c)
+        self.weights = np.sqrt(c[self.rows])
+        self.norm_sq = float(np.max(c + c[F.conjugate_rows()])) / 2.0
+        self.rows.setflags(write=False)
+        self.weights.setflags(write=False)
 
     def _weigh(self, v: np.ndarray) -> np.ndarray:
         return v * (self.weights if v.ndim == 1 else self.weights[:, None])
@@ -348,6 +312,29 @@ class FoldedSystem:
         full = np.zeros((self.F.n,) + weighted.shape[1:], dtype=weighted.dtype)
         full[self.rows] = weighted
         return self.F.adjoint(full)
+
+    def fold(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """(u, const) with ||D~ S F x - D~ b||^2 = ||forward(x) - u||^2 + const, exactly.
+
+        For a length-m measurement vector b and t = D~ b, the folded target is
+        u_j = sum_{i: omega_i = j} sqrt(n/m) d~_i t_i / sqrt(c_j), and
+        const = ||t||^2 - ||u||^2 >= 0 by Cauchy-Schwarz (clamped at 0 against
+        rounding).
+        """
+        values = np.asarray(b)
+        if values.shape != (self.sample.m,):
+            raise ValueError("b length does not match the draw")
+        t = self.sample.d_tilde * values
+        index = self.sample.omega_sorted
+        wt = self.sample.scale * self.sample.d_tilde * t
+        n = self.F.n
+        if np.iscomplexobj(wt):
+            folded_t = np.bincount(index, wt.real, n) + 1j * np.bincount(index, wt.imag, n)
+        else:
+            folded_t = np.bincount(index, wt, n)
+        u = folded_t[self.rows] / self.weights
+        const = float(np.real(np.vdot(t, t)) - np.real(np.vdot(u, u)))
+        return u, max(const, 0.0)
 
 
 def save_plan_csv(plan: SamplingPlan, path) -> None:
@@ -393,6 +380,4 @@ def load_sample_csv(path, plan: SamplingPlan) -> DrawnSample:
         omega[row] = int(idx)
     if np.any(omega < 0) or np.any(omega >= plan.n):
         raise ValueError("omega indices outside the plan")
-    gathered = plan.d[omega]
-    order = np.argsort(-gathered, kind="stable")
-    return DrawnSample(omega, order, plan.n, gathered[order])
+    return _sorted_sample(plan, omega)

@@ -7,8 +7,11 @@ end (a full lexsort hard threshold, a Haar cascade that copies its bands,
 the m-row scatter adjoint of the measurement, the generative restart loop
 with its patience stop) are the package's earlier implementations, kept as
 references for the code that replaced them: bitwise, except the scatter
-adjoint and the generative loop, which the folded system and the batched
-folded solver match to rounding.
+adjoint and the generative loop, which the folded ``SampledOperator`` and
+the batched folded solver match to rounding. Together with
+``sampling.apply_measurement(F, sample, x, preconditioned=True)`` and the
+target ``sample.d_tilde * b`` they are the m-row D~ S F that the folded
+operator replaced in every solver, ``objective`` and ``rip_check``.
 """
 
 import math
@@ -16,6 +19,7 @@ import math
 import numpy as np
 
 from vdslab.priors import generative_forward, generative_pullback
+from vdslab.sampling import apply_measurement
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)  # the package's scale constant, so results compare bitwise
 
@@ -127,7 +131,7 @@ def scatter_adjoint_measurement(F, sample, v):
 
 
 def patience_recover_generative(A, b, net, config):
-    """Reference generative solver: the Adam restart loop with its patience stop.
+    """Reference generative solver: the Adam restart loop with its patience stop, on the m-row draw.
 
     ``local_best`` starts at inf, and ``obj < inf - 1e-12 * (1 + inf)`` compares
     against NaN, so the stop counted every step and each restart ran exactly
@@ -136,20 +140,23 @@ def patience_recover_generative(A, b, net, config):
     """
     cfg = {"restarts": 10, "iters": 2000, "step": 0.05, "patience": 100, "init_pool": 16, "seed": 0,
            "init_z": None, **config}
-    target = A.target(b)
+    target = A.sample.d_tilde * np.asarray(b)
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     k = net.latent_dim
 
+    def forward(x):
+        return apply_measurement(A.F, A.sample, x, preconditioned=True)
+
     def value_and_grad(z):
         x, vjp = generative_pullback(net, z)
-        r = A.forward(x) - target
+        r = forward(x) - target
         obj = float(np.real(np.vdot(r, r)))
         gx = 2.0 * np.real(scatter_adjoint_measurement(A.F, A.sample, r))
         return obj, x, vjp(gx)
 
     def best_of_pool():
         pool = rng.standard_normal((k, max(1, cfg["init_pool"])))
-        block = A.forward(generative_forward(net, pool))
+        block = forward(generative_forward(net, pool))
         objs = np.sum(np.abs(block - target[:, None]) ** 2, axis=0)
         return pool[:, int(np.argmin(objs))].copy()
 

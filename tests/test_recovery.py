@@ -152,12 +152,13 @@ def test_measurement_set_validation():
             simulate_measurements(F, sample, np.zeros(n), sigma)
 
 
-def test_target_rejects_b_of_the_wrong_length():
+def test_fold_rejects_b_of_the_wrong_length():
     A = SampledOperator(make_dense_operator(np.eye(4)), _full_sample(4))
-    assert np.array_equal(A.target(np.ones(4)), np.ones(4))
+    u, const = A.fold(np.ones(4))
+    assert np.array_equal(u, np.ones(4)) and const == 0.0
     for b in (np.zeros(3), np.zeros((4, 1))):
         with pytest.raises(ValueError, match="length"):
-            A.target(b)
+            A.fold(b)
 
 
 def test_sampled_operator_rejects_dimension_mismatch():
@@ -191,15 +192,21 @@ def _adjoint_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_adjoint_cases())
 def test_adjoint_identity_against_dense_operator(case):
-    """Re<A x, v> = <x, Re A* v> for real x, with A the dense D~ S F and A* the scatter reference."""
+    """Re<M x, v> = <x, Re M* v> for real x, with M the dense m-row D~ S F, M x the preconditioned
+    measurement and M* the scatter reference; the same identity for the folded operator's pair."""
     F, sample, v, x = case
-    A = SampledOperator(F, sample)
     dense = _dense_preconditioned(F, sample)
+    measured = apply_measurement(F, sample, x, preconditioned=True)
     adjoint_v = scatter_adjoint_measurement(F, sample, v)
-    assert np.allclose(A.forward(x), dense @ x, atol=1e-12)
+    assert np.allclose(measured, dense @ x, atol=1e-12)
     assert np.allclose(adjoint_v, dense.conj().T @ v, atol=1e-12)
-    lhs = float(np.real(np.vdot(v, A.forward(x))))
+    lhs = float(np.real(np.vdot(v, measured)))
     rhs = float(np.dot(x, np.real(adjoint_v)))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    A = SampledOperator(F, sample)
+    w = v[: A.rows.size]  # any vector on the distinct rows
+    lhs = float(np.real(np.vdot(w, A.forward(x))))
+    rhs = float(np.dot(x, np.real(A.adjoint(w))))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -394,7 +401,7 @@ class _CountingOperator(UnitaryOperator):
 
 @pytest.mark.parametrize("m, converges", [(20, False), (96, True)])
 def test_sparse_transform_calls_per_iteration(m, converges):
-    """One forward and one adjoint per IHT iteration, plus fixed set-up and refit calls."""
+    """One forward and one adjoint per IHT iteration, plus one forward for the stage-2 refit."""
     n, k, max_iters = 64, 3, 60
     F = _CountingOperator(compose_measurement_basis(make_dft_operator(n), make_haar_operator(n, 3)))
     plan = uniform_plan(n)
@@ -405,11 +412,11 @@ def test_sparse_transform_calls_per_iteration(m, converges):
     res = recover_sparse_two_stage(SampledOperator(F, sample), ms, k, {"max_iters": max_iters})
     assert ("stage1_not_converged" not in res.flags) == converges
     assert (res.iterations < max_iters) == converges
-    # the step comes from the draw, so no transform runs before stage 1: one
-    # forward for the initial residual, forward + adjoint per IHT iteration,
-    # and one batched forward for the stage-2 support design
+    # the step comes from the draw and the residual at x = 0 is -u, so no
+    # transform runs before stage 1: forward + adjoint per IHT iteration, and
+    # one batched forward for the stage-2 support design
     assert F.adjoint_calls == res.iterations
-    assert F.forward_calls == 1 + res.iterations + 1
+    assert F.forward_calls == res.iterations + 1
 
 
 def test_sparse_config_rejects_unknown_keys():
@@ -491,7 +498,7 @@ def test_generative_gradient_matches_finite_differences():
         if np.min(np.abs(pre)) < 1e-2:
             continue
         x, vjp = generative_pullback(net, z)
-        r = A.forward(x) - A.target(b)
+        r = apply_measurement(F, sample, x, preconditioned=True) - sample.d_tilde * b
         analytic = vjp(2.0 * np.real(scatter_adjoint_measurement(F, sample, r)))
         fd = np.zeros(3)
         for i in range(3):
@@ -572,7 +579,7 @@ def test_generative_matches_patience_loop(case):
     assert res.iterations == iterations
     # norm-wise: an entry near zero can carry a larger share of the rounding
     assert np.linalg.norm(res.x_hat - x_hat) <= 1e-12 * np.linalg.norm(x_hat)
-    target = A.target(ms)
+    target = A.sample.d_tilde * ms
     assert abs(res.objective - obj) <= 1e-12 * (1.0 + np.real(np.vdot(target, target)))
 
 
@@ -695,6 +702,47 @@ def test_rip_holds_with_generous_oversampling():
         rip_check(SampledOperator(F, draw_sample(plan, 600, 100 + s)), union)["holds"] for s in range(10)
     )
     assert held == 10
+
+
+@st.composite
+def _folded_union_cases(draw):
+    """(F, sample, union, b): real Haar, complex DFT and DFT.Haar, flat and skewed plans, m up to
+    4n so rows repeat, a random union of 1- to 3-dimensional subspaces, sigma 0 or 0.5."""
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([8, 16, 32]))
+    F = {
+        "haar": lambda: make_haar_operator(n, 2),
+        "dft": lambda: make_dft_operator(n),
+        "dft_haar": lambda: compose_measurement_basis(make_dft_operator(n), make_haar_operator(n, 2)),
+    }[draw(st.sampled_from(["haar", "dft", "dft_haar"]))]()
+    skewed = draw(st.booleans())
+    plan = optimized_probabilities(0.05 + rng.random(n) ** 4) if skewed else uniform_plan(n)
+    sample = draw_sample(plan, draw(st.integers(1, 4 * n)), rng)
+    union = _random_union(n, draw(st.integers(1, 5)), draw(st.integers(1, 3)), rng)
+    x0 = _point_in(union, rng)
+    b = simulate_measurements(F, sample, x0, draw(st.sampled_from([0.0, 0.5])), seed=rng)
+    return F, sample, union, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_folded_union_cases())
+def test_folded_rip_check_and_oracle_match_the_dense_draw(case):
+    """rip_check's deviations are the singular values of the dense m-row D~ S F on each subspace,
+    and recover_oracle's objective is the dense m-row residual of its x_hat."""
+    F, sample, union, b = case
+    A = SampledOperator(F, sample)
+    dense = _dense_preconditioned(F, sample)
+    report = rip_check(A, union)
+    for sub, dev in zip(union.subspaces, report["per_subspace"]):
+        block = recovery._stack_real(dense @ sub.basis)
+        s = np.linalg.svd(block, compute_uv=False)
+        smin = s[-1] if block.shape[0] >= block.shape[1] else 0.0
+        assert abs(dev - max(s[0] - 1.0, 1.0 - smin)) <= 1e-12
+
+    res = recover_oracle(A, b, union)
+    t = sample.d_tilde * b
+    r = dense @ res.x_hat - t
+    assert abs(res.objective - np.real(np.vdot(r, r))) <= 1e-12 * (1.0 + np.real(np.vdot(t, t)))
 
 
 # ------------------------------------------------------------------ the bounds

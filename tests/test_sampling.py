@@ -540,67 +540,62 @@ def _folded_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_folded_cases())
 def test_folded_system_matches_the_raw_draw(case):
-    """Folded residual plus const is ||A x - D~ b||^2, and 2 Re of the folded adjoint of the
-    folded residual is the gradient 2 Re A*(A x - D~ b), both checked on the m-row operator."""
+    """Folded residual plus const is ||M x - D~ b||^2, and 2 Re of the folded adjoint of the
+    folded residual is the gradient 2 Re M*(M x - D~ b), both checked on the m-row M = D~ S F
+    (the preconditioned measurement and the scatter adjoint)."""
     A, b, x, _ = case
-    fold = A.folded(b)
-    t = A.target(b)
-    assert fold.const >= 0.0
-    assert np.array_equal(fold.rows, np.unique(A.sample.omega))
+    u, const = A.fold(b)
+    t = A.sample.d_tilde * b
+    assert const >= 0.0
+    assert np.array_equal(A.rows, np.unique(A.sample.omega))
 
-    raw_fx = A.forward(x)
+    raw_fx = apply_measurement(A.F, A.sample, x, preconditioned=True)
     raw_r = raw_fx - t[:, None]
-    fold_r = fold.forward(x) - fold.u[:, None]
+    fold_r = A.forward(x) - u[:, None]
     raw_obj = np.sum(np.abs(raw_r) ** 2, axis=0)
-    fold_obj = np.sum(np.abs(fold_r) ** 2, axis=0) + fold.const
+    fold_obj = np.sum(np.abs(fold_r) ** 2, axis=0) + const
     size = np.sum(np.abs(raw_fx) ** 2, axis=0) + np.real(np.vdot(t, t))
     assert np.all(np.abs(fold_obj - raw_obj) <= 1e-12 * (1.0 + size))
 
     def adjoint(v):
         return scatter_adjoint_measurement(A.F, A.sample, v)
 
-    fold_g = 2.0 * np.real(fold.adjoint(fold_r))
+    fold_g = 2.0 * np.real(A.adjoint(fold_r))
     for j in range(x.shape[1]):
         raw_g = 2.0 * np.real(adjoint(raw_r[:, j]))
         g_size = np.linalg.norm(adjoint(raw_fx[:, j])) + np.linalg.norm(adjoint(t))
         assert np.linalg.norm(fold_g[:, j] - raw_g) <= 1e-12 * (1.0 + g_size)
-        single_g = 2.0 * np.real(fold.adjoint(fold.forward(x[:, j]) - fold.u))
+        single_g = 2.0 * np.real(A.adjoint(A.forward(x[:, j]) - u))
         assert np.linalg.norm(single_g - fold_g[:, j]) <= 1e-12 * (1.0 + g_size)
 
 
-def test_folded_system_leaves_out_zero_weight_rows(tmp_path):
-    """A drawn row the plan excludes (d = 0, as a sample CSV loaded against that plan may hold)
-    carries no weight: the fold leaves it out instead of dividing by its zero c_j."""
+def test_drawn_row_of_zero_weight_is_rejected(tmp_path):
+    """A row the plan excludes (d = 0) cannot be part of a draw: loading a sample CSV that holds
+    one against that plan raises, as does building the DrawnSample directly (NaN too)."""
     n = 16
     p = np.ones(n)
     p[3] = 0.0
     plan = make_plan(p / p.sum())
     path = tmp_path / "sample.csv"
     path.write_text("position,omega\n" + "".join(f"{i},{j}\n" for i, j in enumerate([3, 5, 5, 7, 3, 9])))
-    A = SampledOperator(make_dft_operator(n), load_sample_csv(path, plan))
-    rng = _rng(1)
-    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x = rng.standard_normal(n)
-    fold = A.folded(b)
-    assert np.array_equal(fold.rows, [5, 7, 9])
-    raw_r = A.forward(x) - A.target(b)
-    fold_r = fold.forward(x) - fold.u
-    raw_obj = np.real(np.vdot(raw_r, raw_r))
-    assert np.real(np.vdot(fold_r, fold_r)) + fold.const == pytest.approx(raw_obj, rel=1e-12)
+    with pytest.raises(ValueError, match="d_tilde > 0"):
+        load_sample_csv(path, plan)
+    for d_tilde in ([1.0, 1.0, 0.0], [1.0, 1.0, -0.5], [math.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="d_tilde > 0"):
+            DrawnSample(np.array([5, 7, 3]), np.arange(3), n, np.array(d_tilde))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_folded_cases())
 def test_folded_norm_is_the_dense_gram_norm(case):
-    """conj(F x) == (F x)[P] for real x, and the fold's closed-form norm_sq is
-    ||Re(M^H M)||_2 of the dense m-row M = D~ S F: equal where P exists, an upper bound where not."""
+    """conj(F x) == (F x)[P] for real x, and the closed-form norm_sq is ||Re(M^H M)||_2 of the
+    dense m-row M = D~ S F: equal where P exists, an upper bound where not."""
     A, b, x, exact = case
-    fold = A.folded(b)
-    M = A.forward(np.eye(A.F.n))
+    M = apply_measurement(A.F, A.sample, np.eye(A.F.n), preconditioned=True)
     want = np.linalg.norm(np.real(M.conj().T @ M), 2)
     if exact:
         fx = A.F.forward(x)
         assert np.allclose(np.conj(fx), fx[A.F.conjugate_rows()], rtol=0, atol=1e-12 * np.abs(fx).max())
-        assert fold.norm_sq == pytest.approx(want, rel=1e-12)
+        assert A.norm_sq == pytest.approx(want, rel=1e-12)
     else:
-        assert fold.norm_sq >= want * (1.0 - 1e-12)
+        assert A.norm_sq >= want * (1.0 - 1e-12)
