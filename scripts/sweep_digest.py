@@ -4,10 +4,13 @@ Builds the config of workload W at master seed N from perfbench/workloads.py,
 runs one sweep call with the vdslab package in this checkout's src/, and
 hashes the CSV header and rows with the wall_time_ms column dropped. Two
 checkouts that print the same digest for a workload and seed wrote the same
-sweep, row for row.
+sweep, row for row; where they differ, --rows keeps the hashed text of each
+so the two can be compared column by column.
 
-Run:  python3 scripts/sweep_digest.py --workload generative_sweep --seed 1 [--tiny]
+Run:  python3 scripts/sweep_digest.py --workload generative_sweep --seed 1 [--tiny] [--rows PATH]
 --tiny runs the benchmark's smoke-size grid (one trial per cell, two m values).
+--rows writes the hashed header and rows to PATH, byte for byte, so the
+sha256 of that file is the printed digest.
 """
 
 import argparse
@@ -31,6 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", required=True, type=int, help="the sweep's master_seed")
     parser.add_argument("--tiny", action="store_true", help="smoke-size grid")
+    parser.add_argument("--rows", type=Path, help="write the hashed rows to this file")
     args = parser.parse_args(argv)
     if Path(vdslab.__file__).resolve().parent != (ROOT / "src" / "vdslab").resolve():
         print(f"error: imported vdslab from {vdslab.__file__}, not from {ROOT / 'src'}", file=sys.stderr)
@@ -44,7 +48,10 @@ def main(argv=None) -> int:
     if call.error is not None:
         print(f"error: the sweep raised {call.error}", file=sys.stderr)
         return 1
-    digest = hashlib.sha256("\n".join(call.csv_rows).encode()).hexdigest()
+    hashed = "\n".join(call.csv_rows).encode()
+    if args.rows is not None:
+        args.rows.write_bytes(hashed)
+    digest = hashlib.sha256(hashed).hexdigest()
     print(f"{digest}  {args.workload} seed={args.seed} rows={len(call.csv_rows) - 1}")
     return 0
 

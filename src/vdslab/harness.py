@@ -340,13 +340,17 @@ def _octave_band_weights(n: int, levels: int) -> np.ndarray:
 
 
 def _make_operator(kind: str, n: int, levels):
-    if kind == "dft":
-        return make_dft_operator(n)
-    if kind == "dft2":
-        return make_dft_operator(n, two_dim=True)
-    if kind == "haar":
-        return make_haar_operator(n, levels)
-    return make_haar_operator(n, levels, two_dim=True)
+    """The named transform on n; a depth or size it cannot take is a config error."""
+    try:
+        if kind == "dft":
+            return make_dft_operator(n)
+        if kind == "dft2":
+            return make_dft_operator(n, two_dim=True)
+        if kind == "haar":
+            return make_haar_operator(n, levels)
+        return make_haar_operator(n, levels, two_dim=True)
+    except ValueError as exc:
+        raise ConfigError(f"{kind} transform on n={n}: {exc}") from exc
 
 
 def build_problem(config: ExperimentConfig) -> _Problem:

@@ -299,19 +299,26 @@ def subspace_count_bounds(prior) -> tuple[float, int]:
 def _top_k_support(x: np.ndarray, k: int) -> np.ndarray:
     """Increasing indices of the k largest |x_i|; ties at equal magnitude keep the lowest index.
 
-    O(n): one partition finds the k-th largest magnitude, every entry strictly
-    above it is kept, and the remaining slots go to its lowest-index ties.
+    O(n): one partition finds the k-th largest magnitude and one pass keeps
+    every entry at or above it. Only when that keeps more than k (ties at the
+    k-th magnitude) are the entries strictly above it kept and the remaining
+    slots given to its lowest-index ties. The partition sorts NaN last, so any
+    NaN lies in its top-k slice.
     """
     mag = np.abs(x)
-    if np.isnan(mag).any():
-        raise ValueError("cannot hard-threshold a vector with NaN entries")
     n = mag.size
+    top = np.partition(mag, n - k)[n - k :] if k < n else mag
+    if np.isnan(top).any():
+        raise ValueError("cannot hard-threshold a vector with NaN entries")
     if k >= n:
         return np.arange(n)
-    kth = np.partition(mag, n - k)[n - k]
-    keep = mag > kth
-    keep[np.flatnonzero(mag == kth)[: k - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
+    kth = top[0]
+    support = np.flatnonzero(mag >= kth)
+    if support.size > k:
+        keep = mag > kth
+        keep[np.flatnonzero(mag == kth)[: k - np.count_nonzero(keep)]] = True
+        support = np.flatnonzero(keep)
+    return support
 
 
 def _hard_threshold(x: np.ndarray, k: int) -> np.ndarray:

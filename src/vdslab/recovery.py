@@ -216,7 +216,8 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
         obj = float(np.real(np.vdot(r_next, r_next)))
         if obj < best_obj:
             best_x, best_obj = x_next, obj
-        if np.linalg.norm(x_next - x) <= cfg["tol"] * max(1.0, np.linalg.norm(x)):
+        step = x_next - x
+        if math.sqrt(step @ step) <= cfg["tol"] * max(1.0, math.sqrt(x @ x)):
             converged = True
             break
         x, r = x_next, r_next

@@ -101,6 +101,8 @@ class DrawnSample:
         d_tilde = np.asarray(d_tilde, dtype=np.float64)
         if omega.ndim != 1 or omega.shape != order.shape or omega.shape != d_tilde.shape:
             raise ValueError("omega, order, d_tilde must be vectors of equal length")
+        if omega.size == 0:
+            raise ValueError("the draw is empty: a sample needs m >= 1 drawn rows")
         if np.any(np.diff(d_tilde) > 0):
             raise ValueError("d_tilde must be non-increasing")
         if not np.all(d_tilde > 0):  # written so that NaN fails too

@@ -123,42 +123,88 @@ class _Dft2d(UnitaryOperator):
         return (neg[:, None] * self.side + neg).ravel()
 
 
-def _haar_forward_axis0(arr: np.ndarray, levels: int) -> np.ndarray:
-    """Multi-level orthonormal Haar analysis along axis 0, in place on a copy.
+_BLOCK_LEVELS = 5  # levels per block step: a 32 x 32 matrix, whatever the depth
 
-    Coefficient layout: approximation at the coarsest level first, then detail
-    bands from coarsest to finest.
+
+def _haar_block_matrix(levels: int) -> np.ndarray:
+    """Orthonormal Haar analysis of one block of 2**levels samples, bands in coefficient order.
+
+    Built in closed form, H_1 = [1] and H_2B = [H_B kron (1, 1)/sqrt(2); I_B kron (1, -1)/sqrt(2)]:
+    the top half analyses the pair averages, the bottom half holds the finest details.
     """
-    out = np.array(arr, dtype=np.result_type(arr.dtype, np.float64), copy=True)
-    length = out.shape[0]
+    h = np.ones((1, 1))
     for _ in range(levels):
-        half = length // 2
-        out[:half], out[half:length] = _butterfly(out[0:length:2], out[1:length:2])
-        length = half
-    return out
+        h = np.vstack(
+            [np.kron(h, [_INV_SQRT2, _INV_SQRT2]), np.kron(np.eye(len(h)), [_INV_SQRT2, -_INV_SQRT2])]
+        )
+    return h
 
 
-def _haar_adjoint_axis0(arr: np.ndarray, levels: int) -> np.ndarray:
-    out = np.array(arr, dtype=np.result_type(arr.dtype, np.float64), copy=True)
-    length = out.shape[0] >> levels
-    for _ in range(levels):
-        double = length * 2
-        out[0:double:2], out[1:double:2] = _butterfly(out[:length], out[length:double])
-        length = double
-    return out
+def _haar_steps(length: int, levels: int) -> tuple:
+    """The block steps of a ``levels``-deep Haar along an axis of ``length`` samples.
 
-
-def _butterfly(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """((a + b)/sqrt(2), (a - b)/sqrt(2)) read straight from the views, scaled in place.
-
-    Both results are fresh arrays, so the caller may write them back over the
-    band that ``a`` and ``b`` view.
+    An L-level Haar is the same transform on every block of 2**L consecutive
+    samples, so one step is a matmul by that block's matrix plus a gather
+    ``index`` from block-major order into the band layout (approximation at the
+    coarsest level first, then detail bands from coarsest to finest);
+    ``inverse`` undoes the gather. A step runs at most ``_BLOCK_LEVELS`` levels,
+    so deeper transforms repeat the step on the approximation band. Each step is
+    (length, matrix, index, inverse), all read-only.
     """
-    s = a + b
-    d = a - b
-    s *= _INV_SQRT2
-    d *= _INV_SQRT2
-    return s, d
+    steps = []
+    while levels > 0:
+        step_levels = min(levels, _BLOCK_LEVELS)
+        size = 1 << step_levels
+        starts = np.arange(0, length, size)[:, None]
+        bands = [starts] + [starts + np.arange(w, 2 * w) for w in (1 << j for j in range(step_levels))]
+        index = np.concatenate([band.ravel() for band in bands])
+        step = (length, _haar_block_matrix(step_levels), index, np.argsort(index))
+        for a in step[1:]:
+            a.setflags(write=False)
+        steps.append(step)
+        length >>= step_levels
+        levels -= step_levels
+    return tuple(steps)
+
+
+def _haar_block_step(work: np.ndarray, h: np.ndarray, index, inverse, adjoint: bool) -> np.ndarray:
+    """One block step on a real vector (length,) or on real columns (length, c).
+
+    A vector is one (blocks, B) @ h.T product with the blocks as rows; columns
+    are a stack of h @ (B, c) products, one per block.
+    """
+    size = len(h)
+    if adjoint:
+        if work.ndim == 1:
+            return (work[inverse].reshape(-1, size) @ h).reshape(-1)
+        blocks = np.take(work, inverse, axis=0).reshape(-1, size, work.shape[1])
+        return (h.T @ blocks).reshape(len(work), -1)
+    if work.ndim == 1:
+        return (work.reshape(-1, size) @ h.T).reshape(-1)[index]
+    blocks = h @ work.reshape(-1, size, work.shape[1])
+    return np.take(blocks.reshape(len(work), -1), index, axis=0)
+
+
+def _haar_axis0(arr: np.ndarray, steps: tuple, adjoint: bool) -> np.ndarray:
+    """Haar analysis (or, with ``adjoint``, synthesis) along axis 0 of ``arr`` by its block steps.
+
+    A complex input is transformed as its real view, each entry two adjacent
+    real columns; the result is always a fresh array.
+    """
+    arr = np.asarray(arr, dtype=np.result_type(arr.dtype, np.float64))
+    is_complex = np.iscomplexobj(arr)
+    work = np.ascontiguousarray(arr).view(np.float64).reshape(len(arr), -1) if is_complex else arr
+    if not steps or (adjoint and len(steps) > 1):
+        work = work.copy()  # fresh for the identity, and for the shorter steps to write into
+    for length, h, index, inverse in reversed(steps) if adjoint else steps:
+        out = _haar_block_step(work[:length], h, index, inverse, adjoint)
+        if length == len(work):
+            work = out
+        else:
+            work[:length] = out
+    if is_complex:
+        work = work.view(np.complex128)
+    return work.reshape(arr.shape)
 
 
 class _Haar1d(UnitaryOperator):
@@ -167,12 +213,13 @@ class _Haar1d(UnitaryOperator):
     def __init__(self, n: int, levels: int):
         super().__init__(n, "real")
         self.levels = levels
+        self._steps = _haar_steps(n, levels)
 
     def _forward(self, x):
-        return _haar_forward_axis0(x, self.levels)
+        return _haar_axis0(x, self._steps, adjoint=False)
 
     def _adjoint(self, y):
-        return _haar_adjoint_axis0(y, self.levels)
+        return _haar_axis0(y, self._steps, adjoint=True)
 
 
 class _Haar2d(UnitaryOperator):
@@ -188,25 +235,26 @@ class _Haar2d(UnitaryOperator):
         super().__init__(side * side, "real")
         self.side = side
         self.levels = levels
+        self._steps = _haar_steps(side, levels)
 
-    def _separable(self, x, step):
+    def _separable(self, x, adjoint):
         batched = x.ndim == 2
         batch = x.shape[1] if batched else 1
         img = x.reshape(self.side, self.side, batch)
         # along columns of the image (axis 0), batching the rest
-        img = step(img.reshape(self.side, -1), self.levels).reshape(img.shape)
+        img = _haar_axis0(img.reshape(self.side, -1), self._steps, adjoint).reshape(img.shape)
         # along rows: bring axis 1 first
         img = np.ascontiguousarray(np.moveaxis(img, 1, 0))
-        img = step(img.reshape(self.side, -1), self.levels).reshape(img.shape)
+        img = _haar_axis0(img.reshape(self.side, -1), self._steps, adjoint).reshape(img.shape)
         img = np.moveaxis(img, 0, 1)
         out = img.reshape(self.n, batch)
         return out if batched else out[:, 0]
 
     def _forward(self, x):
-        return self._separable(x, _haar_forward_axis0)
+        return self._separable(x, adjoint=False)
 
     def _adjoint(self, y):
-        return self._separable(y, _haar_adjoint_axis0)
+        return self._separable(y, adjoint=True)
 
 
 class _Dense(UnitaryOperator):

@@ -1,14 +1,15 @@
 """Independent constructions used as test oracles.
 
-The dense matrices are built from explicit formulas (index grids, block
-products, Kronecker products) rather than the package's fast transforms, so
+The dense matrices are built from explicit formulas (index grids, wavelet
+rows, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
 end (a full lexsort hard threshold, a Haar cascade that copies its bands,
 the m-row scatter adjoint of the measurement, the generative restart loop
 with its patience stop) are the package's earlier implementations, kept as
-references for the code that replaced them: bitwise, except the scatter
-adjoint and the generative loop, which the folded ``SampledOperator`` and
-the batched folded solver match to rounding. Together with
+references for the code that replaced them: bitwise, except the Haar
+cascade, the scatter adjoint and the generative loop, which the block-matmul
+Haar, the folded ``SampledOperator`` and the batched folded solver match to
+rounding. Together with
 ``sampling.apply_measurement(F, sample, x, preconditioned=True)`` and the
 target ``sample.d_tilde * b`` they are the m-row D~ S F that the folded
 operator replaced in every solver, ``objective`` and ``rip_check``.
@@ -21,7 +22,7 @@ import numpy as np
 from vdslab.priors import generative_forward, generative_pullback
 from vdslab.sampling import apply_measurement
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)  # the package's scale constant, so results compare bitwise
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def dft_matrix(n):
@@ -30,25 +31,27 @@ def dft_matrix(n):
     return np.exp(-2j * np.pi * j * k / n) / np.sqrt(n)
 
 
-def _haar_step(m):
-    """One analysis stage on length m: averages stacked over differences."""
-    s = np.zeros((m, m))
-    for i in range(m // 2):
-        s[i, 2 * i] = s[i, 2 * i + 1] = 1 / np.sqrt(2)
-        s[m // 2 + i, 2 * i] = 1 / np.sqrt(2)
-        s[m // 2 + i, 2 * i + 1] = -1 / np.sqrt(2)
-    return s
-
-
 def haar_matrix(n, levels):
-    """Multi-level orthonormal Haar analysis matrix, coarse coefficients first."""
-    h = np.eye(n)
-    length = n
-    for _ in range(levels):
-        stage = np.eye(n)
-        stage[:length, :length] = _haar_step(length)
-        h = stage @ h
-        length //= 2
+    """Multi-level orthonormal Haar analysis matrix, coarse coefficients first.
+
+    Row by row from the wavelet formulas, so building it costs O(n^2) at any
+    depth: the approximation rows are 2**(-levels/2) on their block of 2**levels
+    samples, and a detail row at scale s = 2**l is s**-0.5 on the first half of
+    its block and -s**-0.5 on the second; the detail bands run from the coarsest
+    scale to the finest. levels = 0 is the identity.
+    """
+    h = np.zeros((n, n))
+    row = 0
+    size = 1 << levels
+    for start in range(0, n, size):
+        h[row, start : start + size] = 1 / np.sqrt(size)
+        row += 1
+    for level in range(levels, 0, -1):
+        size = 1 << level
+        for start in range(0, n, size):
+            h[row, start : start + size // 2] = 1 / np.sqrt(size)
+            h[row, start + size // 2 : start + size] = -1 / np.sqrt(size)
+            row += 1
     return h
 
 

@@ -206,6 +206,11 @@ _GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
         (_GENERATIVE | {"solver_init_pool": 0}, "solver_init_pool must be"),
         (_GENERATIVE | {"solver_step": -1}, "solver_step must be"),
         (_GENERATIVE | {"solver_step": "nan"}, "solver_step must be"),
+        ({"sparsity": "haar", "sparsity_levels": -1}, "levels must be nonnegative"),
+        ({"sparsity": "haar", "sparsity_levels": 7}, "n=64 not divisible by 2**7"),
+        ({"measurement": "haar", "measurement_levels": -2}, "levels must be nonnegative"),
+        ({"measurement": "dft2", "sparsity": "haar2", "sparsity_levels": 4}, "side 8 not divisible by 2**4"),
+        (_GENERATIVE | {"measurement": "haar", "measurement_levels": 5}, "n=16 not divisible by 2**5"),
     ],
 )
 def test_recover_rejects_out_of_range_point_exits_2(tmp_path, capsys, keys, message):

@@ -329,6 +329,23 @@ def test_hard_threshold_rejects_nan():
         project(SparsePrior(4, 2), x)
 
 
+@pytest.mark.parametrize(
+    "x, k",
+    [
+        ([np.nan, 1.0, np.nan, 2.0, np.nan], 2),  # more NaNs than k fill the top-k slice
+        ([1.0, np.nan, 3.0], 3),  # k = n takes no partition
+        ([2.0, 1.0, np.nan, -1.0, 1.0], 2),  # a NaN beside ties at the k-th magnitude
+        ([1.0, 1.0, complex(1.0, np.nan), 1.0], 1),  # a complex entry of NaN magnitude among ties
+    ],
+)
+def test_hard_threshold_rejects_nan_wherever_it_sits(x, k):
+    x = np.array(x)
+    with pytest.raises(ValueError, match="NaN"):
+        _top_k_support(x, k)
+    with pytest.raises(ValueError, match="NaN"):
+        _hard_threshold(x, k)
+
+
 def test_project_union_beats_every_member():
     rng = np.random.default_rng(13)
     subs = [subspace_from_span(rng.standard_normal((6, d))) for d in (1, 2, 3)]

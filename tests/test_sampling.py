@@ -585,6 +585,16 @@ def test_drawn_row_of_zero_weight_is_rejected(tmp_path):
             DrawnSample(np.array([5, 7, 3]), np.arange(3), n, np.array(d_tilde))
 
 
+def test_empty_draw_is_rejected(tmp_path):
+    """A header-only sample CSV and a direct DrawnSample with m = 0 both name the empty draw."""
+    path = tmp_path / "sample.csv"
+    path.write_text("position,omega\n")
+    with pytest.raises(ValueError, match="draw is empty"):
+        load_sample_csv(path, uniform_plan(8))
+    with pytest.raises(ValueError, match="draw is empty"):
+        DrawnSample(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 8, np.array([]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_folded_cases())
 def test_folded_norm_is_the_dense_gram_norm(case):
