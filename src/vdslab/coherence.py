@@ -163,13 +163,16 @@ def empirical_generative_coherence(
     x = generative_forward(net, z)
     fx = op.forward(x)
     alpha = np.zeros(op.n)
+    # the pair blocks reuse two buffers instead of allocating up to n x num_latents
+    # temporaries per latent
+    dx, dfx = np.empty_like(x), np.empty_like(fx)
     for a in range(num_latents - 1):
-        norms = np.linalg.norm(x[:, a + 1 :] - x[:, a : a + 1], axis=0)
-        keep = norms > 0.0
-        if not np.any(keep):
-            continue
-        diffs = np.abs(fx[:, a + 1 :][:, keep] - fx[:, a : a + 1])
-        np.maximum(alpha, (diffs / norms[keep]).max(axis=1), out=alpha)
+        rest = num_latents - 1 - a
+        d = np.subtract(x[:, a + 1 :], x[:, a : a + 1], out=dx[:, :rest])
+        norms = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=0))
+        norms[norms == 0.0] = np.inf  # a coincident pair then adds 0, which never raises alpha
+        r = np.abs(np.subtract(fx[:, a + 1 :], fx[:, a : a + 1], out=dfx[:, :rest]), out=d)
+        np.maximum(alpha, np.divide(r, norms, out=r).max(axis=1), out=alpha)
     return CoherenceVector(alpha, "empirical")
 
 

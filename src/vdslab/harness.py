@@ -480,6 +480,7 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
     streams = trial_streams(config.master_seed, cell_index, trial)
     x0 = _draw_signal(problem, streams.signal)
     sample = draw_sample(plan, m, streams.draw)
+    cell = f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
     started = time.perf_counter()
     try:
         b = simulate_measurements(problem.operator, sample, x0, sigma, seed=streams.noise)
@@ -488,18 +489,17 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         rre = relative_recovery_error(x0, result.x_hat)
         objective_value = result.objective
     except Exception as exc:
-        warnings.warn(
-            f"trial failed (scheme={scheme} m={m} sigma={sigma} trial={trial}): "
-            f"{type(exc).__name__}: {exc}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"trial failed ({cell}): {type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=2)
         rre, objective_value = float("nan"), float("nan")
     elapsed = (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
-    nf = noise_factor(sample, problem.alpha)
-    bound = theorem_error_bound(
-        nf, m, sigma, problem.max_dim, problem.log_subspace_count, delta=config.bound_delta
-    )
+    try:
+        nf = noise_factor(sample, problem.alpha)
+        bound = theorem_error_bound(
+            nf, m, sigma, problem.max_dim, problem.log_subspace_count, delta=config.bound_delta
+        )
+    except ValueError as exc:
+        warnings.warn(f"noise factor undefined ({cell}): {exc}", RuntimeWarning, stacklevel=2)
+        nf, bound = float("nan"), float("nan")
     try:
         corollary = deterministic_corollary_bound(sample, problem.alpha, sigma)
     except ValueError:

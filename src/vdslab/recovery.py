@@ -106,7 +106,8 @@ def simulate_measurements(
 ) -> np.ndarray:
     """Measure a real signal and add seeded Gaussian noise: b = S F x0 + (sigma/sqrt(m)) g.
 
-    Returns b as a read-only length-m array in the operator's field: complex
+    Returns b as a read-only length-m array in the operator's field, in draw
+    order: b_i and noise draw g_i belong to the i-th drawn row. Complex
     noise has iid real and imaginary parts, so E||eta||_2^2 is 2 sigma^2
     rather than sigma^2. ``seed`` may be an existing Generator, in which case
     the caller owns reproducibility.
@@ -333,9 +334,11 @@ def theorem_error_bound(
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         t = math.sqrt(math.log(2.0 / delta))
-    if nf < 0 or m < 1 or t < 0 or not sigma >= 0 or epsilon < 0 or max_dim < 1 or log_subspace_count < 0:
+    # every check is written so that NaN fails too
+    if not (nf >= 0 and m >= 1 and t >= 0 and sigma >= 0 and epsilon >= 0 and max_dim >= 1
+            and log_subspace_count >= 0):
         raise ValueError("invalid bound inputs")
-    if mismatch_norm < 0 or preconditioned_mismatch_norm < 0:
+    if not (mismatch_norm >= 0 and preconditioned_mismatch_norm >= 0):
         raise ValueError("mismatch norms must be nonnegative")
     noise_term = (
         9.0

@@ -2,8 +2,10 @@
 
 A plan fixes per-row probabilities p and the preconditioner diagonal
 d_i = (n p_i)^(-1/2). A draw gathers m rows i.i.d. from p, scaled by
-sqrt(n/m), and orders them so the gathered preconditioner entries are
-non-increasing. The gathered diagonal (d_omega, sorted) carries no sqrt(n/m)
+sqrt(n/m), and keeps them in draw order: measurement i, its noise and its
+gathered preconditioner entry belong to the i-th drawn row. Only the noise
+factor sorts the draw, so the gathered preconditioner entries are
+non-increasing there. The gathered diagonal d_omega carries no sqrt(n/m)
 factor; the scale lives in the sampling matrix applied to vectors. That
 convention makes the preconditioned measurement matrix equal the plain
 sampling matrix applied to the preconditioned transform, and keeps the chain
@@ -85,35 +87,30 @@ class SamplingPlan:
 
 
 class DrawnSample:
-    """A with-replacement draw omega, sorted for the preconditioner.
+    """A with-replacement draw omega from ``plan``, kept in draw order.
 
-    The constructor's ``order`` sorts draws so the gathered preconditioner
-    entries ``d_tilde`` are non-increasing (stable in draw position on ties)
-    and each is positive, so a row the plan excludes cannot be drawn;
-    ``omega_sorted`` is the draw in that order, the gather index of every
-    measurement; ``scale`` is the sqrt(n/m) row normalization for signals of
-    dimension ``n``.
+    ``omega`` holds the drawn rows and ``d_tilde = plan.d[omega]`` their
+    preconditioner entries, both read-only and in draw order. Every drawn row
+    must be in range and in the plan's support (d > 0). ``scale`` is the
+    sqrt(n/m) row normalization for signals of dimension ``n``.
     """
 
-    def __init__(self, omega: np.ndarray, order: np.ndarray, n: int, d_tilde: np.ndarray):
-        omega = np.asarray(omega, dtype=np.int64)
-        order = np.asarray(order, dtype=np.int64)
-        d_tilde = np.asarray(d_tilde, dtype=np.float64)
-        if omega.ndim != 1 or omega.shape != order.shape or omega.shape != d_tilde.shape:
-            raise ValueError("omega, order, d_tilde must be vectors of equal length")
+    def __init__(self, plan: SamplingPlan, omega):
+        omega = np.array(omega, dtype=np.int64)
+        if omega.ndim != 1:
+            raise ValueError("omega must be a vector of row indices")
         if omega.size == 0:
             raise ValueError("the draw is empty: a sample needs m >= 1 drawn rows")
-        if np.any(np.diff(d_tilde) > 0):
-            raise ValueError("d_tilde must be non-increasing")
-        if not np.all(d_tilde > 0):  # written so that NaN fails too
+        if np.any(omega < 0) or np.any(omega >= plan.n):
+            raise ValueError("omega indices outside the plan")
+        d_tilde = plan.d[omega]
+        if not np.all(d_tilde > 0):
             raise ValueError("every drawn row needs d_tilde > 0 (a row the plan excludes was drawn)")
-        omega_sorted = omega[order]
-        for a in (omega, d_tilde, omega_sorted):
-            a.setflags(write=False)
+        omega.setflags(write=False)
+        d_tilde.setflags(write=False)
         self.omega = omega
-        self.omega_sorted = omega_sorted
         self.d_tilde = d_tilde
-        self.n = int(n)
+        self.n = plan.n
         self.m = omega.size
         self.scale = math.sqrt(self.n / self.m)
 
@@ -174,14 +171,7 @@ def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
         rng = np.random.Generator(np.random.Philox(rng_seed))
     cum = np.cumsum(plan.p)
     cum[-1] = 1.0  # close the table exactly; u < 1 always lands
-    return _sorted_sample(plan, np.searchsorted(cum, rng.random(m), side="right"))
-
-
-def _sorted_sample(plan: SamplingPlan, omega: np.ndarray) -> DrawnSample:
-    """The draw omega ordered so the gathered d is non-increasing, stable in draw position."""
-    gathered = plan.d[omega]
-    order = np.argsort(-gathered, kind="stable")
-    return DrawnSample(omega, order, plan.n, gathered[order])
+    return DrawnSample(plan, np.searchsorted(cum, rng.random(m), side="right"))
 
 
 def _truncation_index(v: np.ndarray) -> int:
@@ -213,10 +203,12 @@ def unit_truncation(v: np.ndarray) -> np.ndarray:
 
 
 def _sorted_gathers(sample: DrawnSample, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """d_tilde and alpha on the drawn rows, sorted so d_tilde is non-increasing (stable in draw position)."""
     vec = _as_alpha(alpha)
     if vec.size != sample.n:
         raise ValueError("alpha length does not match the sample")
-    return sample.d_tilde, vec[sample.omega_sorted]
+    order = np.argsort(-sample.d_tilde, kind="stable")
+    return sample.d_tilde[order], vec[sample.omega[order]]
 
 
 def noise_factor(sample: DrawnSample, alpha) -> float:
@@ -262,15 +254,15 @@ def sample_complexity(mu: float, ell: int, log_M: float, delta: float, C: float)
 def apply_measurement(
     F: UnitaryOperator, sample: DrawnSample, x: np.ndarray, preconditioned: bool = False
 ) -> np.ndarray:
-    """Measure x: one full transform, then a scaled sorted-row gather.
+    """Measure x: one full transform, then a scaled gather of the drawn rows.
 
-    Entry i is sqrt(n/m) * (Fx)_{omega_i} in the non-increasing-d row order,
-    additionally multiplied by d_{omega_i} when ``preconditioned``. The
+    Entry i is sqrt(n/m) * (Fx)_{omega_i} for the i-th drawn row, additionally
+    multiplied by d_{omega_i} when ``preconditioned``. The
     preconditioned form is the m-row D~ S F x, row for row; the solvers read
     the same least squares folded onto distinct rows (``SampledOperator``).
     """
     fx = F.forward(x)
-    rows = fx[sample.omega_sorted]
+    rows = fx[sample.omega]
     if preconditioned:
         weights = sample.d_tilde if rows.ndim == 1 else sample.d_tilde[:, None]
         rows = rows * weights
@@ -295,7 +287,7 @@ class SampledOperator:
         self.F = F
         self.sample = sample
         w = sample.scale * sample.d_tilde
-        c = np.bincount(sample.omega_sorted, weights=w * w, minlength=F.n)
+        c = np.bincount(sample.omega, weights=w * w, minlength=F.n)
         self.rows = np.flatnonzero(c)
         self.weights = np.sqrt(c[self.rows])
         self.norm_sq = float(np.max(c + c[F.conjugate_rows()])) / 2.0
@@ -327,7 +319,7 @@ class SampledOperator:
         if values.shape != (self.sample.m,):
             raise ValueError("b length does not match the draw")
         t = self.sample.d_tilde * values
-        index = self.sample.omega_sorted
+        index = self.sample.omega
         wt = self.sample.scale * self.sample.d_tilde * t
         n = self.F.n
         if np.iscomplexobj(wt):
@@ -362,7 +354,7 @@ def load_plan_csv(path) -> SamplingPlan:
 
 
 def save_sample_csv(sample: DrawnSample, path) -> None:
-    """Store the draw in original draw order; the sort is recomputed on load."""
+    """Store the draw in draw order, one row per drawn index."""
     lines = ["position,omega"]
     lines += [f"{i},{sample.omega[i]}" for i in range(sample.m)]
     with open(path, "w", newline="") as fh:
@@ -380,6 +372,4 @@ def load_sample_csv(path, plan: SamplingPlan) -> DrawnSample:
         if int(pos) != row:
             raise ValueError(f"row {row} has position {pos}")
         omega[row] = int(idx)
-    if np.any(omega < 0) or np.any(omega >= plan.n):
-        raise ValueError("omega indices outside the plan")
-    return _sorted_sample(plan, omega)
+    return DrawnSample(plan, omega)

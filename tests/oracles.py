@@ -129,7 +129,7 @@ def scatter_adjoint_measurement(F, sample, v):
     """Reference (D~ S F)* v: scale and weight v, scatter-add it onto the drawn rows, adjoint."""
     weights = sample.scale * sample.d_tilde * v
     u = np.zeros(F.n, dtype=weights.dtype)
-    np.add.at(u, sample.omega_sorted, weights)
+    np.add.at(u, sample.omega, weights)
     return F.adjoint(u)
 
 

@@ -172,6 +172,24 @@ def test_empirical_single_pair():
     assert cv.method == "empirical"
 
 
+def test_empirical_matches_pairwise_loop_with_coincident_pairs():
+    """The estimator equals a plain loop over every pair of distinct signals. The net maps each
+    latent with z_0 < 0 to exactly 0, so about half the pairs coincide and are skipped."""
+    rng = np.random.default_rng(31)
+    net = GenerativeNetwork([np.array([[1.0, 0.0], [2.0, 0.0]]), rng.standard_normal((16, 2))])
+    op = make_dft_operator(16)
+    got = empirical_generative_coherence(net, op, 40, rng_seed=8).alpha
+    x = generative_forward(net, np.random.default_rng(8).standard_normal((2, 40)))
+    assert np.sum(~np.any(x, axis=0)) >= 10
+    expected = np.zeros(16)
+    for a in range(40):
+        for b in range(a + 1, 40):
+            diff = x[:, b] - x[:, a]
+            if np.any(diff):
+                expected = np.maximum(expected, np.abs(op.forward(diff)) / np.linalg.norm(diff))
+    assert np.allclose(got, expected, rtol=1e-12, atol=0)
+
+
 def test_empirical_linear_net_approaches_subspace_coherence():
     """A negated pass-through net is linear; its estimator converges to the
     closed-form coherence of the range subspace."""

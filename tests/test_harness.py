@@ -1,5 +1,6 @@
 """Experiment config parsing, seeded sweeps, aggregation, and image prep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from oracles import random_orthogonal
 
 from vdslab import harness, recovery, sampling
+from vdslab.coherence import CoherenceVector
 from vdslab.harness import (
     CSV_HEADER,
     ConfigError,
@@ -314,6 +316,64 @@ def test_failed_trial_warns_and_keeps_nan_row(tmp_path, monkeypatch):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].split(",")[5:7] == ["nan", "nan"]
+
+
+def test_undefined_noise_factor_warns_and_keeps_row(tmp_path):
+    """A draw whose (n/m) sum d~^2 alpha^2 is below 1 has no noise factor: the sweep keeps the
+    row with NaN noise_factor and theorem_bound and warns with the cell, instead of aborting."""
+    eye = np.eye(64)
+    upath = tmp_path / "u.vdsu"
+    save_union(SubspaceUnion([Subspace(eye[:, :2]), Subspace(eye[:, 2:4])]), upath)
+    cfg = ExperimentConfig(
+        {
+            "prior": "union",
+            "union_file": str(upath),
+            "measurement": "haar",
+            "measurement_levels": 0,
+            "scheme": "uniform",
+            "m_grid": "4",
+            "sigma_grid": "1.0",
+            "trials": 1,
+            "out": str(tmp_path / "u.csv"),
+        }
+    )
+    with pytest.warns(RuntimeWarning, match="noise factor undefined .*cannot unit-truncate") as caught:
+        records = run_denoise_sweep(cfg)
+    assert any("scheme=uniform m=4 sigma=1.0 trial=0" in str(w.message) for w in caught)
+    assert len(records) == 1
+    assert math.isnan(records[0].noise_factor) and math.isnan(records[0].theorem_bound)
+    assert math.isfinite(records[0].rre)
+    lines = (tmp_path / "u.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[7:9] == ["nan", "nan"]
+
+
+def test_sweep_rows_do_not_depend_on_the_last_bits_of_alpha(tmp_path):
+    """Rows follow alpha's value: moving every coherence by up to 4 ulps (DFT2 on Haar2, where
+    many coherences tie in exact arithmetic) changes no column by more than rounding."""
+    cfg = ExperimentConfig(
+        {
+            "prior": "sparse",
+            "n": 32 * 32,
+            "sparse_k": 10,
+            "measurement": "dft2",
+            "sparsity": "haar2",
+            "sparsity_levels": 3,
+            "scheme": "both",
+            "m_grid": "256,512",
+            "sigma_grid": "0.5",
+            "trials": 1,
+            "out": str(tmp_path / "c.csv"),
+        }
+    )
+    problem = build_problem(cfg)
+    alpha = problem.alpha.alpha
+    scale = 1.0 + _rng(31).integers(-4, 5, size=alpha.size) * np.finfo(np.float64).eps
+    perturbed = dataclasses.replace(problem, alpha=CoherenceVector(alpha * scale, problem.alpha.method))
+    assert not np.array_equal(perturbed.alpha.alpha, alpha)
+    schemes = ["optimized", "uniform"]
+    for base, moved in zip(harness._sweep(problem, cfg, schemes), harness._sweep(perturbed, cfg, schemes)):
+        for name in ("rre", "objective", "noise_factor", "theorem_bound", "corollary_bound"):
+            assert getattr(moved, name) == pytest.approx(getattr(base, name), rel=1e-9, abs=0), name
 
 
 def test_noise_factor_computed_once_per_trial(tmp_path, monkeypatch):

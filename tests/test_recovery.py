@@ -63,7 +63,7 @@ def _rng(seed):
 
 def _full_sample(n):
     """Deterministic draw hitting every row once (uniform plan, d = 1)."""
-    return DrawnSample(np.arange(n), np.arange(n), n, np.ones(n))
+    return DrawnSample(uniform_plan(n), np.arange(n))
 
 
 def _random_union(n, M, dim, rng):
@@ -86,7 +86,7 @@ def _coordinate_pair_union(n):
 def _dense_preconditioned(F, sample):
     """Dense D~ S F for small checks."""
     mat = F.matrix()
-    return sample.scale * sample.d_tilde[:, None] * mat[sample.omega_sorted]
+    return sample.scale * sample.d_tilde[:, None] * mat[sample.omega]
 
 
 def _point_in(union, rng, subspace_index=None):
@@ -302,7 +302,7 @@ def test_oracle_flags_rank_deficiency():
     n = 4
     F = make_dense_operator(np.eye(n))
     # single row cannot determine two coordinates
-    sample = DrawnSample(np.array([0]), np.array([0]), n, np.array([1.0]))
+    sample = DrawnSample(uniform_plan(n), [0])
     union = SubspaceUnion([Subspace(np.eye(n)[:, :2])])
     res = recover_oracle(SampledOperator(F, sample), np.array([1.0]), union)
     assert "rank_deficient" in res.flags
@@ -685,7 +685,7 @@ def test_rip_wide_subspace_cannot_hold():
     # one drawn row against a 2-dimensional subspace: sigma_min is zero
     n = 4
     F = make_dense_operator(np.eye(n))
-    sample = DrawnSample(np.array([0]), np.array([0]), n, np.array([1.0]))
+    sample = DrawnSample(uniform_plan(n), [0])
     union = SubspaceUnion([Subspace(np.eye(n)[:, :2])])
     report = rip_check(SampledOperator(F, sample), union)
     assert report["per_subspace"][0] >= 1.0
@@ -750,8 +750,9 @@ def test_folded_rip_check_and_oracle_match_the_dense_draw(case):
 
 def _local_noise_factor(sample, alpha):
     """Spreadsheet-style reimplementation of the theorem's noise factor."""
-    d_sorted = sample.d_tilde
-    a_sorted = np.asarray(alpha)[sample.omega_sorted]
+    order = sorted(range(sample.m), key=lambda i: -sample.d_tilde[i])  # stable: ties keep draw position
+    d_sorted = sample.d_tilde[order]
+    a_sorted = np.asarray(alpha)[sample.omega[order]]
     v = sample.scale * d_sorted * a_sorted
     c = np.cumsum(v**2)
     idx = min(int(np.searchsorted(c, 1.0, side="left")), v.size - 1)
@@ -815,12 +816,27 @@ def test_theorem_bound_delta_maps_to_tail():
 
 
 def test_bounds_reject_nan_sigma():
+    """NaN fails every input check of both bounds, not only sigma's."""
     sample = _full_sample(4)
     nf = noise_factor(sample, np.ones(4))
+    nan = math.nan
     with pytest.raises(ValueError, match="invalid"):
-        theorem_error_bound(nf, 4, math.nan, 2, 0.0, t=1.0)
+        theorem_error_bound(nf, 4, nan, 2, 0.0, t=1.0)
     with pytest.raises(ValueError, match="sigma"):
-        deterministic_corollary_bound(sample, np.ones(4), math.nan)
+        deterministic_corollary_bound(sample, np.ones(4), nan)
+    for args, kwargs in (
+        ((nan, 4, 1.0, 2, 0.0), {"t": 1.0}),
+        ((nf, 4, 1.0, 2, nan), {"t": 1.0}),
+        ((nf, 4, 1.0, 2, 0.0), {"t": nan}),
+        ((nf, 4, 1.0, 2, 0.0), {"t": 1.0, "epsilon": nan}),
+    ):
+        with pytest.raises(ValueError, match="invalid"):
+            theorem_error_bound(*args, **kwargs)
+    with pytest.raises(ValueError, match="delta"):
+        theorem_error_bound(nf, 4, 1.0, 2, 0.0, delta=nan)
+    for key in ("mismatch_norm", "preconditioned_mismatch_norm"):
+        with pytest.raises(ValueError, match="mismatch"):
+            theorem_error_bound(nf, 4, 1.0, 2, 0.0, t=1.0, **{key: nan})
 
 
 def test_theorem_bound_input_validation():
@@ -864,7 +880,7 @@ def test_corollary_single_measurement():
 
 
 def test_corollary_rejects_zero_coherence_rows():
-    sample = DrawnSample(np.array([1]), np.array([0]), 4, np.array([1.0]))
+    sample = DrawnSample(uniform_plan(4), [1])
     with pytest.raises(ValueError, match="positive coherence"):
         deterministic_corollary_bound(sample, np.array([1.0, 0.0, 1.0, 1.0]), 0.5)
 

@@ -14,6 +14,7 @@ from vdslab.sampling import (
     DrawnSample,
     SampledOperator,
     SamplingPlan,
+    _sorted_gathers,
     apply_measurement,
     complexity_mu,
     draw_sample,
@@ -154,19 +155,34 @@ def test_draw_never_hits_excluded_rows():
     assert not np.any(sample.omega == 1)
 
 
-def test_draw_order_sorts_d_nonincreasing():
+def test_draw_keeps_draw_order():
+    """omega and d_tilde stay in draw order, read-only, with d_tilde gathered from the plan."""
     rng = _rng(45)
     plan = optimized_probabilities(_positive_alpha(32, rng))
     sample = draw_sample(plan, 50, 9)
-    assert np.all(np.diff(sample.d_tilde) <= 0)
-    assert np.array_equal(sample.d_tilde, plan.d[sample.omega_sorted])
+    assert np.array_equal(sample.d_tilde, plan.d[sample.omega])
+    assert np.any(np.diff(sample.d_tilde) > 0)  # this draw is not sorted by d
+    assert not sample.omega.flags.writeable and not sample.d_tilde.flags.writeable
     assert sample.scale == pytest.approx(math.sqrt(32 / 50))
 
 
-def test_draw_tie_break_is_stable_in_draw_position():
-    plan = uniform_plan(4)  # all d equal: order must stay 0..m-1
-    sample = draw_sample(plan, 20, 10)
-    assert np.array_equal(sample.omega_sorted, sample.omega)
+def test_noise_factor_sort_is_nonincreasing_and_stable_in_draw_position():
+    """The noise factor's gathers sort d_tilde non-increasing, ties in draw position, and lead
+    with noise_factor_bounds' max_Sd; an all-tied uniform draw keeps its draw order."""
+    rng = _rng(46)
+    alpha = np.repeat(_positive_alpha(8, rng), 4)  # every coherence tied four ways
+    plan = optimized_probabilities(alpha)
+    sample = draw_sample(plan, 50, 9)
+    d_sorted, alpha_sorted = _sorted_gathers(sample, alpha)
+    order = sorted(range(sample.m), key=lambda i: -sample.d_tilde[i])  # Python's sort is stable
+    assert np.array_equal(d_sorted, sample.d_tilde[order])
+    assert np.array_equal(alpha_sorted, alpha[sample.omega[order]])
+    assert np.all(np.diff(d_sorted) <= 0)
+    assert d_sorted[0] == noise_factor_bounds(plan, sample, alpha, 1.0)["max_Sd"] == sample.d_tilde.max()
+
+    flat = draw_sample(uniform_plan(4), 20, 10)
+    _, alpha_flat = _sorted_gathers(flat, alpha[:4])
+    assert np.array_equal(alpha_flat, alpha[:4][flat.omega])
 
 
 def test_draws_deterministic_per_seed():
@@ -236,7 +252,7 @@ def test_noise_factor_optimized_truncation_count():
     m = 48
     assert m >= np.sum(alpha**2)  # truncation defined
     sample = draw_sample(plan, m, 11)
-    sd_alpha = sample.scale * sample.d_tilde * alpha[sample.omega_sorted]
+    sd_alpha = sample.scale * sample.d_tilde * alpha[sample.omega]
     assert np.allclose(sd_alpha, np.linalg.norm(alpha) / math.sqrt(m), atol=1e-12)
     kept = np.count_nonzero(unit_truncation(sd_alpha))
     assert kept == math.ceil(m / np.sum(alpha**2))
@@ -419,9 +435,9 @@ def test_apply_measurement_matches_dense_oracle():
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, m, 19)
     x = rng.standard_normal((n, 3))
-    dense = op.matrix()[sample.omega_sorted] * math.sqrt(n / m)
+    dense = op.matrix()[sample.omega] * math.sqrt(n / m)
     assert np.max(np.abs(apply_measurement(op, sample, x) - dense @ x)) < 1e-10
-    dense_pre = (plan.d[sample.omega_sorted][:, None] * op.matrix()[sample.omega_sorted]) * math.sqrt(n / m)
+    dense_pre = (plan.d[sample.omega][:, None] * op.matrix()[sample.omega]) * math.sqrt(n / m)
     got_pre = apply_measurement(op, sample, x, preconditioned=True)
     assert np.max(np.abs(got_pre - dense_pre @ x)) < 1e-10
 
@@ -480,7 +496,6 @@ def test_sample_csv_round_trip(tmp_path):
     save_sample_csv(sample, path)
     back = load_sample_csv(path, plan)
     assert np.array_equal(back.omega, sample.omega)
-    assert np.array_equal(back.omega_sorted, sample.omega_sorted)
     assert np.array_equal(back.d_tilde, sample.d_tilde)
     assert back.scale == sample.scale
 
@@ -571,7 +586,7 @@ def test_folded_system_matches_the_raw_draw(case):
 
 def test_drawn_row_of_zero_weight_is_rejected(tmp_path):
     """A row the plan excludes (d = 0) cannot be part of a draw: loading a sample CSV that holds
-    one against that plan raises, as does building the DrawnSample directly (NaN too)."""
+    one against that plan raises, as does building the DrawnSample directly, wherever it sits."""
     n = 16
     p = np.ones(n)
     p[3] = 0.0
@@ -580,9 +595,22 @@ def test_drawn_row_of_zero_weight_is_rejected(tmp_path):
     path.write_text("position,omega\n" + "".join(f"{i},{j}\n" for i, j in enumerate([3, 5, 5, 7, 3, 9])))
     with pytest.raises(ValueError, match="d_tilde > 0"):
         load_sample_csv(path, plan)
-    for d_tilde in ([1.0, 1.0, 0.0], [1.0, 1.0, -0.5], [math.nan, 1.0, 1.0]):
+    for omega in ([5, 7, 3], [3, 5, 7], [3]):
         with pytest.raises(ValueError, match="d_tilde > 0"):
-            DrawnSample(np.array([5, 7, 3]), np.arange(3), n, np.array(d_tilde))
+            DrawnSample(plan, omega)
+    DrawnSample(plan, [5, 7, 2])  # every row in the support
+
+
+def test_drawn_row_out_of_range_is_rejected(tmp_path):
+    """Indices below 0 or at n and beyond are outside the plan, in a CSV and in a direct DrawnSample."""
+    plan = uniform_plan(8)
+    path = tmp_path / "sample.csv"
+    path.write_text("position,omega\n0,2\n1,8\n")
+    with pytest.raises(ValueError, match="outside the plan"):
+        load_sample_csv(path, plan)
+    for omega in ([0, -1], [8], [3, 100]):
+        with pytest.raises(ValueError, match="outside the plan"):
+            DrawnSample(plan, omega)
 
 
 def test_empty_draw_is_rejected(tmp_path):
@@ -592,7 +620,7 @@ def test_empty_draw_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="draw is empty"):
         load_sample_csv(path, uniform_plan(8))
     with pytest.raises(ValueError, match="draw is empty"):
-        DrawnSample(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 8, np.array([]))
+        DrawnSample(uniform_plan(8), np.array([], dtype=np.int64))
 
 
 @settings(max_examples=80, deadline=None)
