@@ -166,9 +166,25 @@ def test_draw_keeps_draw_order():
     assert sample.scale == pytest.approx(math.sqrt(32 / 50))
 
 
-def test_noise_factor_sort_is_nonincreasing_and_stable_in_draw_position():
-    """The noise factor's gathers sort d_tilde non-increasing, ties in draw position, and lead
-    with noise_factor_bounds' max_Sd; an all-tied uniform draw keeps its draw order."""
+def test_draw_order_sorts_d_nonincreasing():
+    """The noise factor's gathers sort d_tilde non-increasing, gathered from the plan, and lead
+    with noise_factor_bounds' max_Sd."""
+    rng = _rng(45)
+    alpha = _positive_alpha(32, rng)
+    plan = optimized_probabilities(alpha)
+    sample = draw_sample(plan, 50, 9)
+    d_sorted, alpha_sorted = _sorted_gathers(sample, alpha)
+    order = np.argsort(-sample.d_tilde, kind="stable")
+    assert np.all(np.diff(d_sorted) <= 0)
+    assert np.array_equal(d_sorted, plan.d[sample.omega[order]])
+    assert np.array_equal(alpha_sorted, alpha[sample.omega[order]])
+    assert d_sorted[0] == noise_factor_bounds(plan, sample, alpha, 1.0)["max_Sd"] == sample.d_tilde.max()
+    assert sample.scale == pytest.approx(math.sqrt(32 / 50))
+
+
+def test_draw_tie_break_is_stable_in_draw_position():
+    """Tied d_tilde keep draw position in the noise factor's sort; an all-tied uniform draw
+    keeps its draw order."""
     rng = _rng(46)
     alpha = np.repeat(_positive_alpha(8, rng), 4)  # every coherence tied four ways
     plan = optimized_probabilities(alpha)
@@ -177,8 +193,6 @@ def test_noise_factor_sort_is_nonincreasing_and_stable_in_draw_position():
     order = sorted(range(sample.m), key=lambda i: -sample.d_tilde[i])  # Python's sort is stable
     assert np.array_equal(d_sorted, sample.d_tilde[order])
     assert np.array_equal(alpha_sorted, alpha[sample.omega[order]])
-    assert np.all(np.diff(d_sorted) <= 0)
-    assert d_sorted[0] == noise_factor_bounds(plan, sample, alpha, 1.0)["max_Sd"] == sample.d_tilde.max()
 
     flat = draw_sample(uniform_plan(4), 20, 10)
     _, alpha_flat = _sorted_gathers(flat, alpha[:4])
