@@ -122,7 +122,6 @@ _KEY_PARSERS = {
     "bound_delta": float,
     "coherence_latents": int,
     "solver_max_iters": int,
-    "solver_tol": float,
     "solver_restarts": int,
     "solver_iters": int,
     "solver_step": float,
@@ -438,7 +437,7 @@ def _draw_signal(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
 
 
 def _solve(problem: _Problem, A: SampledOperator, b: np.ndarray, solver_seed: int):
-    """Run the prior's own solver: IHT for sparse, the oracle for unions, latent Adam for networks."""
+    """Run the prior's own solver: HTP for sparse, the oracle for unions, latent Adam for networks."""
     prior = problem.prior
     if isinstance(prior, SparsePrior):
         return recover_sparse_two_stage(A, b, prior.k, problem.solver_config)
@@ -502,7 +501,8 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
         nf, bound = float("nan"), float("nan")
     try:
         corollary = deterministic_corollary_bound(sample, problem.alpha, sigma)
-    except ValueError:
+    except ValueError as exc:
+        warnings.warn(f"corollary bound undefined ({cell}): {exc}", RuntimeWarning, stacklevel=2)
         corollary = float("nan")
     return ExperimentRecord(
         scheme, m, sigma, trial, streams.seed_id, rre, objective_value, nf, bound, corollary, elapsed

@@ -363,8 +363,8 @@ def project(
     if isinstance(prior, SubspaceUnion):
         projections = [s.project(x) for s in prior.subspaces]
         residuals = np.array([np.linalg.norm(x - p) for p in projections])
-        tol = 1e-12 * (1.0 + np.linalg.norm(x))
-        tied = [p for p, r in zip(projections, residuals) if r <= residuals.min() + tol]
+        tie_tol = 1e-12 * (1.0 + np.linalg.norm(x))
+        tied = [p for p, r in zip(projections, residuals) if r <= residuals.min() + tie_tol]
         return _lex_greatest(tied)
     if isinstance(prior, GenerativeNetwork):
         def value_and_grad(z):

@@ -4,12 +4,12 @@ Every solver, ``objective`` and ``rip_check`` take the draw's preconditioned
 operator A = D~ S F (a SampledOperator), which acts on the draw's distinct
 rows. The solvers minimize ||A x - D~ b||_2^2 over their prior set in its
 folded form ||A.forward(x) - u||^2 + const, with (u, const) = A.fold(b), and
-report that sum as the objective. Measurements are never pre-scaled; the
-preconditioner enters at optimization time only. Only the simulation, the
-noise factor and the bounds read the m-row draw. Complex systems are handled
-by stacking real and imaginary parts, so least squares and singular values
-are always computed over the reals, matching the real-part convention for
-complex inner products.
+report that sum as the objective; the sparse solver is hard thresholding
+pursuit. Measurements are never pre-scaled; the preconditioner enters at
+optimization time only. Only the simulation, the noise factor and the bounds
+read the m-row draw. Complex systems are handled by stacking real and
+imaginary parts, so least squares and singular values are always computed
+over the reals, matching the real-part convention for complex inner products.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .priors import (
     GenerativeNetwork,
     SubspaceUnion,
-    _hard_threshold,
     _latent_adam,
     _lex_greatest,
     _top_k_support,
@@ -51,7 +50,7 @@ __all__ = [
 _RANK_RTOL = 1e-10
 _SIGNAL_MAGIC = b"VDSX"
 
-_SPARSE_DEFAULTS = {"max_iters": 500, "tol": 1e-8}
+_SPARSE_DEFAULTS = {"max_iters": 500}
 _GENERATIVE_DEFAULTS = {
     "restarts": 10,
     "iters": 100,
@@ -62,7 +61,7 @@ _GENERATIVE_DEFAULTS = {
 }
 
 # the least legal value of each numeric solver setting; step must be above 0
-_SETTING_FLOORS = {"max_iters": 1, "tol": 0, "restarts": 1, "iters": 1, "init_pool": 1}
+_SETTING_FLOORS = {"max_iters": 1, "restarts": 1, "iters": 1, "init_pool": 1}
 
 
 class RecoveryResult:
@@ -184,14 +183,14 @@ def _merge_config(defaults: dict, config, prefix: str = "") -> dict:
 
 
 def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> RecoveryResult:
-    """Two-stage sparse solver: hard-threshold descent, then support least squares.
+    """Hard thresholding pursuit (Foucart 2011) on the draw's folded system, from x = 0.
 
-    Both stages run on the draw's folded system. Stage 1 is iterative hard
-    thresholding with step 1/L, L = 1.05 ||A||^2 in closed form from the draw
-    (``A.norm_sq``), so step * ||A||^2 < 1. Stage 2 re-fits exactly
-    on the support of the best stage-1 iterate, so the result is optimal within
-    that fixed support only; the support itself stays uncertified (flagged).
-    Stage-1 non-convergence keeps the best iterate's support and adds a
+    Each iteration takes S+, the top k of x - Re A*(A x - u)/L with
+    L = 1.05 ||A||^2 in closed form from the draw (``A.norm_sq``), and stops
+    when S+ is the current support; otherwise x becomes the exact least
+    squares on S+. As 1/L < 1/||A||^2 the residual never increases, so the
+    last iterate is the result: optimal on its support, which stays
+    uncertified (flagged). No support repeat within ``max_iters`` adds a
     warning flag. The objective is the folded residual plus its constant.
     """
     cfg = _merge_config(_SPARSE_DEFAULTS, config)
@@ -200,43 +199,37 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     u, const = A.fold(b)
+    stacked_u = _stack_real(u)
     lam = 1.05 * A.norm_sq
 
-    # each iteration costs one forward and one adjoint transform: the residual
-    # of the accepted iterate is carried into the next gradient step, and at
-    # x = 0 it is -u
+    # an iteration costs one adjoint, and a support change one forward of the
+    # k support columns as a batch; the fit's residual is carried into the
+    # next step, and at x = 0 it is -u
     x = np.zeros(n)
     r = -u
-    best_x, best_obj = x, float(np.real(np.vdot(r, r)))
+    support = None
     converged = False
-    used = 0
-    for used in range(1, cfg["max_iters"] + 1):
-        g = np.real(A.adjoint(r))
-        x_next = _hard_threshold(x - g / lam, k)
-        r_next = A.forward(x_next) - u
-        obj = float(np.real(np.vdot(r_next, r_next)))
-        if obj < best_obj:
-            best_x, best_obj = x_next, obj
-        step = x_next - x
-        if math.sqrt(step @ step) <= cfg["tol"] * max(1.0, math.sqrt(x @ x)):
+    for used in range(1, cfg["max_iters"] + 1):  # max_iters >= 1, so the first pass fits
+        candidate = _top_k_support(x - np.real(A.adjoint(r)) / lam, k)
+        if support is not None and np.array_equal(candidate, support):
             converged = True
             break
-        x, r = x_next, r_next
+        support = candidate
+        columns = np.zeros((n, k))
+        columns[support, np.arange(k)] = 1.0
+        design = A.forward(columns)
+        w, _, rank, _ = np.linalg.lstsq(_stack_real(design), stacked_u, rcond=_RANK_RTOL)
+        x = np.zeros(n)
+        x[support] = w
+        r = design @ w - u
 
-    support = _top_k_support(best_x, k)
-    columns = np.zeros((n, k))
-    columns[support, np.arange(k)] = 1.0
-    design = A.forward(columns)
-    w, _, rank, _ = np.linalg.lstsq(_stack_real(design), _stack_real(u), rcond=_RANK_RTOL)
-    x_hat = np.zeros(n)
-    x_hat[support] = w
     flags = ["support_uncertified"]
     if not converged:
         flags.append("stage1_not_converged")
     if rank < k:
         flags.append("rank_deficient")
-    obj = _residual_sq(design, w, u) + const
-    return RecoveryResult(x_hat, obj, "sparse_two_stage", used, tuple(flags))
+    obj = float(np.real(np.vdot(r, r))) + const
+    return RecoveryResult(x, obj, "sparse_two_stage", used, tuple(flags))
 
 
 def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=None) -> RecoveryResult:

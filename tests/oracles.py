@@ -133,6 +133,23 @@ def scatter_adjoint_measurement(F, sample, v):
     return F.adjoint(u)
 
 
+def dense_support_least_squares(dense, sample, b, support):
+    """Reference least squares of the m-row ||D~ S F x - D~ b|| over x supported on ``support``.
+
+    ``dense`` is F as an n x n matrix, so the design is the drawn rows of the
+    dense matrix, weighted row by row, with real and imaginary parts stacked.
+    Returns the length-n x.
+    """
+    rows = sample.scale * sample.d_tilde[:, None] * dense[sample.omega][:, support]
+    target = sample.d_tilde * np.asarray(b)
+    w = np.linalg.lstsq(
+        np.vstack([rows.real, rows.imag]), np.concatenate([target.real, target.imag]), rcond=None
+    )[0]
+    x = np.zeros(dense.shape[1])
+    x[support] = w
+    return x
+
+
 def patience_recover_generative(A, b, net, config):
     """Reference generative solver: the Adam restart loop with its patience stop, on the m-row draw.
 

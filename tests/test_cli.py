@@ -200,7 +200,7 @@ _GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
         ({"sigma": "nan"}, "sigma must be"),
         ({"solver_max_iters": 0}, "solver_max_iters must be"),
         ({"solver_power_iters": 40}, "unknown config keys"),
-        ({"solver_tol": -1e-9}, "solver_tol must be"),
+        ({"solver_tol": 1e-8}, "unknown config keys"),
         (_GENERATIVE | {"solver_restarts": 0}, "solver_restarts must be"),
         (_GENERATIVE | {"solver_iters": 0}, "solver_iters must be"),
         (_GENERATIVE | {"solver_init_pool": 0}, "solver_init_pool must be"),

@@ -318,13 +318,13 @@ def test_failed_trial_warns_and_keeps_nan_row(tmp_path, monkeypatch):
     assert lines[1].split(",")[5:7] == ["nan", "nan"]
 
 
-def test_undefined_noise_factor_warns_and_keeps_row(tmp_path):
-    """A draw whose (n/m) sum d~^2 alpha^2 is below 1 has no noise factor: the sweep keeps the
-    row with NaN noise_factor and theorem_bound and warns with the cell, instead of aborting."""
+def _zero_coherence_union_config(tmp_path):
+    """Union {span(e0,e1), span(e2,e3)} at n=64 under a 0-level Haar, uniform, m=4: the draw
+    meets rows of zero coherence, so neither the noise factor nor the corollary bound exists."""
     eye = np.eye(64)
     upath = tmp_path / "u.vdsu"
     save_union(SubspaceUnion([Subspace(eye[:, :2]), Subspace(eye[:, 2:4])]), upath)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         {
             "prior": "union",
             "union_file": str(upath),
@@ -337,14 +337,36 @@ def test_undefined_noise_factor_warns_and_keeps_row(tmp_path):
             "out": str(tmp_path / "u.csv"),
         }
     )
-    with pytest.warns(RuntimeWarning, match="noise factor undefined .*cannot unit-truncate") as caught:
+
+
+def test_undefined_noise_factor_warns_and_keeps_row(tmp_path):
+    """A draw whose (n/m) sum d~^2 alpha^2 is below 1 has no noise factor: the sweep keeps the
+    row with NaN noise_factor and theorem_bound and warns with the cell, instead of aborting."""
+    cfg = _zero_coherence_union_config(tmp_path)
+    with pytest.warns(RuntimeWarning) as caught:  # the corollary bound warns too
         records = run_denoise_sweep(cfg)
-    assert any("scheme=uniform m=4 sigma=1.0 trial=0" in str(w.message) for w in caught)
+    noise = [str(w.message) for w in caught if "noise factor undefined" in str(w.message)]
+    assert len(noise) == 1 and "cannot unit-truncate" in noise[0]
+    assert "scheme=uniform m=4 sigma=1.0 trial=0" in noise[0]
     assert len(records) == 1
     assert math.isnan(records[0].noise_factor) and math.isnan(records[0].theorem_bound)
     assert math.isfinite(records[0].rre)
     lines = (tmp_path / "u.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].split(",")[7:9] == ["nan", "nan"]
+
+
+def test_undefined_corollary_bound_warns_and_keeps_row(tmp_path):
+    """A drawn row of zero coherence leaves the corollary bound undefined: the row keeps a NaN
+    corollary_bound, and a warning names the cell and the reason."""
+    cfg = _zero_coherence_union_config(tmp_path)
+    with pytest.warns(RuntimeWarning) as caught:
+        records = run_denoise_sweep(cfg)
+    corollary = [str(w.message) for w in caught if "corollary bound undefined" in str(w.message)]
+    assert len(corollary) == 1
+    assert "scheme=uniform m=4 sigma=1.0 trial=0" in corollary[0]
+    assert "positive coherence" in corollary[0]
+    assert len(records) == 1 and math.isnan(records[0].corollary_bound)
+    assert math.isfinite(records[0].rre)
 
 
 def test_sweep_rows_do_not_depend_on_the_last_bits_of_alpha(tmp_path):
