@@ -1,27 +1,30 @@
 """Local coherences of measurement rows with respect to union-of-subspaces priors.
 
 The local coherence of row f_j is the supremum of |f_j* x| over unit-norm x in
-the prior's difference set. For a real subspace with orthonormal basis B the
-supremum has a closed form: the largest singular value of the 2 x dim real
-matrix stacking Re and Im of the transformed basis row. Exact values, the
-sparse complex-relaxation upper bound, and the pairwise empirical estimator
-for generative priors all live here.
+the prior's difference set. Three computations produce it, each for every row
+at once:
+
+- ``coherence_vector``: exact, against an explicit ``SubspaceUnion``. For a
+  real subspace with orthonormal basis B the supremum is the largest singular
+  value of the 2 x dim real matrix stacking Re and Im of the transformed basis
+  row.
+- ``sparse_coherence_vector``: the complex-relaxation upper bound against
+  s-sparse vectors, the root sum of a row's s largest squared magnitudes.
+- ``empirical_generative_coherence``: the pairwise estimate for a ReLU
+  network, the largest |F(x_a - x_b)_j| / ||x_a - x_b|| over sampled pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .priors import GenerativeNetwork, Subspace, SubspaceUnion, generative_forward
+from .priors import GenerativeNetwork, SubspaceUnion, generative_forward
 from .transforms import UnitaryOperator
 
 __all__ = [
     "CoherenceVector",
-    "subspace_row_coherence",
     "coherence_vector",
-    "sparse_coherence_upper",
     "sparse_coherence_vector",
-    "sparse_coherence_exact",
     "empirical_generative_coherence",
     "save_coherence_csv",
     "load_coherence_csv",
@@ -69,28 +72,11 @@ def _row_sup_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def subspace_row_coherence(f: np.ndarray, basis: np.ndarray) -> float:
-    """sup of |f* x| over unit x in the real subspace spanned by ``basis``."""
-    f = np.asarray(f)
-    basis = np.asarray(basis)
-    if np.iscomplexobj(basis):
-        raise ValueError("subspace bases must be real")
-    # row of the transformed basis: (B^T conj(f))^T has entries f* B e_i
-    projected = basis.T @ f.conj()
-    return float(_row_sup_norms(projected[None, :])[0])
-
-
-def _union_subspaces(prior):
-    if isinstance(prior, Subspace):
-        return (prior,)
-    if isinstance(prior, SubspaceUnion):
-        return prior.subspaces
-    raise TypeError(f"expected a Subspace or SubspaceUnion, got {type(prior).__name__}")
-
-
-def coherence_vector(op: UnitaryOperator, prior) -> CoherenceVector:
-    """Exact coherence of every row of ``op`` against a subspace or subspace union."""
-    subspaces = _union_subspaces(prior)
+def coherence_vector(op: UnitaryOperator, union: SubspaceUnion) -> CoherenceVector:
+    """Exact coherence of every row of ``op`` against a subspace union."""
+    if not isinstance(union, SubspaceUnion):
+        raise TypeError(f"expected a SubspaceUnion, got {type(union).__name__}")
+    subspaces = union.subspaces
     if any(s.n != op.n for s in subspaces):
         raise ValueError("prior ambient dimension does not match the operator")
     # one batched transform for all bases, then a per-subspace max-reduce
@@ -104,17 +90,6 @@ def coherence_vector(op: UnitaryOperator, prior) -> CoherenceVector:
     return CoherenceVector(alpha, "exact")
 
 
-def sparse_coherence_upper(f: np.ndarray, s: int) -> float:
-    """Complex-relaxation bound: root sum of the s largest squared magnitudes."""
-    f = np.asarray(f)
-    s = int(s)
-    if not 1 <= s <= f.size:
-        raise ValueError(f"need 1 <= s <= {f.size}, got {s}")
-    mags = np.abs(f) ** 2
-    top = np.partition(mags, f.size - s)[f.size - s :]
-    return float(np.sqrt(np.sum(top)))
-
-
 def sparse_coherence_vector(op: UnitaryOperator, s: int) -> CoherenceVector:
     """Upper-bound coherences of all rows against s-sparse vectors."""
     s = int(s)
@@ -124,24 +99,6 @@ def sparse_coherence_vector(op: UnitaryOperator, s: int) -> CoherenceVector:
     top = np.partition(mags, op.n - s, axis=1)[:, op.n - s :]
     alpha = np.sqrt(np.sum(top, axis=1))
     return CoherenceVector(alpha, "upper_bound")
-
-
-def sparse_coherence_exact(op: UnitaryOperator, s: int) -> CoherenceVector:
-    """Exact real-restricted s-sparse coherences by support enumeration (n <= 20)."""
-    from itertools import combinations
-
-    s = int(s)
-    if op.n > 20:
-        raise ValueError("exact sparse enumeration is limited to n <= 20")
-    if not 1 <= s <= op.n:
-        raise ValueError(f"need 1 <= s <= {op.n}, got {s}")
-    mat = op.matrix()
-    supports = np.array(list(combinations(range(op.n), s)))
-    alpha = np.zeros(op.n)
-    for chunk in np.array_split(supports, max(1, len(supports) // 4096)):
-        rows = mat[:, chunk]  # (n, chunk, s)
-        np.maximum(alpha, _row_sup_norms(rows).max(axis=1), out=alpha)
-    return CoherenceVector(alpha, "exact")
 
 
 def empirical_generative_coherence(

@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import astuple, dataclass, fields
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +151,11 @@ def _coerce_value(key, raw):
     parser = _KEY_PARSERS[key]
     if isinstance(raw, str):
         return parser(raw)
+    # index() takes Python and NumPy integers and rejects a float that int() would truncate
+    if parser is int:
+        return index(raw)
     if parser is _parse_int_list:
-        return tuple(int(x) for x in raw)
+        return tuple(index(x) for x in raw)
     if parser is _parse_float_list:
         return tuple(float(x) for x in raw)
     if parser is _parse_bool:
@@ -191,10 +195,6 @@ class ExperimentConfig:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
         self._values = values
         self._validate()
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls(parse_config_file(path))
 
     def __getattr__(self, key):
         if key.startswith("_"):
@@ -547,16 +547,14 @@ def write_manifest(config: ExperimentConfig, out_path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_single_trial(config: ExperimentConfig, *, cell_index: int = 0, trial: int = 0):
-    """One seeded trial at the config's single (m, sigma) point."""
+def run_single_trial(config: ExperimentConfig):
+    """One seeded trial (cell 0, trial 0) at the config's single (m, sigma) point."""
     if config.scheme == "both":
         raise ConfigError("a single trial needs one concrete scheme")
     config.require("m", "sigma")
     problem = build_problem(config)
     plan = _plan_for(problem, config, config.scheme)
-    return _run_trial(
-        problem, plan, config, config.scheme, cell_index, config.m, config.sigma, trial
-    )
+    return _run_trial(problem, plan, config, config.scheme, 0, config.m, config.sigma, 0)
 
 
 def run_denoise_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:

@@ -35,6 +35,14 @@ __all__ = [
 _RANK_RTOL = 1e-10
 _DEDUP_TOL = 1e-10
 _ENUMERATION_BUDGET = 100_000
+# difference_union's generative enumeration: latent directions probed and their stream
+_PATTERN_LATENTS = 4096
+_PATTERN_SEED = 0
+# project's generative projection: Adam starts, steps per start, step size and start stream
+_PROJECT_RESTARTS = 10
+_PROJECT_ITERS = 500
+_PROJECT_STEP = 1e-2
+_PROJECT_SEED = 0
 
 
 def _readonly(a):
@@ -83,9 +91,6 @@ class SubspaceUnion:
         self.n = n
         self.M = len(subspaces)
         self.max_dim = max(s.dim for s in subspaces)
-
-    def __iter__(self):
-        return iter(self.subspaces)
 
     def __repr__(self) -> str:
         return f"<SubspaceUnion n={self.n} M={self.M} max_dim={self.max_dim}>"
@@ -183,15 +188,15 @@ def _dedup_subspaces(subspaces):
     return kept
 
 
-def _activation_patterns(net: GenerativeNetwork, latent_samples: int, seed: int):
+def _activation_patterns(net: GenerativeNetwork):
     """Realizable hidden-layer sign patterns found by directional sampling.
 
     Patterns are positively homogeneous (no biases), so latent directions and
     their negations probe every cone that random sampling can reach.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PATTERN_SEED)
     k = net.latent_dim
-    z = rng.standard_normal((k, latent_samples))
+    z = rng.standard_normal((k, _PATTERN_LATENTS))
     z = np.concatenate([z, -z], axis=1)
     patterns = {}
     a = z
@@ -232,13 +237,15 @@ def _sparse_support_size(n: int, k: int, budget: int = _ENUMERATION_BUDGET) -> i
     return s
 
 
-def difference_union(prior, budget: int = _ENUMERATION_BUDGET, *, latent_samples: int = 4096, seed: int = 0):
+def difference_union(prior, budget: int = _ENUMERATION_BUDGET):
     """Build a SubspaceUnion covering the difference set Q - Q of a prior.
 
     Raises EnumerationBudgetError when the enumeration would exceed
     ``budget`` subspaces: C(n, min(2k, n)) supports for a sparse prior, the
     pairwise expansion for a subspace union, and the activation-pattern pairs
-    for a generative network.
+    for a generative network. A network's activation patterns are those hit
+    by 4096 standard-normal latent directions from ``default_rng(0)`` and
+    their negations.
     """
     if isinstance(prior, SparsePrior):
         s = _sparse_support_size(prior.n, prior.k, budget)
@@ -257,7 +264,7 @@ def difference_union(prior, budget: int = _ENUMERATION_BUDGET, *, latent_samples
         return SubspaceUnion(_dedup_subspaces(sums))
 
     if isinstance(prior, GenerativeNetwork):
-        patterns = _activation_patterns(prior, latent_samples, seed)
+        patterns = _activation_patterns(prior)
         n_patterns = len(patterns)
         if n_patterns * n_patterns > budget:
             raise EnumerationBudgetError(f"{n_patterns}^2 pattern pairs exceed budget {budget}")
@@ -338,28 +345,17 @@ def _lex_greatest(candidates):
     return best
 
 
-def project(
-    prior,
-    x: np.ndarray,
-    *,
-    restarts: int = 10,
-    iters: int = 500,
-    step: float = 1e-2,
-    seed: int = 0,
-) -> np.ndarray:
-    """Euclidean projection of x onto the prior set.
+def project(prior, x: np.ndarray) -> np.ndarray:
+    """Euclidean projection of x onto a sparse, subspace-union or generative prior.
 
-    Exact for sparse priors and subspace unions. Generative projection is
-    approximate: ``restarts`` standard-normal latents from
-    ``default_rng(seed)``, run as one (k, restarts) block of ``iters`` Adam
-    steps of size ``step`` on ||G(z) - x||_2^2 (the keyword arguments only
-    apply there).
+    Exact for sparse priors and subspace unions (a single subspace projects
+    with ``Subspace.project``). Generative projection is approximate: 10
+    standard-normal latents from ``default_rng(0)``, run as one (k, 10) block
+    of 500 Adam steps of size 1e-2 on ||G(z) - x||_2^2.
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(prior, SparsePrior):
         return _hard_threshold(x, prior.k)
-    if isinstance(prior, Subspace):
-        return prior.project(x)
     if isinstance(prior, SubspaceUnion):
         projections = [s.project(x) for s in prior.subspaces]
         residuals = np.array([np.linalg.norm(x - p) for p in projections])
@@ -373,8 +369,9 @@ def project(
             return np.sum(r**2, axis=0), out, vjp(2.0 * r)
 
         # row i is the i-th draw of k values, so the starts match drawing one start at a time
-        starts = np.random.default_rng(seed).standard_normal((restarts, prior.latent_dim)).T
-        (_, out), _ = _latent_adam(value_and_grad, starts, iters, step)
+        rng = np.random.default_rng(_PROJECT_SEED)
+        starts = rng.standard_normal((_PROJECT_RESTARTS, prior.latent_dim)).T
+        (_, out), _ = _latent_adam(value_and_grad, starts, _PROJECT_ITERS, _PROJECT_STEP)
         return out
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 

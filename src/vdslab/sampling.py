@@ -79,10 +79,9 @@ class SamplingPlan:
         self.p = p
         self.d = d
         self.n = n
-        self.support = support
 
     def __repr__(self) -> str:
-        excluded = int(np.sum(~self.support))
+        excluded = int(np.sum(self.p == 0))
         return f"<SamplingPlan n={self.n} excluded={excluded}>"
 
 
@@ -170,7 +169,8 @@ def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
     else:
         rng = np.random.Generator(np.random.Philox(rng_seed))
     cum = np.cumsum(plan.p)
-    cum[-1] = 1.0  # close the table exactly; u < 1 always lands
+    # close the table exactly from the last supported row on: u < 1 always lands on a supported row
+    cum[np.flatnonzero(plan.p)[-1] :] = 1.0
     return DrawnSample(plan, np.searchsorted(cum, rng.random(m), side="right"))
 
 

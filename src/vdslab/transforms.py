@@ -1,4 +1,4 @@
-"""Unitary measurement and sparsity bases with fast application and row extraction.
+"""Unitary measurement and sparsity bases with fast application.
 
 Every operator here is an n x n unitary map exposed matrix-free: ``forward``
 applies the matrix, ``adjoint`` applies its conjugate transpose, and both act
@@ -17,7 +17,6 @@ __all__ = [
     "make_haar_operator",
     "make_dense_operator",
     "compose_measurement_basis",
-    "row_vector",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -33,10 +32,10 @@ class UnitaryOperator:
     Attributes:
         n: ambient dimension.
         field: "real" or "complex", the scalar field of the matrix entries.
-        kind: one of dft1d, dft2d, haar1d, haar2d, dense, composed.
-    """
 
-    kind = "abstract"
+    Row j of the operator, f_j with f_j* x = forward(x)[j], is adjoint(e_j),
+    the conjugate of ``matrix()[j]``.
+    """
 
     def __init__(self, n: int, field: str):
         self.n = int(n)
@@ -76,12 +75,10 @@ class UnitaryOperator:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} kind={self.kind} n={self.n} field={self.field}>"
+        return f"<{type(self).__name__} n={self.n} field={self.field}>"
 
 
 class _Dft1d(UnitaryOperator):
-    kind = "dft1d"
-
     def __init__(self, n: int):
         super().__init__(n, "complex")
 
@@ -96,8 +93,6 @@ class _Dft1d(UnitaryOperator):
 
 
 class _Dft2d(UnitaryOperator):
-    kind = "dft2d"
-
     def __init__(self, side: int):
         super().__init__(side * side, "complex")
         self.side = side
@@ -208,11 +203,8 @@ def _haar_axis0(arr: np.ndarray, steps: tuple, adjoint: bool) -> np.ndarray:
 
 
 class _Haar1d(UnitaryOperator):
-    kind = "haar1d"
-
     def __init__(self, n: int, levels: int):
         super().__init__(n, "real")
-        self.levels = levels
         self._steps = _haar_steps(n, levels)
 
     def _forward(self, x):
@@ -229,12 +221,9 @@ class _Haar2d(UnitaryOperator):
     rows, then along image columns.
     """
 
-    kind = "haar2d"
-
     def __init__(self, side: int, levels: int):
         super().__init__(side * side, "real")
         self.side = side
-        self.levels = levels
         self._steps = _haar_steps(side, levels)
 
     def _separable(self, x, adjoint):
@@ -258,8 +247,6 @@ class _Haar2d(UnitaryOperator):
 
 
 class _Dense(UnitaryOperator):
-    kind = "dense"
-
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -287,8 +274,6 @@ class _Dense(UnitaryOperator):
 
 class _Composed(UnitaryOperator):
     """measurement . sparsity-adjoint, so priors live on coefficient vectors."""
-
-    kind = "composed"
 
     def __init__(self, measurement: UnitaryOperator, sparsity: UnitaryOperator):
         if measurement.n != sparsity.n:
@@ -369,16 +354,3 @@ def compose_measurement_basis(
     """
     return _Composed(measurement, sparsity)
 
-
-def row_vector(op: UnitaryOperator, j: int) -> np.ndarray:
-    """Return the j-th row f_j of the operator, 1-based, as a length-n vector.
-
-    f_j satisfies f_j* x = (forward(x))_j for every x, so for complex operators
-    it is the conjugate of the literal matrix row.
-    """
-    j = int(j)
-    if not 1 <= j <= op.n:
-        raise IndexError(f"row index {j} out of range 1..{op.n}")
-    e = np.zeros(op.n)
-    e[j - 1] = 1.0
-    return op.adjoint(e)

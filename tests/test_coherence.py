@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import random_orthogonal
+from oracles import random_orthogonal, random_unitary
 
 from vdslab.coherence import (
     CoherenceVector,
@@ -14,10 +14,7 @@ from vdslab.coherence import (
     empirical_generative_coherence,
     load_coherence_csv,
     save_coherence_csv,
-    sparse_coherence_exact,
-    sparse_coherence_upper,
     sparse_coherence_vector,
-    subspace_row_coherence,
 )
 from vdslab.priors import (
     GenerativeNetwork,
@@ -28,11 +25,15 @@ from vdslab.priors import (
     subspace_from_span,
     SparsePrior,
 )
-from vdslab.transforms import make_dense_operator, make_dft_operator, make_haar_operator, row_vector
+from vdslab.transforms import make_dense_operator, make_dft_operator, make_haar_operator
 
 
 def _identity_op(n):
     return make_haar_operator(n, 0)
+
+
+def _one_subspace(basis):
+    return SubspaceUnion([Subspace(basis)])
 
 
 def _brute_row_coherence(f, basis, rng, samples=100_000):
@@ -50,30 +51,32 @@ def _svd_row_coherence(f, basis):
 
 
 def test_row_coherence_aligned_and_orthogonal():
-    e = np.eye(3)
-    assert subspace_row_coherence(e[:, 0], e[:, [0]]) == pytest.approx(1.0, abs=1e-14)
-    assert subspace_row_coherence(e[:, 0], e[:, [1]]) == pytest.approx(0.0, abs=1e-14)
+    """Against the line through e_0, identity row 0 is aligned and the others orthogonal."""
+    alpha = coherence_vector(_identity_op(3), _one_subspace(np.eye(3)[:, [0]])).alpha
+    assert alpha[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(alpha[1:], 0.0, atol=1e-14)
 
 
 def test_row_coherence_matches_brute_force():
-    """Closed form dominates and is approached by random search (+0/-1e-3)."""
+    """Closed form dominates and is approached by random search (+0/-1e-3), complex rows."""
     rng = np.random.default_rng(21)
-    f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    mat = random_unitary(8, rng)
     basis = subspace_from_span(rng.standard_normal((8, 3))).basis
-    closed = subspace_row_coherence(f, basis)
-    brute = _brute_row_coherence(f, basis, rng)
-    assert brute <= closed + 1e-12
-    assert closed - brute <= 1e-3
+    closed = coherence_vector(make_dense_operator(mat), _one_subspace(basis)).alpha
+    for j in (0, 5):
+        brute = _brute_row_coherence(mat[j].conj(), basis, rng)
+        assert brute <= closed[j] + 1e-12
+        assert closed[j] - brute <= 1e-3
 
 
 def test_row_coherence_matches_svd():
     rng = np.random.default_rng(22)
     for _ in range(10):
-        f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        mat = random_unitary(6, rng)
         basis = subspace_from_span(rng.standard_normal((6, 2))).basis
-        assert subspace_row_coherence(f, basis) == pytest.approx(
-            _svd_row_coherence(f, basis), abs=1e-12
-        )
+        alpha = coherence_vector(make_dense_operator(mat), _one_subspace(basis)).alpha
+        expected = [_svd_row_coherence(row.conj(), basis) for row in mat]
+        assert np.allclose(alpha, expected, rtol=0, atol=1e-12)
 
 
 def test_coherence_vector_identity_lines():
@@ -89,31 +92,37 @@ def test_coherence_vector_identity_lines():
 
 
 def test_coherence_single_line_is_entry_magnitude():
-    cv = coherence_vector(make_dft_operator(4), Subspace(np.eye(4)[:, [0]]))
+    cv = coherence_vector(make_dft_operator(4), _one_subspace(np.eye(4)[:, [0]]))
     assert np.allclose(cv.alpha, 0.5 * np.ones(4), atol=1e-12)
 
 
 def test_coherence_vector_agrees_with_row_function():
+    """Each row is the largest per-subspace SVD row coherence, f_j = conj(matrix()[j])."""
     rng = np.random.default_rng(23)
     op = make_dft_operator(8)
     union = SubspaceUnion(
         [subspace_from_span(rng.standard_normal((8, d))) for d in (1, 2, 3)]
     )
     cv = coherence_vector(op, union)
-    for j in (1, 3, 8):
-        expected = max(
-            subspace_row_coherence(row_vector(op, j), s.basis) for s in union.subspaces
-        )
-        assert cv.alpha[j - 1] == pytest.approx(expected, abs=1e-12)
+    mat = op.matrix()
+    for j in (0, 2, 7):
+        expected = max(_svd_row_coherence(mat[j].conj(), s.basis) for s in union.subspaces)
+        assert cv.alpha[j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_coherence_vector_takes_only_a_union():
+    with pytest.raises(TypeError, match="SubspaceUnion"):
+        coherence_vector(make_dft_operator(4), Subspace(np.eye(4)[:, [0]]))
 
 
 def test_sparse_upper_bound_trivial_rows():
-    assert sparse_coherence_upper(np.array([1.0, 0, 0, 0]), 2) == pytest.approx(1.0)
-    op = make_dft_operator(8)
-    for j in (1, 5):
-        assert sparse_coherence_upper(row_vector(op, j), 3) == pytest.approx(
-            math.sqrt(3 / 8), abs=1e-12
-        )
+    """Identity rows bound at 1; a complex unitary's rows at the root sum of their s largest
+    squared magnitudes, taken from a full sort of each row."""
+    assert np.allclose(sparse_coherence_vector(_identity_op(4), 2).alpha, 1.0, atol=1e-12)
+    mat = random_unitary(8, np.random.default_rng(34))
+    got = sparse_coherence_vector(make_dense_operator(mat), 3).alpha
+    expected = np.sqrt(np.sort(np.abs(mat) ** 2, axis=1)[:, -3:].sum(axis=1))
+    assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_sparse_vector_flat_for_dft():
@@ -123,39 +132,35 @@ def test_sparse_vector_flat_for_dft():
     assert cv.method == "upper_bound"
 
 
+def _support_union(n, s):
+    eye = np.eye(n)
+    return SubspaceUnion([Subspace(eye[:, list(sup)]) for sup in combinations(range(n), s)])
+
+
 def test_sparse_exact_matches_supportwise_svd():
-    rng = np.random.default_rng(24)
+    """Exact s-sparse coherence is coherence_vector on the union of all s-supports."""
     op = make_dft_operator(8)
-    s = 2
-    cv = sparse_coherence_exact(op, s)
+    supports = _support_union(8, 2)
+    cv = coherence_vector(op, supports)
     mat = op.matrix()
-    eye = np.eye(8)
     for j in range(8):
         f = mat[j].conj()  # row as measured: f* x = (Fx)_j
-        best = max(
-            _svd_row_coherence(f, eye[:, list(sup)]) for sup in combinations(range(8), s)
-        )
+        best = max(_svd_row_coherence(f, sub.basis) for sub in supports.subspaces)
         assert cv.alpha[j] == pytest.approx(best, abs=1e-12)
 
 
 def test_sparse_upper_dominates_exact():
-    rng = np.random.default_rng(25)
-    op = make_haar_operator(6, 0)  # identity; replace rows directly below
-    f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    eye = np.eye(6)
-    exact = max(
-        _svd_row_coherence(f, eye[:, list(sup)]) for sup in combinations(range(6), 2)
-    )
-    assert sparse_coherence_upper(f, 2) >= exact - 1e-12
+    op = make_dense_operator(random_unitary(6, np.random.default_rng(25)))
+    exact = coherence_vector(op, _support_union(6, 2)).alpha
+    assert np.all(sparse_coherence_vector(op, 2).alpha >= exact - 1e-12)
 
 
 def test_sparse_exact_vs_explicit_union():
-    """Support enumeration equals exact coherence on the explicit union."""
+    """The difference union of a 1-sparse prior gives the explicit 2-support union's coherences."""
     op = make_dft_operator(8)
     union = difference_union(SparsePrior(8, 1))  # all 2-sparse supports
-    assert np.allclose(
-        sparse_coherence_exact(op, 2).alpha, coherence_vector(op, union).alpha, atol=1e-12
-    )
+    explicit = _support_union(8, 2)
+    assert np.allclose(coherence_vector(op, union).alpha, coherence_vector(op, explicit).alpha, atol=1e-12)
 
 
 def test_empirical_single_pair():
@@ -201,7 +206,7 @@ def test_empirical_linear_net_approaches_subspace_coherence():
     z = rng.standard_normal(2)
     assert np.allclose(generative_forward(net, z), a @ z, atol=1e-12)  # linearity
     op = make_dft_operator(8)
-    exact = coherence_vector(op, subspace_from_span(a)).alpha
+    exact = coherence_vector(op, SubspaceUnion([subspace_from_span(a)])).alpha
     emp = empirical_generative_coherence(net, op, 200, rng_seed=6).alpha
     assert np.all(emp <= exact + 1e-12)
     assert np.all(emp >= exact * (1 - 1e-3))
@@ -229,8 +234,8 @@ def test_scale_invariance():
     rng = np.random.default_rng(30)
     op = make_dft_operator(8)
     span = rng.standard_normal((8, 3))
-    a = coherence_vector(op, subspace_from_span(span)).alpha
-    b = coherence_vector(op, subspace_from_span(3.7 * span)).alpha
+    a = coherence_vector(op, SubspaceUnion([subspace_from_span(span)])).alpha
+    b = coherence_vector(op, SubspaceUnion([subspace_from_span(3.7 * span)])).alpha
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -242,12 +247,11 @@ def test_exactness_certificate_small_scale():
         [subspace_from_span(rng.standard_normal((8, d))) for d in (2, 3)]
     )
     cv = coherence_vector(op, union)
-    for j in (1, 4, 7):
-        brute = max(
-            _brute_row_coherence(row_vector(op, j), s.basis, rng) for s in union.subspaces
-        )
-        assert brute <= cv.alpha[j - 1] + 1e-12
-        assert cv.alpha[j - 1] - brute <= 1e-3
+    mat = op.matrix()
+    for j in (0, 3, 6):
+        brute = max(_brute_row_coherence(mat[j].conj(), s.basis, rng) for s in union.subspaces)
+        assert brute <= cv.alpha[j] + 1e-12
+        assert cv.alpha[j] - brute <= 1e-3
 
 
 def test_exact_alpha_norm_at_least_one():

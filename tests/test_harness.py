@@ -99,7 +99,7 @@ def test_config_from_file_round_trip(tmp_path):
         "prior = sparse\nn = 64\nsparse_k = 3\nmeasurement = dft\n"
         "m_grid = 16,32\nsigma_grid = 0.25,1.0\nrecord_timing = true\n"
     )
-    cfg = ExperimentConfig.from_file(path)
+    cfg = ExperimentConfig(parse_config_file(path))
     assert cfg.m_grid == (16, 32)
     assert cfg.sigma_grid == (0.25, 1.0)
     assert cfg.record_timing is True
@@ -125,6 +125,16 @@ def test_config_unknown_key(tmp_path):
 def test_config_bad_value(tmp_path):
     with pytest.raises(ConfigError, match="bad value for 'n'"):
         ExperimentConfig(_sparse_mapping(tmp_path, n="sixty four"))
+
+
+def test_config_integer_keys_reject_fractions(tmp_path):
+    """A library caller's fraction for an integer key is an error, as it is in a config file;
+    NumPy integers pass."""
+    for key, value in (("n", 1024.7), ("sparse_k", 10.9), ("m_grid", (40.5, 80.2)), ("trials", 2.99)):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            ExperimentConfig(_sparse_mapping(tmp_path, **{key: value}))
+    cfg = ExperimentConfig(_sparse_mapping(tmp_path, n=np.int64(64), m_grid=(np.int32(16), 32)))
+    assert (cfg.n, cfg.m_grid) == (64, (16, 32))
 
 
 def test_config_bad_bool(tmp_path):

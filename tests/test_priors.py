@@ -174,7 +174,7 @@ def test_generative_difference_pattern_counts_match_exact_sweep():
     net = GenerativeNetwork([w1, rng.standard_normal((4, 3))])
     union = difference_union(net)
     exact = _exact_pattern_count_2d(w1)
-    assert len(_activation_patterns(net, 4096, 0)) == exact
+    assert len(_activation_patterns(net)) == exact
     assert union.M <= exact * (exact + 1) // 2
 
 
@@ -271,7 +271,7 @@ def test_project_sparse_tie_keeps_lowest_index():
 
 def test_project_single_subspace():
     sub = subspace_from_span(np.array([[1.0], [1.0], [0.0]]))
-    out = project(sub, np.array([1.0, 0.0, 0.0]))
+    out = sub.project(np.array([1.0, 0.0, 0.0]))
     assert np.allclose(out, [0.5, 0.5, 0.0], atol=1e-12)
 
 

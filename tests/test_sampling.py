@@ -1,6 +1,7 @@
 """Sampling plans, draws, truncation, noise factors, and their bounds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +154,15 @@ def test_draw_never_hits_excluded_rows():
     plan = optimized_probabilities(np.array([1.0, 0.0, 1.0]))
     sample = draw_sample(plan, 10_000, 8)
     assert not np.any(sample.omega == 1)
+
+
+def test_draw_never_lands_on_an_excluded_last_row():
+    """p sums to 1 - 4e-13, which the plan accepts, and its last row is excluded: a u above the
+    last supported row's cumulative sum still draws that row."""
+    plan = make_plan(np.array([0.3, 0.7 - 4e-13, 0.0]))
+    rng = mock.Mock(spec=np.random.Generator)
+    rng.random.return_value = np.array([1.0 - 1e-13])
+    assert draw_sample(plan, 1, rng).omega.tolist() == [1]
 
 
 def test_draw_keeps_draw_order():

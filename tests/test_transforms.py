@@ -1,4 +1,4 @@
-"""Unitary operator construction, application, and row extraction."""
+"""Unitary operator construction, application, and dense matrices."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from vdslab.transforms import (
     make_dense_operator,
     make_dft_operator,
     make_haar_operator,
-    row_vector,
 )
 
 
@@ -205,46 +204,6 @@ def test_composition_rejects_dimension_mismatch():
         compose_measurement_basis(make_dft_operator(8), make_haar_operator(4, 1))
 
 
-def test_row_vector_identity():
-    op = make_haar_operator(4, 0)
-    assert np.allclose(row_vector(op, 3), [0, 0, 1, 0], atol=0)
-
-
-def test_row_vector_dft_first_row():
-    """Row 1 of the DFT is the constant row."""
-    op = make_dft_operator(4)
-    assert np.allclose(row_vector(op, 1), 0.5 * np.ones(4), atol=1e-12)
-
-
-def test_row_vector_matches_dense_rows():
-    # f_j is defined by f_j* x = (forward(x))_j, the conjugated matrix row
-    op = compose_measurement_basis(make_dft_operator(8), make_haar_operator(8, 1))
-    mat = op.matrix()
-    for j in (1, 4, 8):
-        assert np.max(np.abs(row_vector(op, j) - mat[j - 1].conj())) < 1e-10
-
-
-def test_row_vector_inner_product_consistency():
-    """<f_j, x> reproduces coordinate j of the forward transform, 20 cases."""
-    rng = np.random.default_rng(16)
-    ops = _all_operator_kinds(rng)
-    for trial in range(20):
-        op = ops[trial % len(ops)]
-        j = int(rng.integers(1, op.n + 1))
-        x = rng.standard_normal(op.n)
-        lhs = np.vdot(row_vector(op, j), x)
-        rhs = op.forward(x)[j - 1]
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-
-def test_row_vector_rejects_out_of_range():
-    op = make_dft_operator(4)
-    with pytest.raises(IndexError):
-        row_vector(op, 0)
-    with pytest.raises(IndexError):
-        row_vector(op, 5)
-
-
 def test_unitarity_all_kinds():
     """Norm preservation within 1e-10 for 100 random vectors per operator kind."""
     rng = np.random.default_rng(17)
@@ -304,11 +263,11 @@ def test_haar_rejects_incompatible_depth():
 
 def test_operator_metadata():
     op = make_dft_operator(16, two_dim=True)
-    assert (op.n, op.field, op.kind) == (16, "complex", "dft2d")
+    assert (op.n, op.field) == (16, "complex")
     haar = make_haar_operator(8, 2)
-    assert (haar.field, haar.kind) == ("real", "haar1d")
+    assert (haar.n, haar.field) == (8, "real")
     composed = compose_measurement_basis(make_dft_operator(8), haar)
-    assert (composed.field, composed.kind) == ("complex", "composed")
+    assert (composed.n, composed.field) == (8, "complex")
 
 
 def test_forward_rejects_wrong_shape():
