@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import astuple, dataclass, fields
+from numbers import Real
 from operator import index
 from pathlib import Path
 
@@ -36,9 +37,6 @@ from .priors import (
     subspace_count_bounds,
 )
 from .recovery import (
-    _GENERATIVE_DEFAULTS,
-    _SPARSE_DEFAULTS,
-    _merge_config,
     deterministic_corollary_bound,
     recover_generative,
     recover_oracle,
@@ -122,11 +120,6 @@ _KEY_PARSERS = {
     "record_timing": _parse_bool,
     "bound_delta": float,
     "coherence_latents": int,
-    "solver_max_iters": int,
-    "solver_restarts": int,
-    "solver_iters": int,
-    "solver_step": float,
-    "solver_init_pool": int,
 }
 
 _DEFAULTS = {
@@ -144,21 +137,39 @@ _SCHEMES = ("optimized", "uniform", "custom", "both")
 _MEASUREMENTS = ("dft", "dft2", "haar", "haar2")
 # real bases only: under a complex one the sparse step's closed-form ||A||^2 is only a bound
 _SPARSITIES = ("none", "haar", "haar2")
-_SOLVER_DEFAULTS = {"sparse": _SPARSE_DEFAULTS, "union": {}, "generative": _GENERATIVE_DEFAULTS}
+
+
+def _integer(x) -> int:
+    # index() takes Python and NumPy integers and rejects a float that int() would truncate;
+    # a bool is an int to Python, so it is refused first
+    if isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return index(x)
+
+
+def _real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, Real):  # NumPy's bool is no Real
+        raise TypeError(f"expected a real number, got {x!r}")
+    return float(x)
 
 
 def _coerce_value(key, raw):
+    """Parse config-file text with the key's parser; a library caller's non-string value must
+    already have the key's type (a bool is neither an integer nor a real number here)."""
     parser = _KEY_PARSERS[key]
     if isinstance(raw, str):
         return parser(raw)
-    # index() takes Python and NumPy integers and rejects a float that int() would truncate
     if parser is int:
-        return index(raw)
+        return _integer(raw)
     if parser is _parse_int_list:
-        return tuple(index(x) for x in raw)
+        return tuple(_integer(x) for x in raw)
+    if parser is float:
+        return _real(raw)
     if parser is _parse_float_list:
-        return tuple(float(x) for x in raw)
+        return tuple(_real(x) for x in raw)
     if parser is _parse_bool:
+        if not isinstance(raw, (bool, np.bool_)):
+            raise TypeError(f"expected a bool, got {raw!r}")
         return bool(raw)
     return parser(raw)
 
@@ -239,10 +250,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} does not exist: {path}")
         if v["scheme"] == "custom" and v.get("plan_file") is None:
             raise ConfigError("scheme custom needs plan_file")
-        try:  # the prior's solver checks its own settings, as it does for library callers
-            _merge_config(_SOLVER_DEFAULTS[v["prior"]], self.solver_config(), prefix="solver_")
-        except ValueError as exc:
-            raise ConfigError(f"prior {v['prior']!r}: {exc}") from exc
         lows = {"trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0}
         for key, low in lows.items():
             if not v.get(key, low) >= low:  # written so that NaN fails too
@@ -256,14 +263,6 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} must be non-empty")
                 if any(not g >= floor for g in grid):
                     raise ConfigError(f"{key} entries must be at least {floor}")
-
-    def solver_config(self) -> dict:
-        prefix = "solver_"
-        return {
-            key[len(prefix):]: value
-            for key, value in self._values.items()
-            if key.startswith(prefix)
-        }
 
     def resolved_items(self) -> list[tuple[str, str]]:
         items = []
@@ -309,7 +308,6 @@ CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 class _Problem:
     operator: object
     prior: object
-    solver_config: dict
     alpha: object
     n: int
     max_dim: int
@@ -393,9 +391,7 @@ def build_problem(config: ExperimentConfig) -> _Problem:
         log_count, max_dim = subspace_count_bounds(prior)
     if config.n is not None and config.n != n:
         raise ConfigError(f"config n={config.n} but the prior lives in dimension {n}")
-    return _Problem(
-        operator, prior, config.solver_config(), alpha, n, max_dim, log_count, support_weights
-    )
+    return _Problem(operator, prior, alpha, n, max_dim, log_count, support_weights)
 
 
 def _plan_for(problem: _Problem, config: ExperimentConfig, scheme: str):
@@ -440,10 +436,10 @@ def _solve(problem: _Problem, A: SampledOperator, b: np.ndarray, solver_seed: in
     """Run the prior's own solver: HTP for sparse, the oracle for unions, latent Adam for networks."""
     prior = problem.prior
     if isinstance(prior, SparsePrior):
-        return recover_sparse_two_stage(A, b, prior.k, problem.solver_config)
+        return recover_sparse_two_stage(A, b, prior.k)
     if isinstance(prior, SubspaceUnion):
         return recover_oracle(A, b, prior)
-    return recover_generative(A, b, prior, {**problem.solver_config, "seed": solver_seed})
+    return recover_generative(A, b, prior, seed=solver_seed)
 
 
 @dataclass(frozen=True)

@@ -50,19 +50,6 @@ __all__ = [
 _RANK_RTOL = 1e-10
 _SIGNAL_MAGIC = b"VDSX"
 
-_SPARSE_DEFAULTS = {"max_iters": 500}
-_GENERATIVE_DEFAULTS = {
-    "restarts": 10,
-    "iters": 100,
-    "step": 0.05,
-    "init_pool": 16,
-    "seed": 0,
-    "init_z": None,
-}
-
-# the least legal value of each numeric solver setting; step must be above 0
-_SETTING_FLOORS = {"max_iters": 1, "restarts": 1, "iters": 1, "init_pool": 1}
-
 
 class RecoveryResult:
     """Outcome of one solver run on one measurement set.
@@ -71,21 +58,19 @@ class RecoveryResult:
     optimization gap) or what went wrong (rank deficiency, no convergence).
     """
 
-    def __init__(self, x_hat, objective, solver, iterations, flags=()):
+    def __init__(self, x_hat, objective, iterations, flags=()):
         x_hat = np.asarray(x_hat, dtype=np.float64)
         x_hat.setflags(write=False)
         if not objective >= 0:  # written so that NaN fails too
             raise ValueError("objective must be nonnegative")
         self.x_hat = x_hat
         self.objective = float(objective)
-        self.solver = str(solver)
         self.iterations = int(iterations)
         self.flags = tuple(flags)
 
     def __repr__(self) -> str:
         return (
-            f"<RecoveryResult solver={self.solver} objective={self.objective:.6g}"
-            f" iterations={self.iterations}>"
+            f"<RecoveryResult objective={self.objective:.6g} iterations={self.iterations}>"
         )
 
 
@@ -159,30 +144,10 @@ def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResul
     x_hat = _lex_greatest([c[1] for c in tied])
     winner = next(c for c in tied if c[1] is x_hat)
     flags = ("rank_deficient",) if winner[2] else ()
-    return RecoveryResult(x_hat, winner[0], "oracle", union.M, flags)
+    return RecoveryResult(x_hat, winner[0], union.M, flags)
 
 
-def _merge_config(defaults: dict, config, prefix: str = "") -> dict:
-    """``defaults`` updated by ``config``; unknown keys and out-of-range values raise ValueError.
-
-    Messages name each key with ``prefix`` in front (the experiment config
-    spells solver settings ``solver_<key>``).
-    """
-    merged = dict(defaults)
-    if config:
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(prefix + key for key in unknown)}")
-        merged.update(config)
-    for key, low in _SETTING_FLOORS.items():
-        if key in merged and not merged[key] >= low:  # written so that NaN fails too
-            raise ValueError(f"{prefix}{key} must be at least {low}")
-    if "step" in merged and not merged["step"] > 0:
-        raise ValueError(f"{prefix}step must be positive")
-    return merged
-
-
-def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> RecoveryResult:
+def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 500) -> RecoveryResult:
     """Hard thresholding pursuit (Foucart 2011) on the draw's folded system, from x = 0.
 
     Each iteration takes S+, the top k of x - Re A*(A x - u)/L with
@@ -193,7 +158,8 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     uncertified (flagged). No support repeat within ``max_iters`` adds a
     warning flag. The objective is the folded residual plus its constant.
     """
-    cfg = _merge_config(_SPARSE_DEFAULTS, config)
+    if not max_iters >= 1:  # written so that NaN fails too
+        raise ValueError("max_iters must be at least 1")
     n = A.F.n
     k = int(k)
     if not 1 <= k <= n:
@@ -209,7 +175,7 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     r = -u
     support = None
     converged = False
-    for used in range(1, cfg["max_iters"] + 1):  # max_iters >= 1, so the first pass fits
+    for used in range(1, max_iters + 1):  # max_iters >= 1, so the first pass fits
         candidate = _top_k_support(x - np.real(A.adjoint(r)) / lam, k)
         if support is not None and np.array_equal(candidate, support):
             converged = True
@@ -229,15 +195,18 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, config=None) -> Reco
     if rank < k:
         flags.append("rank_deficient")
     obj = float(np.real(np.vdot(r, r))) + const
-    return RecoveryResult(x, obj, "sparse_two_stage", used, tuple(flags))
+    return RecoveryResult(x, obj, used, tuple(flags))
 
 
-def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=None) -> RecoveryResult:
+def recover_generative(
+    A: SampledOperator, b, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100,
+    step: float = 0.05, init_pool: int = 16, seed=0, init_z=None,
+) -> RecoveryResult:
     """Multi-restart latent descent with exact reverse-mode gradients.
 
     Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
-    best of ``init_pool`` seeded candidate latents (config key init_z pins the
-    first restart instead) and runs exactly ``iters`` Adam steps; there is no
+    best of ``init_pool`` candidate latents drawn from ``seed`` (``init_z`` pins
+    the first restart instead) and runs exactly ``iters`` Adam steps; there is no
     early stop. The restarts run as one (k, restarts) block on the folded
     system, and the objective is the folded residual plus its constant.
     Returns the best iterate ever evaluated; its gap to the global minimum is
@@ -245,32 +214,35 @@ def recover_generative(A: SampledOperator, b, net: GenerativeNetwork, config=Non
     """
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
-    cfg = _merge_config(_GENERATIVE_DEFAULTS, config)
+    for key, value in (("restarts", restarts), ("iters", iters), ("init_pool", init_pool)):
+        if not value >= 1:  # written so that NaN fails too
+            raise ValueError(f"{key} must be at least 1")
+    if not step > 0:
+        raise ValueError("step must be positive")
     u, const = A.fold(b)  # reads no rng
-    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
+    rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
 
     def best_of_pool():
         # the folded residuals rank as the m-row ones: they differ by the shared const
-        pool = rng.standard_normal((k, cfg["init_pool"]))
+        pool = rng.standard_normal((k, init_pool))
         r = A.forward(generative_forward(net, pool)) - u[:, None]
         return pool[:, int(np.argmin(np.sum(np.abs(r) ** 2, axis=0)))]
 
-    init_z = cfg["init_z"]
     if init_z is not None:
         init_z = np.asarray(init_z, dtype=np.float64)
         if init_z.shape != (k,):
             raise ValueError("init_z must have the latent dimension")
     # drawn eagerly in restart order: the rng is read exactly as one restart at a time would
-    starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(cfg["restarts"])]
+    starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(restarts)]
 
     def value_and_grad(z):
         x, vjp = generative_pullback(net, z)
         r = A.forward(x) - u[:, None]
         return np.sum((r * r.conj()).real, axis=0), x, vjp(2.0 * np.real(A.adjoint(r)))
 
-    (obj, x_hat), total = _latent_adam(value_and_grad, np.column_stack(starts), cfg["iters"], cfg["step"])
-    return RecoveryResult(x_hat, obj + const, "generative_descent", total, ("epsilon_uncertified",))
+    (obj, x_hat), total = _latent_adam(value_and_grad, np.column_stack(starts), iters, step)
+    return RecoveryResult(x_hat, obj + const, total, ("epsilon_uncertified",))
 
 
 def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:

@@ -198,14 +198,14 @@ _GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
         ({"m": 0}, "m must be"),
         ({"sigma": -0.5}, "sigma must be"),
         ({"sigma": "nan"}, "sigma must be"),
-        ({"solver_max_iters": 0}, "solver_max_iters must be"),
+        ({"solver_max_iters": 0}, "unknown config keys"),
         ({"solver_power_iters": 40}, "unknown config keys"),
         ({"solver_tol": 1e-8}, "unknown config keys"),
-        (_GENERATIVE | {"solver_restarts": 0}, "solver_restarts must be"),
-        (_GENERATIVE | {"solver_iters": 0}, "solver_iters must be"),
-        (_GENERATIVE | {"solver_init_pool": 0}, "solver_init_pool must be"),
-        (_GENERATIVE | {"solver_step": -1}, "solver_step must be"),
-        (_GENERATIVE | {"solver_step": "nan"}, "solver_step must be"),
+        (_GENERATIVE | {"solver_restarts": 0}, "unknown config keys"),
+        (_GENERATIVE | {"solver_iters": 0}, "unknown config keys"),
+        (_GENERATIVE | {"solver_init_pool": 0}, "unknown config keys"),
+        (_GENERATIVE | {"solver_step": -1}, "unknown config keys"),
+        (_GENERATIVE | {"solver_step": "nan"}, "unknown config keys"),
         ({"sparsity": "haar", "sparsity_levels": -1}, "levels must be nonnegative"),
         ({"sparsity": "haar", "sparsity_levels": 7}, "n=64 not divisible by 2**7"),
         ({"measurement": "haar", "measurement_levels": -2}, "levels must be nonnegative"),

@@ -1,7 +1,10 @@
 """Experiment config parsing, seeded sweeps, aggregation, and image prep."""
 
 import dataclasses
+import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from oracles import random_orthogonal
 from vdslab import harness, recovery, sampling
 from vdslab.coherence import CoherenceVector
 from vdslab.harness import (
+    _KEY_PARSERS,
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -137,6 +141,34 @@ def test_config_integer_keys_reject_fractions(tmp_path):
     assert (cfg.n, cfg.m_grid) == (64, (16, 32))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("record_timing", math.nan),
+        ("record_timing", 0.5),
+        ("record_timing", [0]),
+        ("record_timing", 1),
+        ("sigma", True),
+        ("bound_delta", np.bool_(True)),
+        ("sigma_grid", (0.5, True)),
+        ("n", True),
+        ("m_grid", (True, 64)),
+    ],
+)
+def test_config_library_values_get_the_file_checks(tmp_path, key, value):
+    """Only a bool is a bool, no bool is a number, and each mismatch is a bad value
+    as the same text in a config file is."""
+    with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+        ExperimentConfig(_sparse_mapping(tmp_path, **{key: value}))
+
+
+def test_readme_config_table_names_every_key():
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("### Config keys", 1)[1]
+    table = itertools.takewhile(lambda line: line.startswith("|"), section.strip().splitlines())
+    names = {name for row in table for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert names == set(_KEY_PARSERS)
+
+
 def test_config_bad_bool(tmp_path):
     with pytest.raises(ConfigError, match="record_timing"):
         ExperimentConfig(_sparse_mapping(tmp_path, record_timing="yes"))
@@ -148,7 +180,8 @@ def test_config_solver_must_match_prior(tmp_path):
 
 
 def test_config_solver_keys_must_fit_solver(tmp_path):
-    with pytest.raises(ConfigError, match="solver_restarts"):
+    """Solver settings are the solvers' keyword arguments, not config keys."""
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['solver_restarts'\]"):
         ExperimentConfig(_sparse_mapping(tmp_path, solver_restarts=4))
 
 
@@ -491,8 +524,6 @@ def test_sweep_generative_prior(tmp_path):
             "sigma_grid": "0.0",
             "trials": 2,
             "coherence_latents": 64,
-            "solver_restarts": 4,
-            "solver_iters": 100,
             "out": str(tmp_path / "g.csv"),
         }
     )

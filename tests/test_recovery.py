@@ -267,7 +267,7 @@ def test_oracle_noiseless_exact_recovery():
     ms = simulate_measurements(F, sample, x0, 0.0)
     res = recover_oracle(SampledOperator(F, sample), ms, union)
     assert np.linalg.norm(res.x_hat - x0) < 1e-8
-    assert res.solver == "oracle" and res.iterations == union.M and res.flags == ()
+    assert res.iterations == union.M and res.flags == ()
 
 
 def test_oracle_picks_dominant_axis():
@@ -346,7 +346,6 @@ def test_sparse_full_sampling_exact():
     res = recover_sparse_two_stage(SampledOperator(F, sample), ms, 3)
     assert np.linalg.norm(res.x_hat - x0) < 1e-8
     assert "support_uncertified" in res.flags
-    assert res.solver == "sparse_two_stage"
 
 
 def test_sparse_zero_signal_returns_zero():
@@ -413,7 +412,7 @@ def test_sparse_transform_calls_per_iteration(m, converges):
     x0 = np.zeros(n)
     x0[[3, 17, 40]] = [1.5, -2.0, 0.7]
     ms = simulate_measurements(F.inner, sample, x0, 0.1, seed=9)
-    res = recover_sparse_two_stage(SampledOperator(F, sample), ms, k, {"max_iters": max_iters})
+    res = recover_sparse_two_stage(SampledOperator(F, sample), ms, k, max_iters=max_iters)
     assert ("stage1_not_converged" not in res.flags) == converges
     assert (res.iterations < max_iters) == converges
     # the step comes from the draw and the residual at x = 0 is -u, so no
@@ -460,7 +459,7 @@ def test_sparse_objective_does_not_increase_with_max_iters():
     # a draw on which the support changes three times before it repeats
     F, sample, b, _ = _dft_haar_trial(n, levels, k, 24, 1.0, seed=32)
     A = SampledOperator(F, sample)
-    results = [recover_sparse_two_stage(A, b, k, {"max_iters": j}) for j in range(1, 6)]
+    results = [recover_sparse_two_stage(A, b, k, max_iters=j) for j in range(1, 6)]
     objectives = [r.objective for r in results]
     assert [r.iterations for r in results] == [1, 2, 3, 4, 4]
     assert ["stage1_not_converged" in r.flags for r in results] == [True, True, True, False, False]
@@ -473,10 +472,8 @@ def test_sparse_objective_does_not_increase_with_max_iters():
 def test_sparse_config_rejects_unknown_keys():
     n = 8
     F = make_dft_operator(n)
-    with pytest.raises(ValueError, match="unknown config"):
-        recover_sparse_two_stage(
-            SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), 2, {"steps": 3}
-        )
+    with pytest.raises(TypeError, match="unexpected keyword argument 'steps'"):
+        recover_sparse_two_stage(SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), 2, steps=3)
 
 
 @pytest.mark.parametrize(
@@ -489,7 +486,7 @@ def test_sparse_rejects_out_of_range_config(config, message):
     n = 8
     with pytest.raises(ValueError, match=message):
         recover_sparse_two_stage(
-            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), 2, config
+            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), 2, **config
         )
 
 
@@ -517,7 +514,7 @@ def test_generative_seeded_at_truth_is_exact():
     z0 = rng.standard_normal(2)
     x0 = generative_forward(net, z0)
     ms = simulate_measurements(F, sample, x0, 0.0)
-    res = recover_generative(SampledOperator(F, sample), ms, net, {"init_z": z0, "restarts": 1, "iters": 5})
+    res = recover_generative(SampledOperator(F, sample), ms, net, init_z=z0, restarts=1, iters=5)
     assert res.objective == 0.0
     assert np.array_equal(res.x_hat, x0)
     assert res.flags == ("epsilon_uncertified",)
@@ -576,7 +573,7 @@ def test_generative_recovery_success_rate():
             continue
         ms = simulate_measurements(F, sample, x0, 0.0)
         res = recover_generative(
-            SampledOperator(F, sample), ms, net, {"restarts": 6, "iters": 100, "seed": trial}
+            SampledOperator(F, sample), ms, net, restarts=6, iters=100, seed=trial
         )
         if relative_recovery_error(x0, res.x_hat) <= 1e-3:
             hits += 1
@@ -590,8 +587,7 @@ def test_generative_init_z_shape_checked():
     F = make_dft_operator(n)
     with pytest.raises(ValueError, match="init_z"):
         recover_generative(
-            SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), net,
-            {"init_z": np.zeros(3)},
+            SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), net, init_z=np.zeros(3)
         )
 
 
@@ -623,7 +619,7 @@ def test_generative_matches_patience_loop(case):
     """Within the 100 steps the old patience stop allowed, the batched folded core is the
     one-restart-at-a-time loop on the m-row draw, up to rounding."""
     A, ms, net, config = case
-    res = recover_generative(A, ms, net, config)
+    res = recover_generative(A, ms, net, **config)
     x_hat, obj, iterations, _ = patience_recover_generative(A, ms, net, config)
     assert res.iterations == iterations
     # norm-wise: an entry near zero can carry a larger share of the rounding
@@ -647,7 +643,7 @@ def test_generative_start_block_is_the_patience_loops_starts(case):
     for cfg in ({k: v for k, v in config.items() if k != "init_z"}, pinned):
         blocks.clear()
         with mock.patch.object(recovery, "_latent_adam", spy):
-            recover_generative(A, ms, net, cfg)
+            recover_generative(A, ms, net, **cfg)
         *_, starts = patience_recover_generative(A, ms, net, cfg)
         assert len(blocks) == 1
         assert np.array_equal(blocks[0], starts)
@@ -661,7 +657,7 @@ def test_generative_non_finite_objective_raises():
     sample = draw_sample(optimized_probabilities(0.5 + rng.random(n)), 12, rng)
     b = np.full(sample.m, np.nan, dtype=complex)
     with pytest.raises(ValueError, match="non-finite"):
-        recover_generative(SampledOperator(F, sample), b, net, {"restarts": 2, "iters": 3})
+        recover_generative(SampledOperator(F, sample), b, net, restarts=2, iters=3)
 
 
 def test_generative_runs_the_full_iteration_budget():
@@ -671,14 +667,14 @@ def test_generative_runs_the_full_iteration_budget():
     F = make_dft_operator(n)
     sample = draw_sample(optimized_probabilities(0.5 + rng.random(n)), 12, rng)
     ms = simulate_measurements(F, sample, generative_forward(net, rng.standard_normal(2)), 0.5, seed=3)
-    res = recover_generative(SampledOperator(F, sample), ms, net, {"restarts": 3, "iters": 150})
+    res = recover_generative(SampledOperator(F, sample), ms, net, restarts=3, iters=150)
     assert res.iterations == 450
 
 
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"patience": 5}, "unknown config keys"),
+        ({"patience": 5}, "unexpected keyword argument 'patience'"),
         ({"iters": 0}, "iters must be at least 1"),
         ({"restarts": 0}, "restarts must be at least 1"),
         ({"init_pool": 0}, "init_pool must be at least 1"),
@@ -690,9 +686,10 @@ def test_generative_runs_the_full_iteration_budget():
 def test_generative_rejects_bad_config(config, message):
     n = 16
     net = _random_net((2, 8, n), _rng(13))
-    with pytest.raises(ValueError, match=message):
+    # an unknown setting is Python's own TypeError, an out-of-range one a ValueError
+    with pytest.raises(TypeError if "patience" in config else ValueError, match=message):
         recover_generative(
-            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), net, config
+            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), net, **config
         )
 
 
