@@ -27,7 +27,6 @@ __all__ = [
     "sparse_coherence_vector",
     "empirical_generative_coherence",
     "save_coherence_csv",
-    "load_coherence_csv",
 ]
 
 _METHODS = ("exact", "upper_bound", "empirical")
@@ -138,21 +137,3 @@ def save_coherence_csv(cv: CoherenceVector, path) -> None:
     lines += [f"{j},{cv.alpha[j]:.17g},{cv.method}" for j in range(cv.n)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_coherence_csv(path) -> CoherenceVector:
-    with open(path, newline="") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "index,alpha,method":
-        raise ValueError("malformed coherence CSV header")
-    alpha = np.zeros(len(lines) - 1)
-    methods = set()
-    for row, line in enumerate(lines[1:]):
-        idx, val, method = line.split(",")
-        if int(idx) != row:
-            raise ValueError(f"row {row} has index {idx}")
-        alpha[row] = float(val)
-        methods.add(method)
-    if len(methods) != 1:
-        raise ValueError("mixed methods in coherence CSV")
-    return CoherenceVector(alpha, methods.pop())

@@ -1,4 +1,4 @@
-"""Experiment harness: flat-file config, seeded sweeps, aggregation, image prep.
+"""Experiment harness: flat-file config, seeded sweeps, aggregation and output files.
 
 A sweep walks the (sigma, m) grid cell by cell and runs seeded independent
 trials in each cell. Per-trial randomness comes from four spawned streams of
@@ -29,7 +29,6 @@ from .coherence import (
 from .priors import (
     SparsePrior,
     SubspaceUnion,
-    _hard_threshold,
     difference_union,
     generative_forward,
     load_network,
@@ -72,8 +71,6 @@ __all__ = [
     "default_fit_window",
     "write_records_csv",
     "write_manifest",
-    "load_image_pgm",
-    "sparsify_in_basis",
 ]
 
 _RRE_CLAMP = 1e-15
@@ -635,51 +632,3 @@ def default_fit_window(points) -> tuple[int, int]:
     base = pts[0][1]
     m_transition = next((m for m, v in pts if v < 0.5 * base), pts[0][0])
     return 4 * m_transition, pts[-1][0]
-
-
-def load_image_pgm(path) -> tuple[np.ndarray, int]:
-    """Load a square power-of-two binary 8-bit PGM as a row-major [0,1] vector."""
-    raw = Path(path).read_bytes()
-    if raw[:2] != b"P5":
-        raise ValueError("not a binary PGM (P5) file")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1] in (b" ", b"\t", b"\r", b"\n", b"#"):
-            if raw[pos : pos + 1] == b"#":
-                while pos < len(raw) and raw[pos : pos + 1] not in (b"\r", b"\n"):
-                    pos += 1
-            else:
-                pos += 1
-        start = pos
-        while pos < len(raw) and raw[pos : pos + 1] not in (b" ", b"\t", b"\r", b"\n"):
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        fields.append(raw[start:pos])
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError as exc:
-        raise ValueError("malformed PGM header") from exc
-    pos += 1  # single whitespace byte separates header from pixels
-    if not 0 < maxval <= 255:
-        raise ValueError("only 8-bit PGM depth is supported")
-    if width != height:
-        raise ValueError(f"image must be square, got {width}x{height}")
-    if width & (width - 1):
-        raise ValueError(f"side must be a power of two, got {width}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=pos, count=-1)
-    if pixels.size < width * height:
-        raise ValueError("PGM pixel payload is truncated")
-    return pixels[: width * height].astype(np.float64) / maxval, width
-
-
-def sparsify_in_basis(image: np.ndarray, basis_op, s: int) -> np.ndarray:
-    """Keep the s largest-magnitude coefficients of the image in the given basis."""
-    image = np.asarray(image, dtype=np.float64)
-    s = int(s)
-    if not 1 <= s <= basis_op.n:
-        raise ValueError(f"need 1 <= s <= {basis_op.n}")
-    kept = _hard_threshold(basis_op.forward(image), s)
-    out = basis_op.adjoint(kept)
-    return np.real(out) if np.iscomplexobj(out) else out

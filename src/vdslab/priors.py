@@ -284,17 +284,16 @@ def difference_union(prior, budget: int = _ENUMERATION_BUDGET):
 
 
 def subspace_count_bounds(prior) -> tuple[float, int]:
-    """Return (log_M_bound, max_dim) for the difference union of a prior.
+    """Return (log_M_bound, max_dim) for the difference union of a sparse or generative prior.
 
     Sparse: log C(n, s) <= s*log(e*n/s) with s = min(2k, n). Generative:
     log M <= 2k * sum_i log(2e*k_i/k) over hidden layers, with max_dim 2k.
-    Explicit unions report their exact pairwise-expansion count.
+    An explicit union has no bound here: its exact (M, max_dim) are read off
+    ``difference_union(union)``, after duplicate subspaces are dropped.
     """
     if isinstance(prior, SparsePrior):
         s = min(2 * prior.k, prior.n)
         return s * math.log(math.e * prior.n / s), s
-    if isinstance(prior, SubspaceUnion):
-        return math.log(prior.M * (prior.M + 1) // 2), min(2 * prior.max_dim, prior.n)
     if isinstance(prior, GenerativeNetwork):
         k = prior.latent_dim
         hidden = prior.layer_widths[1:-1]

@@ -15,8 +15,7 @@ over the reals, matching the real-part convention for complex inner products.
 from __future__ import annotations
 
 import math
-import struct
-from pathlib import Path
+from operator import index
 
 import numpy as np
 
@@ -43,12 +42,9 @@ __all__ = [
     "theorem_error_bound",
     "deterministic_corollary_bound",
     "relative_recovery_error",
-    "save_signal",
-    "load_signal",
 ]
 
 _RANK_RTOL = 1e-10
-_SIGNAL_MAGIC = b"VDSX"
 
 
 class RecoveryResult:
@@ -72,6 +68,14 @@ class RecoveryResult:
         return (
             f"<RecoveryResult objective={self.objective:.6g} iterations={self.iterations}>"
         )
+
+
+def _integer(name: str, value) -> int:
+    # index() takes Python and NumPy integers and refuses a float that int() would truncate;
+    # a bool is an int to Python, so it is refused first
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return index(value)
 
 
 def _stack_real(a: np.ndarray) -> np.ndarray:
@@ -158,10 +162,10 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 
     uncertified (flagged). No support repeat within ``max_iters`` adds a
     warning flag. The objective is the folded residual plus its constant.
     """
-    if not max_iters >= 1:  # written so that NaN fails too
+    if _integer("max_iters", max_iters) < 1:
         raise ValueError("max_iters must be at least 1")
     n = A.F.n
-    k = int(k)
+    k = _integer("k", k)
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     u, const = A.fold(b)
@@ -215,7 +219,7 @@ def recover_generative(
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
     for key, value in (("restarts", restarts), ("iters", iters), ("init_pool", init_pool)):
-        if not value >= 1:  # written so that NaN fails too
+        if _integer(key, value) < 1:
             raise ValueError(f"{key} must be at least 1")
     if not step > 0:
         raise ValueError("step must be positive")
@@ -338,26 +342,3 @@ def relative_recovery_error(x0, x_hat) -> float:
     if denom == 0.0:
         raise ValueError("relative error is undefined for a zero truth signal")
     return float(np.linalg.norm(x0 - x_hat) / denom)
-
-
-def save_signal(x: np.ndarray, path) -> None:
-    """Dump a real signal as flat little-endian float64 after a 16-byte header."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signals are one-dimensional")
-    with open(path, "wb") as fh:
-        fh.write(_SIGNAL_MAGIC)
-        fh.write(struct.pack("<IQ", 1, x.size))
-        fh.write(x.astype("<f8").tobytes())
-
-
-def load_signal(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _SIGNAL_MAGIC:
-        raise ValueError("not a signal file (bad magic)")
-    version, n = struct.unpack_from("<IQ", raw, 4)
-    if version != 1:
-        raise ValueError(f"unsupported signal file version {version}")
-    if len(raw) != 16 + 8 * n:
-        raise ValueError("signal payload size mismatch")
-    return np.frombuffer(raw, dtype="<f8", count=n, offset=16).astype(np.float64)

@@ -37,8 +37,6 @@ __all__ = [
     "apply_measurement",
     "save_plan_csv",
     "load_plan_csv",
-    "save_sample_csv",
-    "load_sample_csv",
 ]
 
 _SIMPLEX_TOL = 1e-12
@@ -351,25 +349,3 @@ def load_plan_csv(path) -> SamplingPlan:
             raise ValueError(f"row {row} has index {idx}")
         p[row], d[row] = float(pv), float(dv)
     return SamplingPlan(p, d)
-
-
-def save_sample_csv(sample: DrawnSample, path) -> None:
-    """Store the draw in draw order, one row per drawn index."""
-    lines = ["position,omega"]
-    lines += [f"{i},{sample.omega[i]}" for i in range(sample.m)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_sample_csv(path, plan: SamplingPlan) -> DrawnSample:
-    with open(path, newline="") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "position,omega":
-        raise ValueError("malformed sample CSV header")
-    omega = np.zeros(len(lines) - 1, dtype=np.int64)
-    for row, line in enumerate(lines[1:]):
-        pos, idx = line.split(",")
-        if int(pos) != row:
-            raise ValueError(f"row {row} has position {pos}")
-        omega[row] = int(idx)
-    return DrawnSample(plan, omega)

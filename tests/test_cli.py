@@ -9,7 +9,6 @@ from oracles import random_orthogonal
 
 from vdslab import harness
 from vdslab.cli import main
-from vdslab.coherence import load_coherence_csv
 from vdslab.harness import CSV_HEADER
 from vdslab.priors import GenerativeNetwork, Subspace, SubspaceUnion, save_network, save_union
 from vdslab.sampling import load_plan_csv
@@ -46,8 +45,13 @@ def _union_file(tmp_path, n=16, M=3, dim=2, seed=0):
 def test_coherence_command(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["coherence", "--config", cfg]) == 0
-    cv = load_coherence_csv(tmp_path / "out.csv")
-    assert cv.n == 64
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert lines[0] == "index,alpha,method"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(64))
+    alpha = harness.build_problem(harness.ExperimentConfig(harness.parse_config_file(cfg))).alpha
+    assert np.array_equal([float(row[1]) for row in rows], alpha.alpha)  # bit-exact through decimal
+    assert {row[2] for row in rows} == {alpha.method}
     assert (tmp_path / "out.csv.manifest").exists()
     assert "wrote coherence" in capsys.readouterr().out
 

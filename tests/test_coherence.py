@@ -12,7 +12,6 @@ from vdslab.coherence import (
     CoherenceVector,
     coherence_vector,
     empirical_generative_coherence,
-    load_coherence_csv,
     save_coherence_csv,
     sparse_coherence_vector,
 )
@@ -272,9 +271,12 @@ def test_coherence_csv_round_trip(tmp_path):
     cv = CoherenceVector(rng.random(6), "exact")
     path = tmp_path / "alpha.csv"
     save_coherence_csv(cv, path)
-    back = load_coherence_csv(path)
-    assert np.array_equal(back.alpha, cv.alpha)  # bit-exact through decimal
-    assert back.method == "exact"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "index,alpha,method"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(6))
+    assert np.array_equal([float(row[1]) for row in rows], cv.alpha)  # bit-exact through decimal
+    assert {row[2] for row in rows} == {"exact"}
 
 
 def test_coherence_vector_validation():

@@ -24,10 +24,8 @@ from vdslab.harness import (
     compare_schemes,
     default_fit_window,
     fit_loglog_slope,
-    load_image_pgm,
     parse_config_file,
     run_denoise_sweep,
-    sparsify_in_basis,
     write_records_csv,
 )
 from vdslab.priors import (
@@ -37,7 +35,6 @@ from vdslab.priors import (
     save_network,
     save_union,
 )
-from vdslab.transforms import make_haar_operator
 
 
 def _rng(seed):
@@ -167,6 +164,17 @@ def test_readme_config_table_names_every_key():
     table = itertools.takewhile(lambda line: line.startswith("|"), section.strip().splitlines())
     names = {name for row in table for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
     assert names == set(_KEY_PARSERS)
+
+
+def test_readme_example_config_parses(tmp_path):
+    """The README's sweep config is a valid config file as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "exp.cfg"
+    path.write_text(blocks[0])
+    config = ExperimentConfig(parse_config_file(path))
+    assert config.sparsity == "haar"
 
 
 def test_config_bad_bool(tmp_path):
@@ -747,95 +755,3 @@ def test_write_records_csv_nan(tmp_path):
     path = tmp_path / "r.csv"
     write_records_csv([_record(rre=float("nan"))], path)
     assert path.read_text().splitlines()[1].split(",")[5] == "nan"
-
-
-# ---------------------------------------------------------------- pgm images
-
-
-def _pgm_bytes(width, height, maxval, pixels, comment=False):
-    header = b"P5\n"
-    if comment:
-        header += b"# a comment\n"
-    header += f"{width} {height}\n{maxval}\n".encode()
-    return header + bytes(pixels)
-
-
-def test_load_pgm_small(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(_pgm_bytes(2, 2, 255, [0, 255, 255, 0]))
-    image, side = load_image_pgm(path)
-    assert side == 2
-    assert np.allclose(image, [0.0, 1.0, 1.0, 0.0], atol=1e-15)
-
-
-def test_load_pgm_comment_and_maxval(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(_pgm_bytes(2, 2, 100, [0, 50, 100, 25], comment=True))
-    image, side = load_image_pgm(path)
-    assert np.allclose(image, [0.0, 0.5, 1.0, 0.25], atol=1e-15)
-
-
-def test_load_pgm_rejects_ascii_magic(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
-    with pytest.raises(ValueError, match="P5"):
-        load_image_pgm(path)
-
-
-def test_load_pgm_rejects_rectangle(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(_pgm_bytes(4, 2, 255, [0] * 8))
-    with pytest.raises(ValueError, match="square"):
-        load_image_pgm(path)
-
-
-def test_load_pgm_rejects_non_power_of_two(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(_pgm_bytes(3, 3, 255, [0] * 9))
-    with pytest.raises(ValueError, match="power of two"):
-        load_image_pgm(path)
-
-
-def test_load_pgm_rejects_sixteen_bit(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(_pgm_bytes(2, 2, 65535, [0] * 8))
-    with pytest.raises(ValueError, match="8-bit"):
-        load_image_pgm(path)
-
-
-def test_load_pgm_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "img.pgm"
-    path.write_bytes(_pgm_bytes(2, 2, 255, [0, 255]))
-    with pytest.raises(ValueError, match="truncated"):
-        load_image_pgm(path)
-
-
-# ---------------------------------------------------------------- sparsify
-
-
-def test_sparsify_full_budget_is_identity():
-    rng = _rng(21)
-    op = make_haar_operator(64, 3)
-    image = rng.random(64)
-    out = sparsify_in_basis(image, op, 64)
-    assert np.allclose(out, image, atol=1e-12)
-
-
-def test_sparsify_keeps_exactly_s_coefficients():
-    rng = _rng(22)
-    op = make_haar_operator(64, 3)
-    image = rng.random(64)
-    out = sparsify_in_basis(image, op, 60)
-    coeffs = op.forward(out)
-    kept = np.abs(coeffs) > 1e-10
-    assert kept.sum() == 60
-    full = op.forward(image)
-    assert np.allclose(coeffs[kept], full[kept], atol=1e-12)
-
-
-def test_sparsify_budget_bounds():
-    op = make_haar_operator(16, 2)
-    with pytest.raises(ValueError, match="1 <= s"):
-        sparsify_in_basis(np.ones(16), op, 0)
-    with pytest.raises(ValueError, match="1 <= s"):
-        sparsify_in_basis(np.ones(16), op, 17)

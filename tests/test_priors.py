@@ -237,6 +237,13 @@ def test_generative_count_bound_formula():
     assert bound == pytest.approx(2 * 2 * math.log(2 * math.e * 4 / 2))
 
 
+def test_count_bounds_reject_an_explicit_union():
+    """A union's exact (M, max_dim) come from its difference union, so it has no bound here."""
+    union = SubspaceUnion([Subspace(np.eye(4)[:, :1]), Subspace(np.eye(4)[:, 1:2])])
+    with pytest.raises(TypeError, match="unsupported prior type SubspaceUnion"):
+        subspace_count_bounds(union)
+
+
 def test_count_bounds_dominate_exact_sparse():
     for n in range(2, 13):
         for k in range(1, n + 1):

@@ -31,14 +31,12 @@ from vdslab.priors import (
 from vdslab.recovery import (
     RecoveryResult,
     deterministic_corollary_bound,
-    load_signal,
     objective,
     recover_generative,
     recover_oracle,
     recover_sparse_two_stage,
     relative_recovery_error,
     rip_check,
-    save_signal,
     simulate_measurements,
     theorem_error_bound,
 )
@@ -480,13 +478,19 @@ def test_sparse_config_rejects_unknown_keys():
     "config, message",
     [
         ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"max_iters": True}, "max_iters must be an integer, got True"),
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"k": 1.5}, "k must be an integer, got 1.5"),
     ],
 )
 def test_sparse_rejects_out_of_range_config(config, message):
     n = 8
-    with pytest.raises(ValueError, match=message):
+    config = {"k": 2, **config}
+    # a bool or a float for a count is a TypeError that names the setting, a count below 1 a ValueError
+    with pytest.raises(TypeError if "integer" in message else ValueError, match=message):
         recover_sparse_two_stage(
-            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), 2, **config
+            SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), **config
         )
 
 
@@ -681,13 +685,18 @@ def test_generative_runs_the_full_iteration_budget():
         ({"step": -1.0}, "step must be positive"),
         ({"step": 0.0}, "step must be positive"),
         ({"step": math.nan}, "step must be positive"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+        ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+        ({"iters": 2.5}, "iters must be an integer, got 2.5"),
+        ({"init_pool": 2.5}, "init_pool must be an integer, got 2.5"),
+        ({"iters": math.nan}, "iters must be an integer, got nan"),
     ],
 )
 def test_generative_rejects_bad_config(config, message):
     n = 16
     net = _random_net((2, 8, n), _rng(13))
-    # an unknown setting is Python's own TypeError, an out-of-range one a ValueError
-    with pytest.raises(TypeError if "patience" in config else ValueError, match=message):
+    # an unknown setting, or a bool or a float for a count, is a TypeError; an out-of-range one a ValueError
+    with pytest.raises(TypeError if "patience" in config or "integer" in message else ValueError, match=message):
         recover_generative(
             SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), net, **config
         )
@@ -1001,35 +1010,8 @@ def test_objective_consistency_oracle():
         assert res.objective <= reference + 1e-9
 
 
-# --------------------------------------------------------------- signal files
-
-
-def test_signal_round_trip(tmp_path):
-    x = _rng(22).standard_normal(37)
-    path = tmp_path / "signal.vdsx"
-    save_signal(x, path)
-    assert np.array_equal(load_signal(path), x)
-    assert path.stat().st_size == 16 + 8 * 37
-
-
-def test_signal_bad_magic(tmp_path):
-    path = tmp_path / "bad.vdsx"
-    path.write_bytes(b"NOPE" + bytes(20))
-    with pytest.raises(ValueError, match="magic"):
-        load_signal(path)
-
-
-def test_signal_size_mismatch(tmp_path):
-    path = tmp_path / "short.vdsx"
-    save_signal(np.ones(5), path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="size"):
-        load_signal(path)
-
-
 def test_recovery_result_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        RecoveryResult(np.zeros(2), -1.0, "oracle", 1)
+        RecoveryResult(np.zeros(2), -1.0, 1)
     with pytest.raises(ValueError, match="nonnegative"):
-        RecoveryResult(np.zeros(2), math.nan, "oracle", 1)
+        RecoveryResult(np.zeros(2), math.nan, 1)

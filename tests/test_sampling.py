@@ -20,14 +20,12 @@ from vdslab.sampling import (
     complexity_mu,
     draw_sample,
     load_plan_csv,
-    load_sample_csv,
     make_plan,
     noise_factor,
     noise_factor_bounds,
     optimized_probabilities,
     sample_complexity,
     save_plan_csv,
-    save_sample_csv,
     uniform_plan,
     unit_truncation,
 )
@@ -512,18 +510,6 @@ def test_plan_csv_round_trip(tmp_path):
     assert np.array_equal(back.d, plan.d)
 
 
-def test_sample_csv_round_trip(tmp_path):
-    rng = _rng(61)
-    plan = optimized_probabilities(_positive_alpha(16, rng))
-    sample = draw_sample(plan, 40, 20)
-    path = tmp_path / "sample.csv"
-    save_sample_csv(sample, path)
-    back = load_sample_csv(path, plan)
-    assert np.array_equal(back.omega, sample.omega)
-    assert np.array_equal(back.d_tilde, sample.d_tilde)
-    assert back.scale == sample.scale
-
-
 # ---------------------------------------------------------------- folded system
 
 
@@ -608,41 +594,28 @@ def test_folded_system_matches_the_raw_draw(case):
         assert np.linalg.norm(single_g - fold_g[:, j]) <= 1e-12 * (1.0 + g_size)
 
 
-def test_drawn_row_of_zero_weight_is_rejected(tmp_path):
-    """A row the plan excludes (d = 0) cannot be part of a draw: loading a sample CSV that holds
-    one against that plan raises, as does building the DrawnSample directly, wherever it sits."""
+def test_drawn_row_of_zero_weight_is_rejected():
+    """A row the plan excludes (d = 0) cannot be part of a draw, wherever it sits."""
     n = 16
     p = np.ones(n)
     p[3] = 0.0
     plan = make_plan(p / p.sum())
-    path = tmp_path / "sample.csv"
-    path.write_text("position,omega\n" + "".join(f"{i},{j}\n" for i, j in enumerate([3, 5, 5, 7, 3, 9])))
-    with pytest.raises(ValueError, match="d_tilde > 0"):
-        load_sample_csv(path, plan)
-    for omega in ([5, 7, 3], [3, 5, 7], [3]):
+    for omega in ([3, 5, 5, 7, 3, 9], [5, 7, 3], [3, 5, 7], [3]):
         with pytest.raises(ValueError, match="d_tilde > 0"):
             DrawnSample(plan, omega)
     DrawnSample(plan, [5, 7, 2])  # every row in the support
 
 
-def test_drawn_row_out_of_range_is_rejected(tmp_path):
-    """Indices below 0 or at n and beyond are outside the plan, in a CSV and in a direct DrawnSample."""
+def test_drawn_row_out_of_range_is_rejected():
+    """Indices below 0 or at n and beyond are outside the plan."""
     plan = uniform_plan(8)
-    path = tmp_path / "sample.csv"
-    path.write_text("position,omega\n0,2\n1,8\n")
-    with pytest.raises(ValueError, match="outside the plan"):
-        load_sample_csv(path, plan)
-    for omega in ([0, -1], [8], [3, 100]):
+    for omega in ([2, 8], [0, -1], [8], [3, 100]):
         with pytest.raises(ValueError, match="outside the plan"):
             DrawnSample(plan, omega)
 
 
-def test_empty_draw_is_rejected(tmp_path):
-    """A header-only sample CSV and a direct DrawnSample with m = 0 both name the empty draw."""
-    path = tmp_path / "sample.csv"
-    path.write_text("position,omega\n")
-    with pytest.raises(ValueError, match="draw is empty"):
-        load_sample_csv(path, uniform_plan(8))
+def test_empty_draw_is_rejected():
+    """A DrawnSample with m = 0 names the empty draw."""
     with pytest.raises(ValueError, match="draw is empty"):
         DrawnSample(uniform_plan(8), np.array([], dtype=np.int64))
 
