@@ -385,11 +385,11 @@ def generative_forward(net: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
     return net.weights[-1] @ a
 
 
-def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
-    """Return (G(z), vjp) where vjp(v) = J_G(z)^T v for the same z.
+def _hidden_pullback(net: GenerativeNetwork, z: np.ndarray):
+    """Return (h(z), vjp) for the last hidden activation h, before the linear last layer.
 
-    The ReLU subgradient at exactly zero is taken as zero. Accepts batched z
-    of shape (k, batch), in which case vjp maps (n, batch) to (k, batch).
+    vjp(g) is J_h(z)^T g, with the ReLU subgradient at exactly zero taken as
+    zero. With no hidden layer, h(z) is z and vjp the identity.
     """
     a = np.asarray(z, dtype=np.float64)
     masks = []
@@ -397,28 +397,43 @@ def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
         pre = w @ a
         masks.append(pre > 0)
         a = np.where(masks[-1], pre, 0.0)
-    out = net.weights[-1] @ a
 
-    def vjp(v):
-        g = net.weights[-1].T @ np.asarray(v, dtype=np.float64)
+    def vjp(g):
         for w, mask in zip(reversed(net.weights[:-1]), reversed(masks)):
             g = w.T @ np.where(mask, g, 0.0)
         return g
 
-    return out, vjp
+    return a, vjp
+
+
+def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
+    """Return (G(z), vjp) where vjp(v) = J_G(z)^T v for the same z.
+
+    The ReLU subgradient at exactly zero is taken as zero. Accepts batched z
+    of shape (k, batch), in which case vjp maps (n, batch) to (k, batch).
+    """
+    h, hidden_vjp = _hidden_pullback(net, z)
+    last = net.weights[-1]
+
+    def vjp(v):
+        return hidden_vjp(last.T @ np.asarray(v, dtype=np.float64))
+
+    return last @ h, vjp
 
 
 def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
     """Multi-start Adam in latent space, every start a column of one (k, R) block.
 
-    ``value_and_grad(Z)`` returns the per-column objectives (R,), G(Z) and
-    the gradients (k, R); each column keeps its own Adam moments and gets
-    exactly ``iters`` evaluations, with no early stop. Returns the first
-    lowest-objective ``(objective, G(z))`` over every evaluated iterate in
-    start-major order (strict ``<`` within a column, the lowest column on
-    ties across columns) and the number of evaluations. A non-finite
-    objective raises ValueError. ``recover_generative`` runs it on the
-    draw's folded system, ``project`` on ||G(z) - x||_2^2.
+    ``value_and_grad(Z)`` returns the per-column objectives (R,), a (d, R)
+    block of points and the gradients (k, R); each column keeps its own Adam
+    moments and gets exactly ``iters`` evaluations, with no early stop.
+    Returns the first lowest-objective ``(objective, point)`` over every
+    evaluated iterate in start-major order (strict ``<`` within a column, the
+    lowest column on ties across columns), the point being the column of
+    whatever ``value_and_grad`` returned second, and the number of
+    evaluations. A non-finite objective raises ValueError. ``project`` runs it
+    on ||G(z) - x||_2^2 with G(z) as the point; ``recover_generative`` on the
+    draw's folded system with the last hidden activation as the point.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -427,6 +442,8 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
         raise ValueError("latent descent needs a (k, R) block of at least one start")
     m1 = np.zeros_like(z)
     m2 = np.zeros_like(z)
+    update = np.empty_like(z)
+    denom = np.empty_like(z)
     best_obj = np.full(z.shape[1], np.inf)
     best_x = None
     for it in range(1, iters + 1):
@@ -441,9 +458,23 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
             best_x[:, better] = x[:, better]
         if it == iters:
             break  # the budget is spent; a further step would go unevaluated
-        m1 = 0.9 * m1 + 0.1 * gz
-        m2 = 0.999 * m2 + 0.001 * gz**2
-        z = z - step * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
+        # in place, and in the order of m1 = 0.9 m1 + 0.1 g, m2 = 0.999 m2 + 0.001 g^2 and
+        # z -= step (m1 / c1) / (sqrt(m2 / c2) + 1e-8), so every iterate is bitwise that of
+        # the allocating form
+        m1 *= 0.9
+        np.multiply(gz, 0.1, out=update)
+        m1 += update
+        m2 *= 0.999
+        np.multiply(gz, gz, out=update)
+        update *= 0.001
+        m2 += update
+        np.divide(m2, 1.0 - 0.999**it, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        np.divide(m1, 1.0 - 0.9**it, out=update)
+        update *= step
+        update /= denom
+        z -= update
     col = int(np.argmin(best_obj))
     return (float(best_obj[col]), best_x[:, col].copy()), z.shape[1] * iters
 

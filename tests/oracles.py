@@ -4,12 +4,13 @@ The dense matrices are built from explicit formulas (index grids, wavelet
 rows, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
 end (a full lexsort hard threshold, a Haar cascade that copies its bands,
-the m-row scatter adjoint of the measurement, the generative restart loop
-with its patience stop) are the package's earlier implementations, kept as
+the m-row scatter adjoint of the measurement, the latent Adam core that
+allocates its moments each step, the generative restart loop with its
+patience stop) are the package's earlier implementations, kept as
 references for the code that replaced them: bitwise, except the Haar
 cascade, the scatter adjoint and the generative loop, which the block-matmul
-Haar, the folded ``SampledOperator`` and the batched folded solver match to
-rounding. Together with
+Haar, the folded ``SampledOperator`` and the batched solver on the last
+hidden layer match to rounding. Together with
 ``sampling.apply_measurement(F, sample, x, preconditioned=True)`` and the
 target ``sample.d_tilde * b`` they are the m-row D~ S F that the folded
 operator replaced in every solver, ``objective`` and ``rip_check``.
@@ -148,6 +149,34 @@ def dense_support_least_squares(dense, sample, b, support):
     x = np.zeros(dense.shape[1])
     x[support] = w
     return x
+
+
+def allocating_latent_adam(value_and_grad, starts, iters, step):
+    """Reference multi-start latent Adam: the moments and the step are new arrays every step.
+
+    Same contract as ``priors._latent_adam``: ((objective, point), evaluations)
+    for the first lowest objective over every evaluated iterate.
+    """
+    z = np.array(starts, dtype=np.float64)
+    m1 = np.zeros_like(z)
+    m2 = np.zeros_like(z)
+    best_obj = np.full(z.shape[1], np.inf)
+    best_x = None
+    for it in range(1, iters + 1):
+        obj, x, gz = value_and_grad(z)
+        better = obj < best_obj
+        best_obj = np.where(better, obj, best_obj)
+        if best_x is None:
+            best_x = np.array(x)
+        else:
+            best_x[:, better] = x[:, better]
+        if it == iters:
+            break
+        m1 = 0.9 * m1 + 0.1 * gz
+        m2 = 0.999 * m2 + 0.001 * gz**2
+        z = z - step * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
+    col = int(np.argmin(best_obj))
+    return (float(best_obj[col]), best_x[:, col].copy()), z.shape[1] * iters
 
 
 def patience_recover_generative(A, b, net, config):

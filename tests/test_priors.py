@@ -2,14 +2,16 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lexsort_hard_threshold
+from oracles import allocating_latent_adam, lexsort_hard_threshold
 
+from vdslab import priors
 from vdslab.priors import (
     EnumerationBudgetError,
     GenerativeNetwork,
@@ -399,6 +401,43 @@ def test_latent_adam_columns_run_independently():
     singles = [_latent_adam(quadratic, block[:, [j]], 25, 0.05)[0] for j in range(3)]
     best = min(singles, key=lambda pair: pair[0])
     assert obj == best[0] and np.array_equal(x, best[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(2, 16), (3, 8, 16), (3, 8, 12, 16)]),
+    st.integers(1, 49),
+    st.integers(1, 200),
+    st.sampled_from([1e-2, 0.05, 0.3]),
+)
+def test_latent_adam_is_the_allocating_update_bitwise(seed, widths, restarts, iters, step):
+    """The in-place moments give the allocating form's iterates, best point and objective bitwise."""
+    rng = np.random.default_rng(seed)
+    net = _random_net(widths, rng)
+    x = rng.standard_normal(net.n)
+
+    def value_and_grad(z):
+        out, vjp = generative_pullback(net, z)
+        r = out - x[:, None]
+        return np.sum(r**2, axis=0), out, vjp(2.0 * r)
+
+    starts = rng.standard_normal((net.latent_dim, restarts))
+    (obj, point), total = _latent_adam(value_and_grad, starts, iters, step)
+    (ref_obj, ref_point), ref_total = allocating_latent_adam(value_and_grad, starts, iters, step)
+    assert obj == ref_obj and total == ref_total
+    assert np.array_equal(point, ref_point)
+
+
+@pytest.mark.parametrize("widths", [(2, 16), (3, 8, 16), (3, 8, 12, 16)])
+def test_project_generative_is_the_allocating_adam_bitwise(widths):
+    rng = np.random.default_rng(len(widths))
+    net = _random_net(widths, rng)
+    x = rng.standard_normal(net.n)
+    got = project(net, x)
+    with mock.patch.object(priors, "_latent_adam", allocating_latent_adam):
+        ref = project(net, x)
+    assert np.array_equal(got, ref)
 
 
 def test_latent_adam_rejects_non_finite_objectives_and_empty_blocks():

@@ -597,11 +597,12 @@ def test_generative_init_z_shape_checked():
 
 @st.composite
 def _generative_cases(draw):
-    """(A, b, net, config): real Haar and complex DFT draws, iters <= 100, with and without init_z."""
+    """(A, b, net, config): real Haar and complex DFT draws, nets of one and two hidden layers,
+    iters <= 100, with and without init_z."""
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([16, 32]))
     F = make_haar_operator(n, 2) if draw(st.booleans()) else make_dft_operator(n)
-    net = _random_net((draw(st.integers(1, 3)), 8, n), rng)
+    net = _random_net((draw(st.integers(1, 3)), *draw(st.sampled_from([(8,), (8, 12)])), n), rng)
     plan = optimized_probabilities(0.5 + rng.random(n))
     sample = draw_sample(plan, draw(st.integers(1, 2 * n)), rng)
     x0 = generative_forward(net, rng.standard_normal(net.latent_dim))
@@ -630,6 +631,7 @@ def test_generative_matches_patience_loop(case):
     assert np.linalg.norm(res.x_hat - x_hat) <= 1e-12 * np.linalg.norm(x_hat)
     target = A.sample.d_tilde * ms
     assert abs(res.objective - obj) <= 1e-12 * (1.0 + np.real(np.vdot(target, target)))
+    assert objective(A, res.x_hat, ms) == res.objective
 
 
 @settings(max_examples=30, deadline=None)
@@ -651,6 +653,23 @@ def test_generative_start_block_is_the_patience_loops_starts(case):
         *_, starts = patience_recover_generative(A, ms, net, cfg)
         assert len(blocks) == 1
         assert np.array_equal(blocks[0], starts)
+
+
+@pytest.mark.parametrize("restarts, iters, init_pool", [(1, 1, 1), (3, 40, 16), (10, 100, 5)])
+def test_generative_transform_calls(restarts, iters, init_pool):
+    """One batched forward builds M = A W_last, and one more gives the winner's objective;
+    the pool ranking and every Adam step read M alone."""
+    n = 32
+    rng = _rng(15)
+    net = _random_net((3, 8, 12, n), rng)
+    F = _CountingOperator(make_dft_operator(n))
+    sample = draw_sample(optimized_probabilities(0.5 + rng.random(n)), 20, rng)
+    ms = simulate_measurements(F.inner, sample, generative_forward(net, rng.standard_normal(3)), 0.5, seed=3)
+    res = recover_generative(
+        SampledOperator(F, sample), ms, net, restarts=restarts, iters=iters, init_pool=init_pool
+    )
+    assert res.iterations == restarts * iters
+    assert (F.forward_calls, F.adjoint_calls) == (2, 0)
 
 
 def test_generative_non_finite_objective_raises():
