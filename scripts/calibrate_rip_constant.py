@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     union = make_union()
     alpha = coherence_vector(op, union)
     plan = optimized_probabilities(alpha)
-    mu = float(np.linalg.norm(alpha.alpha))
+    mu = float(np.linalg.norm(alpha))
     log_term = math.log(DIM) + math.log(M) + math.log(1.0 / DELTA)
     print(f"mu = ||alpha||_2 = {mu:.6f}, mu^2 = {mu * mu:.4f}, log term = {log_term:.4f}")
 

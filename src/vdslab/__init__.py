@@ -10,7 +10,6 @@ then recover signals directly or sweep whole noise grids from a config file.
 """
 
 from vdslab.coherence import (
-    CoherenceVector,
     coherence_vector,
     empirical_generative_coherence,
     sparse_coherence_vector,
@@ -74,7 +73,6 @@ from vdslab.transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoherenceVector",
     "ConfigError",
     "DrawnSample",
     "ExperimentConfig",

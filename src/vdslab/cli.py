@@ -40,7 +40,7 @@ def _require_out(config: ExperimentConfig) -> str:
 def _cmd_coherence(config, args) -> int:
     out = _require_out(config)
     problem = build_problem(config)
-    save_coherence_csv(problem.alpha, out)
+    save_coherence_csv(problem.alpha, problem.coherence_method, out)
     write_manifest(config, out)
     print(f"wrote coherence vector for n={problem.n} to {out}")
     return 0

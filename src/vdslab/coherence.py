@@ -12,6 +12,9 @@ at once:
   s-sparse vectors, the root sum of a row's s largest squared magnitudes.
 - ``empirical_generative_coherence``: the pairwise estimate for a ReLU
   network, the largest |F(x_a - x_b)_j| / ||x_a - x_b|| over sampled pairs.
+
+Each returns alpha as a read-only float64 vector. Zero entries mark rows
+orthogonal to the prior; they are excluded from sampling downstream.
 """
 
 from __future__ import annotations
@@ -22,39 +25,16 @@ from .priors import GenerativeNetwork, SubspaceUnion, generative_forward
 from .transforms import UnitaryOperator
 
 __all__ = [
-    "CoherenceVector",
     "coherence_vector",
     "sparse_coherence_vector",
     "empirical_generative_coherence",
     "save_coherence_csv",
 ]
 
-_METHODS = ("exact", "upper_bound", "empirical")
 
-
-class CoherenceVector:
-    """Per-row coherences alpha with the method that produced them.
-
-    Zero entries mark rows orthogonal to the prior; they are excluded from
-    sampling downstream.
-    """
-
-    def __init__(self, alpha: np.ndarray, method: str):
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if alpha.ndim != 1:
-            raise ValueError("alpha must be a vector")
-        if not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
-            raise ValueError("coherences must be finite and nonnegative")
-        if method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        alpha = alpha.copy()
-        alpha.setflags(write=False)
-        self.alpha = alpha
-        self.method = method
-        self.n = alpha.size
-
-    def __repr__(self) -> str:
-        return f"<CoherenceVector n={self.n} method={self.method}>"
+def _read_only(alpha: np.ndarray) -> np.ndarray:
+    alpha.setflags(write=False)
+    return alpha
 
 
 def _row_sup_norms(rows: np.ndarray) -> np.ndarray:
@@ -71,7 +51,7 @@ def _row_sup_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def coherence_vector(op: UnitaryOperator, union: SubspaceUnion) -> CoherenceVector:
+def coherence_vector(op: UnitaryOperator, union: SubspaceUnion) -> np.ndarray:
     """Exact coherence of every row of ``op`` against a subspace union."""
     if not isinstance(union, SubspaceUnion):
         raise TypeError(f"expected a SubspaceUnion, got {type(union).__name__}")
@@ -86,10 +66,10 @@ def coherence_vector(op: UnitaryOperator, union: SubspaceUnion) -> CoherenceVect
         rows = stacked[:, start : start + s.dim]
         np.maximum(alpha, _row_sup_norms(rows), out=alpha)
         start += s.dim
-    return CoherenceVector(alpha, "exact")
+    return _read_only(alpha)
 
 
-def sparse_coherence_vector(op: UnitaryOperator, s: int) -> CoherenceVector:
+def sparse_coherence_vector(op: UnitaryOperator, s: int) -> np.ndarray:
     """Upper-bound coherences of all rows against s-sparse vectors."""
     s = int(s)
     if not 1 <= s <= op.n:
@@ -97,12 +77,12 @@ def sparse_coherence_vector(op: UnitaryOperator, s: int) -> CoherenceVector:
     mags = np.abs(op.matrix()) ** 2
     top = np.partition(mags, op.n - s, axis=1)[:, op.n - s :]
     alpha = np.sqrt(np.sum(top, axis=1))
-    return CoherenceVector(alpha, "upper_bound")
+    return _read_only(alpha)
 
 
 def empirical_generative_coherence(
     net: GenerativeNetwork, op: UnitaryOperator, num_latents: int, rng_seed: int
-) -> CoherenceVector:
+) -> np.ndarray:
     """Paper-style estimator: max over sample pairs of |F(x_a - x_b)_j| / ||x_a - x_b||.
 
     Signals are transformed once and differenced in the transform domain,
@@ -129,11 +109,12 @@ def empirical_generative_coherence(
         norms[norms == 0.0] = np.inf  # a coincident pair then adds 0, which never raises alpha
         r = np.abs(np.subtract(fx[:, a + 1 :], fx[:, a : a + 1], out=dfx[:, :rest]), out=d)
         np.maximum(alpha, np.divide(r, norms, out=r).max(axis=1), out=alpha)
-    return CoherenceVector(alpha, "empirical")
+    return _read_only(alpha)
 
 
-def save_coherence_csv(cv: CoherenceVector, path) -> None:
+def save_coherence_csv(alpha, method: str, path) -> None:
+    """Write alpha row by row, tagged with the name of the method that computed it."""
     lines = ["index,alpha,method"]
-    lines += [f"{j},{cv.alpha[j]:.17g},{cv.method}" for j in range(cv.n)]
+    lines += [f"{j},{a:.17g},{method}" for j, a in enumerate(alpha)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -262,23 +262,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} entries must be at least {floor}")
 
     def resolved_items(self) -> list[tuple[str, str]]:
-        items = []
-        for key in sorted(self._values):
-            value = self._values[key]
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = f"{value:.17g}"
-            elif isinstance(value, tuple):
-                text = ",".join(
-                    f"{x:.17g}" if isinstance(x, float) else str(x) for x in value
-                )
-            else:
-                text = str(value)
-            items.append((key, text))
-        return items
+        return [(key, _format_value(v)) for key, v in sorted(self._values.items()) if v is not None]
 
 
 @dataclass(frozen=True)
@@ -305,7 +289,8 @@ CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 class _Problem:
     operator: object
     prior: object
-    alpha: object
+    alpha: np.ndarray
+    coherence_method: str
     n: int
     max_dim: int
     log_subspace_count: float
@@ -369,6 +354,7 @@ def build_problem(config: ExperimentConfig) -> _Problem:
             raise ConfigError("sparse_k exceeds the signal dimension")
         prior = SparsePrior(n, config.sparse_k)
         alpha = sparse_coherence_vector(operator, min(2 * config.sparse_k, n))
+        method = "upper_bound"
         log_count, max_dim = subspace_count_bounds(prior)
     elif config.prior == "union":
         prior = load_union(config.union_file)
@@ -376,6 +362,7 @@ def build_problem(config: ExperimentConfig) -> _Problem:
         operator = _make_operator(config.measurement, n, config.measurement_levels)
         differences = difference_union(prior)
         alpha = coherence_vector(operator, differences)
+        method = "exact"
         max_dim = differences.max_dim
         log_count = math.log(differences.M)
     else:
@@ -385,10 +372,11 @@ def build_problem(config: ExperimentConfig) -> _Problem:
         alpha = empirical_generative_coherence(
             prior, operator, config.coherence_latents, config.master_seed
         )
+        method = "empirical"
         log_count, max_dim = subspace_count_bounds(prior)
     if config.n is not None and config.n != n:
         raise ConfigError(f"config n={config.n} but the prior lives in dimension {n}")
-    return _Problem(operator, prior, alpha, n, max_dim, log_count, support_weights)
+    return _Problem(operator, prior, alpha, method, n, max_dim, log_count, support_weights)
 
 
 def _plan_for(problem: _Problem, config: ExperimentConfig, scheme: str):
@@ -519,10 +507,15 @@ def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
 
 
 def _format_value(v) -> str:
+    """Text of a record or config value: bools as true/false, reals to 17 digits, tuples comma-joined."""
     if isinstance(v, str):
         return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
+    if isinstance(v, tuple):
+        return ",".join(_format_value(x) for x in v)
     return f"{float(v):.17g}"
 
 

@@ -31,7 +31,7 @@ from .priors import (
     _lex_greatest,
     _top_k_support,
 )
-from .sampling import DrawnSample, SampledOperator, _as_alpha, apply_measurement
+from .sampling import DrawnSample, SampledOperator, apply_measurement
 from .transforms import UnitaryOperator
 
 __all__ = [
@@ -336,12 +336,12 @@ def deterministic_corollary_bound(sample: DrawnSample, alpha, sigma: float) -> f
     """
     if not sigma >= 0:  # written so that NaN fails too
         raise ValueError("sigma must be nonnegative")
-    vec = _as_alpha(alpha)
-    gathered = vec[sample.omega]
+    alpha = np.asarray(alpha, dtype=np.float64)
+    gathered = alpha[sample.omega]
     if np.any(gathered <= 0):
         raise ValueError("every drawn row must have positive coherence")
-    terms = 1.0 / (math.sqrt(vec.size) * gathered)
-    return float(sigma / math.sqrt(sample.m) * np.linalg.norm(vec) * np.sum(terms))
+    terms = 1.0 / (math.sqrt(alpha.size) * gathered)
+    return float(sigma / math.sqrt(sample.m) * np.linalg.norm(alpha) * np.sum(terms))
 
 
 def relative_recovery_error(x0, x_hat) -> float:

@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .coherence import CoherenceVector
 from .transforms import UnitaryOperator
 
 __all__ = [
@@ -40,12 +39,6 @@ __all__ = [
 ]
 
 _SIMPLEX_TOL = 1e-12
-
-
-def _as_alpha(alpha) -> np.ndarray:
-    if isinstance(alpha, CoherenceVector):
-        return alpha.alpha
-    return np.asarray(alpha, dtype=np.float64)
 
 
 class SamplingPlan:
@@ -134,27 +127,29 @@ def make_plan(p: np.ndarray) -> SamplingPlan:
 
 def optimized_probabilities(alpha) -> SamplingPlan:
     """Coherence-proportional plan p_i = alpha_i^2 / ||alpha||^2."""
-    vec = _as_alpha(alpha)
-    total = np.sum(vec**2)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not (np.all(np.isfinite(alpha)) and np.all(alpha >= 0)):
+        raise ValueError("coherences must be finite and nonnegative")
+    total = np.sum(alpha**2)
     if total <= 0:
         raise ValueError("coherence vector is identically zero")
-    p = vec**2 / total
+    p = alpha**2 / total
     p = p / p.sum()  # renormalize away float drift
     return make_plan(p)
 
 
 def complexity_mu(alpha, p) -> float:
     """Sampling complexity max_j alpha_j / sqrt(p_j) over the support of alpha."""
-    vec = _as_alpha(alpha)
-    probs = p.p if isinstance(p, SamplingPlan) else np.asarray(p, dtype=np.float64)
-    if vec.shape != probs.shape:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if alpha.shape != p.shape:
         raise ValueError("alpha and p must have equal length")
-    active = vec > 0
-    if np.any(probs[active] <= 0):
+    active = alpha > 0
+    if np.any(p[active] <= 0):
         raise ValueError("alpha_j > 0 with p_j = 0: complexity is infinite")
     if not np.any(active):
         return 0.0
-    return float(np.max(vec[active] / np.sqrt(probs[active])))
+    return float(np.max(alpha[active] / np.sqrt(p[active])))
 
 
 def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
@@ -202,11 +197,11 @@ def unit_truncation(v: np.ndarray) -> np.ndarray:
 
 def _sorted_gathers(sample: DrawnSample, alpha) -> tuple[np.ndarray, np.ndarray]:
     """d_tilde and alpha on the drawn rows, sorted so d_tilde is non-increasing (stable in draw position)."""
-    vec = _as_alpha(alpha)
-    if vec.size != sample.n:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.size != sample.n:
         raise ValueError("alpha length does not match the sample")
     order = np.argsort(-sample.d_tilde, kind="stable")
-    return sample.d_tilde[order], vec[sample.omega[order]]
+    return sample.d_tilde[order], alpha[sample.omega[order]]
 
 
 def noise_factor(sample: DrawnSample, alpha) -> float:
@@ -221,17 +216,19 @@ def noise_factor_bounds(plan: SamplingPlan, sample: DrawnSample, alpha, t: float
 
     max_Sd and max_d bound every draw; truncated_SD2alpha_norm restricts
     S D^2 alpha to the truncation window; optimized_closed_bound(t) holds with
-    probability at least 1 - t under optimized sampling.
+    probability at least 1 - t under optimized sampling, for t > 0.
     """
+    if not t > 0:  # written so that NaN fails too
+        raise ValueError(f"t must be positive, got {t!r}")
+    alpha = np.asarray(alpha, dtype=np.float64)
     d_tilde, alpha_sorted = _sorted_gathers(sample, alpha)
     sd_alpha = sample.scale * d_tilde * alpha_sorted
     idx = _truncation_index(sd_alpha)
     truncated_norm = float(np.linalg.norm(sample.scale * d_tilde[: idx + 1] ** 2 * alpha_sorted[: idx + 1]))
-    vec = _as_alpha(alpha)
-    active = vec > 0
+    active = alpha > 0
     closed = float(
-        np.linalg.norm(vec)
-        * min(1.0 / math.sqrt(t), 1.0 / (math.sqrt(plan.n) * np.min(vec[active])))
+        np.linalg.norm(alpha)
+        * min(1.0 / math.sqrt(t), 1.0 / (math.sqrt(plan.n) * np.min(alpha[active])))
     )
     return {
         "max_Sd": float(d_tilde[0]),

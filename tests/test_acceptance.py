@@ -196,7 +196,7 @@ def test_04_optimized_probabilities_minimize_mu():
         n = int(rng.integers(2, 65))
         alpha = 0.05 + rng.random(n)
         plan = optimized_probabilities(alpha)
-        mu_opt = complexity_mu(alpha, plan)
+        mu_opt = complexity_mu(alpha, plan.p)
         assert abs(mu_opt - np.linalg.norm(alpha)) <= 1e-12
         for _ in range(50):
             q = plan.p * (1.0 + 0.2 * rng.random(n)) + 1e-3 * rng.random(n)
@@ -283,7 +283,7 @@ def test_08_isometry_sample_complexity_constant():
     op = make_dft_operator(n)
     alpha = coherence_vector(op, union)
     plan = optimized_probabilities(alpha)
-    mu = float(np.linalg.norm(alpha.alpha))
+    mu = float(np.linalg.norm(alpha))
     m_star = sample_complexity(mu, dim, math.log(subspaces), delta, ISOMETRY_COMPLEXITY_CONSTANT)
 
     def hold_rate(m):
@@ -349,7 +349,7 @@ def test_11_two_stage_solver_matches_oracle():
     started = time.perf_counter()
     n, k, m, sigma, trials = 16, 2, 40, 0.05, 200
     op = make_dft_operator(n)
-    plan = optimized_probabilities(sparse_coherence_vector(op, min(2 * k, n)).alpha)
+    plan = optimized_probabilities(sparse_coherence_vector(op, min(2 * k, n)))
     eye = np.eye(n)
     union = SubspaceUnion(
         [Subspace(eye[:, list(pair)]) for pair in itertools.combinations(range(n), 2)]

@@ -42,16 +42,35 @@ def _union_file(tmp_path, n=16, M=3, dim=2, seed=0):
     return str(path)
 
 
-def test_coherence_command(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
+def _network_file(tmp_path):
+    net = GenerativeNetwork([_rng(1).standard_normal((8, 2)), _rng(2).standard_normal((16, 8))])
+    path = tmp_path / "g.vdsg"
+    save_network(net, path)
+    return str(path)
+
+
+_GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
+
+
+@pytest.mark.parametrize(
+    "prior, method",
+    [("sparse", "upper_bound"), ("union", "exact"), ("generative", "empirical")],
+)
+def test_coherence_command(tmp_path, capsys, prior, method):
+    keys = {
+        "sparse": {},
+        "union": {"prior": "union", "n": None, "sparse_k": None, "union_file": _union_file(tmp_path)},
+        "generative": _GENERATIVE | {"network_file": _network_file(tmp_path)},
+    }[prior]
+    cfg = _write_config(tmp_path, **keys)
     assert main(["coherence", "--config", cfg]) == 0
     lines = (tmp_path / "out.csv").read_text().splitlines()
     assert lines[0] == "index,alpha,method"
     rows = [line.split(",") for line in lines[1:]]
-    assert [int(row[0]) for row in rows] == list(range(64))
-    alpha = harness.build_problem(harness.ExperimentConfig(harness.parse_config_file(cfg))).alpha
-    assert np.array_equal([float(row[1]) for row in rows], alpha.alpha)  # bit-exact through decimal
-    assert {row[2] for row in rows} == {alpha.method}
+    problem = harness.build_problem(harness.ExperimentConfig(harness.parse_config_file(cfg)))
+    assert [int(row[0]) for row in rows] == list(range(problem.n))
+    assert np.array_equal([float(row[1]) for row in rows], problem.alpha)  # bit-exact through decimal
+    assert {row[2] for row in rows} == {method}
     assert (tmp_path / "out.csv.manifest").exists()
     assert "wrote coherence" in capsys.readouterr().out
 
@@ -193,9 +212,6 @@ def test_recover_requires_m_and_sigma(tmp_path, capsys):
     assert "missing required" in capsys.readouterr().err
 
 
-_GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
-
-
 @pytest.mark.parametrize(
     "keys, message",
     [
@@ -219,9 +235,7 @@ _GENERATIVE = {"prior": "generative", "n": None, "sparse_k": None}
 )
 def test_recover_rejects_out_of_range_point_exits_2(tmp_path, capsys, keys, message):
     if keys.get("prior") == "generative":
-        net = GenerativeNetwork([_rng(1).standard_normal((8, 2)), _rng(2).standard_normal((16, 8))])
-        save_network(net, tmp_path / "g.vdsg")
-        keys = keys | {"network_file": str(tmp_path / "g.vdsg")}
+        keys = keys | {"network_file": _network_file(tmp_path)}
     cfg = _write_config(tmp_path, **({"m": 256, "sigma": 0.0} | keys))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no trial may run and fail first

@@ -12,7 +12,6 @@ import pytest
 from oracles import random_orthogonal
 
 from vdslab import harness, recovery, sampling
-from vdslab.coherence import CoherenceVector
 from vdslab.harness import (
     _KEY_PARSERS,
     CSV_HEADER,
@@ -280,11 +279,13 @@ def test_config_k_exceeding_n_caught_at_build(tmp_path):
 
 
 def test_config_manifest_items_are_strings(tmp_path):
-    cfg = ExperimentConfig(_sparse_mapping(tmp_path))
+    cfg = ExperimentConfig(_sparse_mapping(tmp_path, bound_delta="0.1", sigma_grid="0.1,0.5,2"))
     items = dict(cfg.resolved_items())
     assert items["trials"] == "2"
     assert items["record_timing"] == "false"
-    assert items["sigma_grid"] == "0.5"
+    assert items["bound_delta"] == "0.10000000000000001"
+    assert items["sigma_grid"] == "0.10000000000000001,0.5,2"
+    assert items["m_grid"] == "32,96"
     assert "solver" not in items  # the solver follows the prior; the manifest does not echo it
 
 
@@ -294,7 +295,7 @@ def test_config_manifest_items_are_strings(tmp_path):
 def test_build_problem_sparse_dft_flat_coherence(tmp_path):
     problem = build_problem(ExperimentConfig(_sparse_mapping(tmp_path)))
     assert problem.n == 64
-    assert np.allclose(problem.alpha.alpha, math.sqrt(6 / 64), atol=1e-12)
+    assert np.allclose(problem.alpha, math.sqrt(6 / 64), atol=1e-12)
     assert problem.max_dim == 6  # min(2k, n)
     assert problem.log_subspace_count == pytest.approx(6 * math.log(math.e * 64 / 6))
 
@@ -327,8 +328,8 @@ def test_build_problem_generative(tmp_path):
     )
     problem = build_problem(cfg)
     assert problem.max_dim == 4  # min(2k, n)
-    assert problem.alpha.alpha.shape == (16,)
-    assert np.all(problem.alpha.alpha >= 0)
+    assert problem.alpha.shape == (16,)
+    assert np.all(problem.alpha >= 0)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -439,10 +440,10 @@ def test_sweep_rows_do_not_depend_on_the_last_bits_of_alpha(tmp_path):
         }
     )
     problem = build_problem(cfg)
-    alpha = problem.alpha.alpha
+    alpha = problem.alpha
     scale = 1.0 + _rng(31).integers(-4, 5, size=alpha.size) * np.finfo(np.float64).eps
-    perturbed = dataclasses.replace(problem, alpha=CoherenceVector(alpha * scale, problem.alpha.method))
-    assert not np.array_equal(perturbed.alpha.alpha, alpha)
+    perturbed = dataclasses.replace(problem, alpha=alpha * scale)
+    assert not np.array_equal(perturbed.alpha, alpha)
     schemes = ["optimized", "uniform"]
     for base, moved in zip(harness._sweep(problem, cfg, schemes), harness._sweep(perturbed, cfg, schemes)):
         for name in ("rre", "objective", "noise_factor", "theorem_bound", "corollary_bound"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles import random_orthogonal, random_unitary, scatter_adjoint_measurement
 
-from vdslab.coherence import CoherenceVector
 from vdslab.sampling import (
     DrawnSample,
     SampledOperator,
@@ -71,6 +70,12 @@ def test_optimized_rejects_zero_alpha():
         optimized_probabilities(np.zeros(3))
 
 
+@pytest.mark.parametrize("alpha", [[-0.1, 0.5], [0.1, np.inf], [0.1, np.nan]])
+def test_optimized_rejects_negative_or_nonfinite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        optimized_probabilities(np.array(alpha))
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(np.array([0.5, 0.4]), np.ones(2))  # sums to 0.9
@@ -98,7 +103,7 @@ def test_mu_optimized_equals_alpha_norm():
     rng = _rng(40)
     alpha = _positive_alpha(16, rng)
     plan = optimized_probabilities(alpha)
-    assert complexity_mu(alpha, plan) == pytest.approx(np.linalg.norm(alpha), abs=1e-12)
+    assert complexity_mu(alpha, plan.p) == pytest.approx(np.linalg.norm(alpha), abs=1e-12)
 
 
 def test_mu_uniform_example():
@@ -118,11 +123,11 @@ def test_mu_optimality_over_random_plans():
         n = int(rng.integers(2, 65))
         alpha = _positive_alpha(n, rng)
         plan = optimized_probabilities(alpha)
-        mu_opt = complexity_mu(alpha, plan)
+        mu_opt = complexity_mu(alpha, plan.p)
         assert mu_opt == pytest.approx(np.linalg.norm(alpha), abs=1e-12)
     alpha = _positive_alpha(16, _rng(42))
     plan = optimized_probabilities(alpha)
-    mu_opt = complexity_mu(alpha, plan)
+    mu_opt = complexity_mu(alpha, plan.p)
     for _ in range(50):
         q = plan.p * (1 + 0.2 * _rng(43).random(16)) + 1e-3 * _rng(44).random(16)
         q = q / q.sum()
@@ -349,6 +354,14 @@ def test_noise_factor_below_bounds_over_draws():
         assert bounds["max_Sd"] <= bounds["max_d"] + 1e-12
         assert nf <= bounds["truncated_SD2alpha_norm"] + 1e-12
         assert nf <= bounds["optimized_closed_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("t", [float("nan"), 0.0, -0.5])
+def test_noise_factor_bounds_reject_nonpositive_t(t):
+    alpha = np.full(4, 0.5)
+    plan = optimized_probabilities(alpha)
+    with pytest.raises(ValueError, match="t must be positive"):
+        noise_factor_bounds(plan, draw_sample(plan, 4, 15), alpha, t)
 
 
 def test_optimized_max_d_closed_form():
