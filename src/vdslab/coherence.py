@@ -10,6 +10,13 @@ at once:
   row.
 - ``sparse_coherence_vector``: the complex-relaxation upper bound against
   s-sparse vectors, the root sum of a row's s largest squared magnitudes.
+  It reads the operator's column bands, each a representative column and
+  the number of columns that share its row-wise magnitudes (one band for a
+  DFT, one per Haar coefficient band for a DFT over a Haar basis, one per
+  column otherwise), and streams the representatives through ``forward``
+  in blocks of at most ``_BAND_BLOCK`` columns, keeping a running top s of
+  (magnitude, count) pairs per row. Its memory is O(n (s + _BAND_BLOCK));
+  the dense ``matrix()`` is for tests only.
 - ``empirical_generative_coherence``: the pairwise estimate for a ReLU
   network, the largest |F(x_a - x_b)_j| / ||x_a - x_b|| over sampled pairs.
 
@@ -30,6 +37,8 @@ __all__ = [
     "empirical_generative_coherence",
     "save_coherence_csv",
 ]
+
+_BAND_BLOCK = 128  # band columns per transform of sparse_coherence_vector
 
 
 def _read_only(alpha: np.ndarray) -> np.ndarray:
@@ -69,14 +78,37 @@ def coherence_vector(op: UnitaryOperator, union: SubspaceUnion) -> np.ndarray:
     return _read_only(alpha)
 
 
+def _merge_top(values: np.ndarray, counts: np.ndarray, s: int) -> tuple:
+    """Per row, the largest values first, each kept up to its count until s are counted.
+
+    Takes and returns (n, width) values and counts; the result is at most s
+    wide, and a row's counts sum to min(s, its total count).
+    """
+    order = np.argsort(-values, axis=1, kind="stable")[:, :s]
+    values = np.take_along_axis(values, order, axis=1)
+    capped = np.minimum(np.cumsum(np.take_along_axis(counts, order, axis=1), axis=1), s)
+    return values, np.diff(capped, axis=1, prepend=0)
+
+
 def sparse_coherence_vector(op: UnitaryOperator, s: int) -> np.ndarray:
-    """Upper-bound coherences of all rows against s-sparse vectors."""
+    """Upper-bound coherences of all rows against s-sparse vectors.
+
+    alpha_j^2 is the sum of the s largest |matrix()[j, k]|^2 over k, read
+    from the operator's column bands without building the matrix.
+    """
     s = int(s)
     if not 1 <= s <= op.n:
         raise ValueError(f"need 1 <= s <= {op.n}, got {s}")
-    mags = np.abs(op.matrix()) ** 2
-    top = np.partition(mags, op.n - s, axis=1)[:, op.n - s :]
-    alpha = np.sqrt(np.sum(top, axis=1))
+    columns, sizes = op._column_bands()
+    values, counts = np.empty((op.n, 0)), np.empty((op.n, 0), dtype=np.int64)
+    for start in range(0, len(columns), _BAND_BLOCK):
+        block = columns[start : start + _BAND_BLOCK]
+        unit = np.zeros((op.n, len(block)))
+        unit[block, np.arange(len(block))] = 1.0
+        mags = np.abs(op.forward(unit)) ** 2
+        block_counts = np.broadcast_to(sizes[start : start + _BAND_BLOCK], mags.shape)
+        values, counts = _merge_top(np.hstack([values, mags]), np.hstack([counts, block_counts]), s)
+    alpha = np.sqrt(np.sum(values * counts, axis=1))
     return _read_only(alpha)
 
 

@@ -11,7 +11,9 @@ output CSV bytes are deterministic.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 import time
 import warnings
 from dataclasses import astuple, dataclass, fields
@@ -490,8 +492,34 @@ def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> Ex
     )
 
 
+# glibc mallopt (parameter, value) pairs: arrays under 16 MB come from the heap, and up to 32 MB of
+# freed heap stays with the process
+_HEAP_SETTINGS = ((-3, 16 << 20), (-1, 32 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD (malloc.h)
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed arrays in the process between trials instead of returning them to the OS.
+
+    A sparse trial at n = 1024 frees about 0.5 MB of arrays. Under glibc's
+    default thresholds that memory goes back to the OS after each trial and
+    is faulted in again by the next, which makes its trials about 30% slower.
+    These are the thresholds glibc itself adopts after a 16 MB array is
+    freed. The setting is process-wide; other C libraries keep their own
+    policy.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        for param, value in _HEAP_SETTINGS:
+            mallopt(param, value)
+
+
 def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
     config.require("m_grid", "sigma_grid")
+    _keep_freed_heap()
     cells = [
         (si * len(config.m_grid) + mi, m, sigma)
         for si, sigma in enumerate(config.sigma_grid)

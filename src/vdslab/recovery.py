@@ -338,10 +338,13 @@ def deterministic_corollary_bound(sample: DrawnSample, alpha, sigma: float) -> f
         raise ValueError("sigma must be nonnegative")
     alpha = np.asarray(alpha, dtype=np.float64)
     gathered = alpha[sample.omega]
-    if np.any(gathered <= 0):
+    if not np.all(gathered > 0):  # written so that NaN fails too
         raise ValueError("every drawn row must have positive coherence")
+    norm = np.linalg.norm(alpha)
+    if not np.isfinite(norm):
+        raise ValueError("coherences must be finite")
     terms = 1.0 / (math.sqrt(alpha.size) * gathered)
-    return float(sigma / math.sqrt(sample.m) * np.linalg.norm(alpha) * np.sum(terms))
+    return float(sigma / math.sqrt(sample.m) * norm * np.sum(terms))
 
 
 def relative_recovery_error(x0, x_hat) -> float:

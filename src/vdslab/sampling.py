@@ -125,10 +125,15 @@ def make_plan(p: np.ndarray) -> SamplingPlan:
     return SamplingPlan(p, d)
 
 
+def _finite_nonnegative(v: np.ndarray) -> bool:
+    """Whether every entry is finite and >= 0, in one pass; NaN fails."""
+    return bool(np.all((v >= 0) & (v < np.inf)))
+
+
 def optimized_probabilities(alpha) -> SamplingPlan:
     """Coherence-proportional plan p_i = alpha_i^2 / ||alpha||^2."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    if not (np.all(np.isfinite(alpha)) and np.all(alpha >= 0)):
+    if not _finite_nonnegative(alpha):
         raise ValueError("coherences must be finite and nonnegative")
     total = np.sum(alpha**2)
     if total <= 0:
@@ -144,6 +149,8 @@ def complexity_mu(alpha, p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if alpha.shape != p.shape:
         raise ValueError("alpha and p must have equal length")
+    if not _finite_nonnegative(alpha):
+        raise ValueError("coherences must be finite and nonnegative")
     active = alpha > 0
     if np.any(p[active] <= 0):
         raise ValueError("alpha_j > 0 with p_j = 0: complexity is infinite")
@@ -168,7 +175,9 @@ def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
 
 
 def _truncation_index(v: np.ndarray) -> int:
-    """0-based index I-1 of the adjusted entry; error if ||v|| < 1."""
+    """0-based index I-1 of the adjusted entry; error if ||v|| < 1 or an entry is negative or not finite."""
+    if not _finite_nonnegative(v):
+        raise ValueError("cannot unit-truncate a vector with a negative or non-finite entry")
     c = np.cumsum(v**2)
     if c[-1] < 1.0 - 1e-12:
         raise ValueError(f"cannot unit-truncate: ||v||^2 = {c[-1]!r} < 1")
@@ -185,8 +194,6 @@ def unit_truncation(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty vector")
-    if np.any(v < 0):
-        raise ValueError("unit truncation is defined for nonnegative vectors")
     idx = _truncation_index(v)
     out = np.zeros_like(v)
     out[:idx] = v[:idx]

@@ -22,6 +22,11 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -58,7 +63,10 @@ class UnitaryOperator:
         return self._adjoint(self._check_input(y))
 
     def matrix(self) -> np.ndarray:
-        """Return the dense n x n matrix (column j is forward(e_j))."""
+        """Return the dense n x n matrix (column j is forward(e_j)).
+
+        For tests: it costs O(n^2) memory, and no library path builds it.
+        """
         return self.forward(np.eye(self.n))
 
     def conjugate_rows(self) -> np.ndarray:
@@ -67,6 +75,14 @@ class UnitaryOperator:
         The identity: exact for real operators; for complex ones it makes the fold's ||A||^2 a bound.
         """
         return np.arange(self.n)
+
+    def _column_bands(self) -> tuple:
+        """(columns, sizes): column columns[b] stands for sizes[b] columns with its row-wise magnitudes.
+
+        Every column k has |matrix()[j, k]| equal to that of its band's
+        representative in every row j. The default is n bands of one column.
+        """
+        return np.arange(self.n), np.ones(self.n, dtype=np.int64)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -90,6 +106,9 @@ class _Dft1d(UnitaryOperator):
 
     def conjugate_rows(self):
         return -np.arange(self.n) % self.n
+
+    def _column_bands(self):
+        return np.zeros(1, dtype=np.int64), np.full(1, self.n)  # every entry is 1/sqrt(n)
 
 
 class _Dft2d(UnitaryOperator):
@@ -116,6 +135,9 @@ class _Dft2d(UnitaryOperator):
     def conjugate_rows(self):
         neg = -np.arange(self.side) % self.side
         return (neg[:, None] * self.side + neg).ravel()
+
+    def _column_bands(self):
+        return np.zeros(1, dtype=np.int64), np.full(1, self.n)  # every entry is 1/sqrt(n)
 
 
 _BLOCK_LEVELS = 5  # levels per block step: a 32 x 32 matrix, whatever the depth
@@ -162,6 +184,17 @@ def _haar_steps(length: int, levels: int) -> tuple:
     return tuple(steps)
 
 
+def _haar_bands(length: int, levels: int) -> tuple:
+    """(starts, sizes) of the coefficient bands of a ``levels``-deep Haar on ``length`` samples.
+
+    The approximation band comes first, then the detail bands from the
+    coarsest to the finest; the wavelets of one band are translates of its
+    first one.
+    """
+    details = [length >> level for level in range(levels, 0, -1)]
+    return _read_only(np.array([0, *details])), _read_only(np.array([length >> levels, *details]))
+
+
 def _haar_block_step(work: np.ndarray, h: np.ndarray, index, inverse, adjoint: bool) -> np.ndarray:
     """One block step on a real vector (length,) or on real columns (length, c).
 
@@ -206,6 +239,7 @@ class _Haar1d(UnitaryOperator):
     def __init__(self, n: int, levels: int):
         super().__init__(n, "real")
         self._steps = _haar_steps(n, levels)
+        self._translate_bands = _haar_bands(n, levels)
 
     def _forward(self, x):
         return _haar_axis0(x, self._steps, adjoint=False)
@@ -225,6 +259,12 @@ class _Haar2d(UnitaryOperator):
         super().__init__(side * side, "real")
         self.side = side
         self._steps = _haar_steps(side, levels)
+        # band pair (r, c) holds the products of a row band r and a column band c
+        starts, sizes = _haar_bands(side, levels)
+        self._translate_bands = (
+            _read_only((starts[:, None] * side + starts).ravel()),
+            _read_only(np.outer(sizes, sizes).ravel()),
+        )
 
     def _separable(self, x, adjoint):
         batched = x.ndim == 2
@@ -294,6 +334,14 @@ class _Composed(UnitaryOperator):
     def conjugate_rows(self):
         # a real sparsity basis keeps x real on its way into the measurement
         return (self.measurement if self.sparsity.field == "real" else super()).conjugate_rows()
+
+    def _column_bands(self):
+        # column k is the measured k-th wavelet; the wavelets of one Haar band are translates of
+        # each other, also as flattened images, and a translate changes every DFT coefficient by
+        # a phase only
+        if isinstance(self.measurement, (_Dft1d, _Dft2d)) and isinstance(self.sparsity, (_Haar1d, _Haar2d)):
+            return self.sparsity._translate_bands
+        return super()._column_bands()
 
 
 def make_dft_operator(n: int, *, two_dim: bool = False) -> UnitaryOperator:

@@ -3,14 +3,16 @@
 The dense matrices are built from explicit formulas (index grids, wavelet
 rows, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
-end (a full lexsort hard threshold, a Haar cascade that copies its bands,
+end (the sparse coherence read off the dense matrix, a full lexsort hard
+threshold, a Haar cascade that copies its bands,
 the m-row scatter adjoint of the measurement, the latent Adam core that
 allocates its moments each step, the generative restart loop with its
 patience stop) are the package's earlier implementations, kept as
-references for the code that replaced them: bitwise, except the Haar
-cascade, the scatter adjoint and the generative loop, which the block-matmul
-Haar, the folded ``SampledOperator`` and the batched solver on the last
-hidden layer match to rounding. Together with
+references for the code that replaced them: bitwise, except the dense
+coherence, the Haar cascade, the scatter adjoint and the generative loop,
+which the band-wise coherence, the block-matmul Haar, the folded
+``SampledOperator`` and the batched solver on the last hidden layer match to
+rounding. Together with
 ``sampling.apply_measurement(F, sample, x, preconditioned=True)`` and the
 target ``sample.d_tilde * b`` they are the m-row D~ S F that the folded
 operator replaced in every solver, ``objective`` and ``rip_check``.
@@ -80,6 +82,13 @@ def random_unitary(n, rng):
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def dense_sparse_coherence(op, s):
+    """Root sum of each row's s largest squared magnitudes, partitioned out of the dense matrix."""
+    mags = np.abs(op.matrix()) ** 2
+    top = np.partition(mags, op.n - s, axis=1)[:, op.n - s :]
+    return np.sqrt(np.sum(top, axis=1))
 
 
 def lexsort_hard_threshold(x, k):

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import random_orthogonal, random_unitary
+from oracles import dense_sparse_coherence, random_orthogonal, random_unitary
 
 from vdslab.coherence import (
     coherence_vector,
@@ -23,7 +23,13 @@ from vdslab.priors import (
     subspace_from_span,
     SparsePrior,
 )
-from vdslab.transforms import make_dense_operator, make_dft_operator, make_haar_operator
+from vdslab.transforms import (
+    UnitaryOperator,
+    compose_measurement_basis,
+    make_dense_operator,
+    make_dft_operator,
+    make_haar_operator,
+)
 
 
 def _identity_op(n):
@@ -126,6 +132,59 @@ def test_sparse_vector_flat_for_dft():
     """DFT rows have flat magnitudes, so every bound equals sqrt(s/n)."""
     cv = sparse_coherence_vector(make_dft_operator(8), 3)
     assert np.allclose(cv, math.sqrt(3 / 8), atol=1e-12)
+
+
+def _every_depth(kind, n):
+    """The named transform on n, once for a DFT and at every depth from 0 to the maximum for a Haar."""
+    if kind in ("dft", "dft2"):
+        return [make_dft_operator(n, two_dim=kind == "dft2")]
+    two_dim = kind == "haar2"
+    deepest = (math.isqrt(n) if two_dim else n).bit_length() - 1
+    return [make_haar_operator(n, levels, two_dim=two_dim) for levels in range(deepest + 1)]
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+@pytest.mark.parametrize("sparsity", ("none", "haar", "haar2"))
+@pytest.mark.parametrize("measurement", ("dft", "dft2", "haar", "haar2"))
+def test_sparse_coherence_matches_the_dense_build(measurement, sparsity, n):
+    """Every (measurement, sparsity) pair a config accepts, at every depth of each Haar, agrees
+    with the dense matrix's row-wise top s to 1e-12 relative. DFT pairs read one band per Haar
+    coefficient band, the others one band per column (two blocks at n = 256)."""
+    for meas in _every_depth(measurement, n):
+        for basis in [None] if sparsity == "none" else _every_depth(sparsity, n):
+            op = meas if basis is None else compose_measurement_basis(meas, basis)
+            for s in (1, 3, n // 3, n):
+                expected = dense_sparse_coherence(op, s)
+                np.testing.assert_allclose(sparse_coherence_vector(op, s), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+def test_sparse_coherence_matches_the_dense_build_on_a_complex_unitary(n):
+    op = make_dense_operator(random_unitary(n, np.random.default_rng(n)))
+    for s in (1, 3, n // 3, n):
+        np.testing.assert_allclose(
+            sparse_coherence_vector(op, s), dense_sparse_coherence(op, s), rtol=1e-12, atol=0
+        )
+
+
+def test_sparse_coherence_never_builds_the_matrix(monkeypatch):
+    ops = [
+        make_dft_operator(64),
+        compose_measurement_basis(make_dft_operator(256), make_haar_operator(256, 3)),
+        compose_measurement_basis(
+            make_dft_operator(256, two_dim=True), make_haar_operator(256, 2, two_dim=True)
+        ),
+        compose_measurement_basis(make_haar_operator(256, 2), make_haar_operator(256, 4, two_dim=True)),
+        make_dense_operator(random_unitary(16, np.random.default_rng(36))),
+    ]
+    expected = [dense_sparse_coherence(op, 5) for op in ops]
+
+    def refuse(self):
+        raise AssertionError("sparse_coherence_vector built the dense matrix")
+
+    monkeypatch.setattr(UnitaryOperator, "matrix", refuse)
+    for op, want in zip(ops, expected):
+        np.testing.assert_allclose(sparse_coherence_vector(op, 5), want, rtol=1e-12, atol=0)
 
 
 def _support_union(n, s):

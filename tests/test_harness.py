@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,35 @@ def test_build_problem_sparse_dft_flat_coherence(tmp_path):
     assert np.allclose(problem.alpha, math.sqrt(6 / 64), atol=1e-12)
     assert problem.max_dim == 6  # min(2k, n)
     assert problem.log_subspace_count == pytest.approx(6 * math.log(math.e * 64 / 6))
+
+
+def _image_mapping(tmp_path, side):
+    """The compare_image_2d problem at ``side``: dft2 over a 3-level haar2 basis, k = 40."""
+    return _sparse_mapping(
+        tmp_path, n=side * side, sparse_k=40, measurement="dft2", sparsity="haar2", sparsity_levels=3
+    )
+
+
+def test_build_problem_side_64_image_peak_memory(tmp_path):
+    """A side-64 image problem builds in under 16 MB: its dense complex matrix alone is 268 MB."""
+    config = ExperimentConfig(_image_mapping(tmp_path, 64))
+    tracemalloc.start()
+    try:
+        build_problem(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_build_problem_side_128_image(tmp_path):
+    """A side-128 image problem builds, though its dense complex matrix alone would be 4.3 GB.
+    The DC row meets only the 256 approximation wavelets, each at |A_0k|^2 = 4^3 / n = 1/256,
+    so its coherence against 2k = 80-sparse vectors is sqrt(80/256)."""
+    problem = build_problem(ExperimentConfig(_image_mapping(tmp_path, 128)))
+    assert problem.alpha.shape == (128 * 128,)
+    assert problem.alpha[0] == pytest.approx(math.sqrt(80 / 256), rel=1e-12)
+    assert np.all(problem.alpha > 0) and np.all(problem.alpha <= 1 + 1e-12)
 
 
 def test_build_problem_union_uses_difference_set(tmp_path):

@@ -954,9 +954,14 @@ def test_corollary_single_measurement():
 
 
 def test_corollary_rejects_zero_coherence_rows():
+    """A drawn row needs a positive coherence (NaN fails), and ||alpha|| must be finite."""
     sample = DrawnSample(uniform_plan(4), [1])
-    with pytest.raises(ValueError, match="positive coherence"):
-        deterministic_corollary_bound(sample, np.array([1.0, 0.0, 1.0, 1.0]), 0.5)
+    for drawn in (0.0, math.nan):
+        with pytest.raises(ValueError, match="positive coherence"):
+            deterministic_corollary_bound(sample, np.array([1.0, drawn, 1.0, 1.0]), 0.5)
+    for other in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            deterministic_corollary_bound(sample, np.array([other, 1.0, 1.0, 1.0]), 0.5)
 
 
 def test_relative_recovery_error_examples():

@@ -116,6 +116,13 @@ def test_mu_infinite_reported():
         complexity_mu(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("alpha", [[-1.0, 1.0], [math.nan, 1.0], [math.inf, 1.0]])
+def test_mu_rejects_negative_or_nonfinite_alpha(alpha):
+    """Unchecked, [-1, 1] would score 1.414, its negative entry read as an excluded row."""
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        complexity_mu(np.array(alpha), np.array([0.5, 0.5]))
+
+
 def test_mu_optimality_over_random_plans():
     """p' minimizes mu uniquely: 100 random alphas, 50 perturbed plans each worse."""
     rng = _rng(41)
@@ -244,6 +251,8 @@ def test_truncation_rejects_short_vectors():
         unit_truncation(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         unit_truncation(np.array([0.1, -0.2, 2.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        unit_truncation(np.array([math.nan, 2.0]))
 
 
 def test_truncation_handles_exactly_unit_input():
@@ -362,6 +371,19 @@ def test_noise_factor_bounds_reject_nonpositive_t(t):
     plan = optimized_probabilities(alpha)
     with pytest.raises(ValueError, match="t must be positive"):
         noise_factor_bounds(plan, draw_sample(plan, 4, 15), alpha, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_noise_factor_and_bounds_reject_a_bad_alpha_at_a_drawn_row(bad):
+    """Unchecked, a NaN at a drawn row gives a finite noise factor (1.0 here) and NaN bounds."""
+    plan = uniform_plan(8)
+    sample = draw_sample(plan, 6, 17)
+    alpha = np.ones(8)
+    alpha[sample.omega[0]] = bad
+    with pytest.raises(ValueError, match="negative or non-finite"):
+        noise_factor(sample, alpha)
+    with pytest.raises(ValueError, match="negative or non-finite"):
+        noise_factor_bounds(plan, sample, alpha, 0.5)
 
 
 def test_optimized_max_d_closed_form():
