@@ -431,9 +431,11 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
     evaluated iterate in start-major order (strict ``<`` within a column, the
     lowest column on ties across columns), the point being the column of
     whatever ``value_and_grad`` returned second, and the number of
-    evaluations. A non-finite objective raises ValueError. ``project`` runs it
-    on ||G(z) - x||_2^2 with G(z) as the point; ``recover_generative`` on the
-    draw's folded system with the last hidden activation as the point.
+    evaluations. The running best is updated in place, so memory stays
+    O(d R) at any ``iters``. A non-finite objective raises ValueError.
+    ``project`` runs it on ||G(z) - x||_2^2 with G(z) as the point;
+    ``recover_generative`` on the draw's folded system with the last hidden
+    activation as the point.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -445,17 +447,17 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
     update = np.empty_like(z)
     denom = np.empty_like(z)
     best_obj = np.full(z.shape[1], np.inf)
+    better = np.empty(z.shape[1], dtype=bool)
     best_x = None
     for it in range(1, iters + 1):
         obj, x, gz = value_and_grad(z)
-        if not np.all(np.isfinite(obj)):
+        if not np.isfinite(obj).all():
             raise ValueError("latent descent met a non-finite objective")
-        better = obj < best_obj
-        best_obj = np.where(better, obj, best_obj)
         if best_x is None:
-            best_x = np.array(x)
-        else:
-            best_x[:, better] = x[:, better]
+            best_x = np.empty_like(x)  # the first step beats inf in every column
+        np.less(obj, best_obj, out=better)
+        np.copyto(best_obj, obj, where=better)
+        np.copyto(best_x, x, where=better)
         if it == iters:
             break  # the budget is spent; a further step would go unevaluated
         # in place, and in the order of m1 = 0.9 m1 + 0.1 g, m2 = 0.999 m2 + 0.001 g^2 and

@@ -216,45 +216,56 @@ def recover_generative(
     the first restart instead) and runs exactly ``iters`` Adam steps; there is no
     early stop. G's last layer W is linear, so A G(z) = M h(z) with h the last
     hidden activation and M = A W, built by one batched transform per call:
-    the pool ranking and the restarts, run as one (k, restarts) block, read
-    only M and the folded target, in real-stacked form. x_hat = W h is formed
-    for the winner alone, and its objective is ``objective(A, x_hat, b)``, one
-    more transform. Returns the best iterate ever evaluated; its gap to the
-    global minimum is unknown and flagged epsilon_uncertified.
+    the pool ranking and the restarts read only M and the folded target, in
+    real-stacked form. Every pool is drawn in one call and ranked by one
+    product with M; the restarts run as one (k, restarts) block whose residual
+    reuses one buffer. x_hat = W h is formed for the winner alone, and its
+    objective is ``objective(A, x_hat, b)``, one more transform. Returns the
+    best iterate ever evaluated; its gap to the global minimum is unknown and
+    flagged epsilon_uncertified. ``step`` must be positive and finite.
     """
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
     for key, value in (("restarts", restarts), ("iters", iters), ("init_pool", init_pool)):
         if _integer(key, value) < 1:
             raise ValueError(f"{key} must be at least 1")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:  # written so that NaN fails too
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     u, const = A.fold(b)  # reads no rng
     # ||A W h - u||^2 = ||M h - u||^2 over the reals, with M = A W and u stacked real
     design = _stack_real(A.forward(net.weights[-1]))
     target = _stack_real(u)[:, None]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
-
-    def best_of_pool():
-        # the folded residuals rank as the m-row ones: they differ by the shared const
-        pool = rng.standard_normal((k, init_pool))
-        r = design @ _hidden_pullback(net, pool)[0] - target
-        return pool[:, int(np.argmin(np.sum(r * r, axis=0)))]
-
     if init_z is not None:
         init_z = np.asarray(init_z, dtype=np.float64)
         if init_z.shape != (k,):
             raise ValueError("init_z must have the latent dimension")
-    # drawn eagerly in restart order: the rng is read exactly as one restart at a time would
-    starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(restarts)]
+
+    # every pool in one draw reads the rng as one restart at a time would, and one block
+    # ranks them all; the folded residuals rank as the m-row ones, as they differ by const
+    drawn = restarts - (init_z is not None)
+    pools = rng.standard_normal((drawn, k, init_pool))
+    r = design @ _hidden_pullback(net, pools.transpose(1, 0, 2).reshape(k, -1))[0] - target
+    picks = np.argmin(np.sum(r * r, axis=0).reshape(drawn, init_pool), axis=1)
+    starts = pools[np.arange(drawn), :, picks].T
+    if init_z is not None:
+        starts = np.column_stack([init_z, starts])
+
+    # 2 M^T r is (2 M^T) r bitwise, as doubling is exact; the residual and its square
+    # reuse two buffers, and the target is tiled once to the block's width
+    design_t2 = (2.0 * design).T
+    tiled = np.tile(target, restarts)
+    r = np.empty_like(tiled)
+    sq = np.empty_like(tiled)
 
     def value_and_grad(z):
         h, vjp = _hidden_pullback(net, z)
-        r = design @ h - target
-        return np.sum(r * r, axis=0), h, vjp(2.0 * (design.T @ r))
+        np.matmul(design, h, out=r)
+        np.subtract(r, tiled, out=r)
+        return np.multiply(r, r, out=sq).sum(axis=0), h, vjp(design_t2 @ r)
 
-    (_, h_hat), total = _latent_adam(value_and_grad, np.column_stack(starts), iters, step)
+    (_, h_hat), total = _latent_adam(value_and_grad, starts, iters, step)
     x_hat = net.weights[-1] @ h_hat
     return RecoveryResult(x_hat, objective(A, x_hat, b), total, ("epsilon_uncertified",))
 

@@ -4,12 +4,13 @@ The dense matrices are built from explicit formulas (index grids, wavelet
 rows, Kronecker products) rather than the package's fast transforms, so
 agreement is evidence and not tautology. The straightforward kernels at the
 end (the sparse coherence read off the dense matrix, a full lexsort hard
-threshold, a Haar cascade that copies its bands,
-the m-row scatter adjoint of the measurement, the latent Adam core that
-allocates its moments each step, the generative restart loop with its
-patience stop) are the package's earlier implementations, kept as
+threshold, a Haar cascade that copies its bands, the m-row scatter adjoint
+of the measurement, the latent Adam core that allocates its moments each
+step, the batched generative solver that draws and ranks one pool per
+restart and allocates each step's residual, the generative restart loop
+with its patience stop) are the package's earlier implementations, kept as
 references for the code that replaced them: bitwise, except the dense
-coherence, the Haar cascade, the scatter adjoint and the generative loop,
+coherence, the Haar cascade, the scatter adjoint and the patience loop,
 which the band-wise coherence, the block-matmul Haar, the folded
 ``SampledOperator`` and the batched solver on the last hidden layer match to
 rounding. Together with
@@ -22,7 +23,8 @@ import math
 
 import numpy as np
 
-from vdslab.priors import generative_forward, generative_pullback
+from vdslab.priors import _hidden_pullback, generative_forward, generative_pullback
+from vdslab.recovery import _stack_real, objective
 from vdslab.sampling import apply_measurement
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -186,6 +188,39 @@ def allocating_latent_adam(value_and_grad, starts, iters, step):
         z = z - step * (m1 / (1.0 - 0.9**it)) / (np.sqrt(m2 / (1.0 - 0.999**it)) + 1e-8)
     col = int(np.argmin(best_obj))
     return (float(best_obj[col]), best_x[:, col].copy()), z.shape[1] * iters
+
+
+def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.05, init_pool=16, seed=0,
+                                  init_z=None):
+    """Reference batched generative solver: one pool drawn and ranked per restart, a residual
+    and a doubled gradient allocated every step, and ``allocating_latent_adam``.
+
+    Same arithmetic as ``recovery.recover_generative`` on the block M = A W_last,
+    without its checks. Returns (x_hat, objective, iterations).
+    """
+    u, _ = A.fold(b)
+    design = _stack_real(A.forward(net.weights[-1]))
+    target = _stack_real(u)[:, None]
+    rng = np.random.Generator(np.random.Philox(seed))
+    k = net.latent_dim
+
+    def best_of_pool():
+        pool = rng.standard_normal((k, init_pool))
+        r = design @ _hidden_pullback(net, pool)[0] - target
+        return pool[:, int(np.argmin(np.sum(r * r, axis=0)))]
+
+    if init_z is not None:
+        init_z = np.asarray(init_z, dtype=np.float64)
+    starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(restarts)]
+
+    def value_and_grad(z):
+        h, vjp = _hidden_pullback(net, z)
+        r = design @ h - target
+        return np.sum(r * r, axis=0), h, vjp(2.0 * (design.T @ r))
+
+    (_, h_hat), total = allocating_latent_adam(value_and_grad, np.column_stack(starts), iters, step)
+    x_hat = net.weights[-1] @ h_hat
+    return x_hat, objective(A, x_hat, b), total
 
 
 def patience_recover_generative(A, b, net, config):

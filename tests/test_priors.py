@@ -1,6 +1,7 @@
 """Prior sets: projection, difference unions, count bounds, serialization."""
 
 import math
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -386,6 +387,47 @@ def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
     assert (obj, x.tolist(), total) == (1.0, [1.0], 21)
     assert len(blocks) == 7 and all(b.shape == (1, 3) for b in blocks)
     assert np.all(blocks[-1] < blocks[0])  # the ties were between distinct iterates
+
+
+def test_latent_adam_tie_goes_to_the_earliest_iterate_and_the_lowest_column():
+    """Two columns reach the same minimum, one at step 4 and the other at step 2, and hold it:
+    the winner is the lowest column's first iterate at the minimum, whichever column got there
+    first. Each point is its step number, so the winner names its step."""
+    scripts = {"late": [5.0, 4.0, 3.0, 1.0, 1.0, 1.0], "early": [4.0, 1.0, 1.0, 1.0, 2.0, 1.0]}
+
+    def run(order):
+        step = iter(range(1, 7))
+
+        def scripted(z):
+            it = next(step)
+            objs = np.array([scripts[name][it - 1] for name in order])
+            return objs, np.full((2, len(order)), float(it)), np.zeros_like(z)
+
+        return _latent_adam(scripted, np.zeros((1, len(order))), 6, 0.1)
+
+    for order, winner in ((["late", "early"], 4.0), (["early", "late"], 2.0), (["late"], 4.0)):
+        (obj, point), total = run(order)
+        assert (obj, point.tolist(), total) == (1.0, [winner, winner], 6 * len(order))
+
+
+def test_latent_adam_memory_does_not_grow_with_iters():
+    """The running best is kept in place, so the peak allocation is O(d R) at any budget."""
+    centre = np.linspace(-1.0, 1.0, 64)[:, None]
+    starts = np.random.default_rng(3).standard_normal((64, 10))
+
+    def quadratic(z):
+        r = z - centre
+        return np.sum(r**2, axis=0), z.copy(), 2.0 * r
+
+    peaks = []
+    for iters in (20, 2000):
+        tracemalloc.start()
+        try:
+            _latent_adam(quadratic, starts, iters, 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_latent_adam_columns_run_independently():

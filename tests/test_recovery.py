@@ -5,10 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    allocating_recover_generative,
     dense_support_least_squares,
     dft_matrix,
     haar_matrix,
@@ -595,43 +596,85 @@ def test_generative_init_z_shape_checked():
         )
 
 
+def _generative_case(seed, n, haar, widths, m, sigma, config, pin_start):
+    """(A, b, net, config) for a draw of m rows on a real Haar (``haar``) or complex DFT operator
+    of size n and a net of the given widths before its last layer; all data come from ``seed``."""
+    rng = _rng(seed)
+    F = make_haar_operator(n, 2) if haar else make_dft_operator(n)
+    net = _random_net((*widths, n), rng)
+    plan = optimized_probabilities(0.5 + rng.random(n))
+    sample = draw_sample(plan, m, rng)
+    x0 = generative_forward(net, rng.standard_normal(net.latent_dim))
+    ms = simulate_measurements(F, sample, x0, sigma, seed=rng)
+    if pin_start:
+        config = {**config, "init_z": rng.standard_normal(net.latent_dim)}
+    return SampledOperator(F, sample), ms, net, config
+
+
 @st.composite
 def _generative_cases(draw):
     """(A, b, net, config): real Haar and complex DFT draws, nets of one and two hidden layers,
     iters <= 100, with and without init_z."""
-    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.sampled_from([16, 32]))
-    F = make_haar_operator(n, 2) if draw(st.booleans()) else make_dft_operator(n)
-    net = _random_net((draw(st.integers(1, 3)), *draw(st.sampled_from([(8,), (8, 12)])), n), rng)
-    plan = optimized_probabilities(0.5 + rng.random(n))
-    sample = draw_sample(plan, draw(st.integers(1, 2 * n)), rng)
-    x0 = generative_forward(net, rng.standard_normal(net.latent_dim))
-    ms = simulate_measurements(F, sample, x0, draw(st.sampled_from([0.0, 0.5])), seed=rng)
+    haar = draw(st.booleans())
+    widths = (draw(st.integers(1, 3)), *draw(st.sampled_from([(8,), (8, 12)])))
+    m = draw(st.integers(1, 2 * n))
+    sigma = draw(st.sampled_from([0.0, 0.5]))
     config = {
         "restarts": draw(st.integers(1, 4)),
         "iters": draw(st.integers(1, 100)),
         "init_pool": draw(st.integers(1, 16)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
-    if draw(st.booleans()):
-        config["init_z"] = rng.standard_normal(net.latent_dim)
-    return SampledOperator(F, sample), ms, net, config
+    return _generative_case(seed, n, haar, widths, m, sigma, config, draw(st.booleans()))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_generative_cases())
+# a descent that ends near z = 0: five steps take |z| from 0.19 to near 0, so |x_hat| = 2.9e-5
+# while the two results are 2.1e-16 apart
+@example(_generative_case(275, 16, False, (1, 8), 2, 0.5,
+                          {"restarts": 1, "iters": 5, "init_pool": 1, "seed": 23837}, False))
 def test_generative_matches_patience_loop(case):
     """Within the 100 steps the old patience stop allowed, the batched folded core is the
     one-restart-at-a-time loop on the m-row draw, up to rounding."""
     A, ms, net, config = case
     res = recover_generative(A, ms, net, **config)
-    x_hat, obj, iterations, _ = patience_recover_generative(A, ms, net, config)
+    x_hat, obj, iterations, starts = patience_recover_generative(A, ms, net, config)
     assert res.iterations == iterations
-    # norm-wise: an entry near zero can carry a larger share of the rounding
-    assert np.linalg.norm(res.x_hat - x_hat) <= 1e-12 * np.linalg.norm(x_hat)
+    # The two follow one Adam path up to rounding, so their winners differ by rounding of the
+    # latents the path reaches, carried through G, which is prod ||W_i||_2-Lipschitz as the
+    # ReLU is 1-Lipschitz. An Adam step moves a coordinate by at most
+    # step (1 - beta1) / sqrt(1 - beta2) = step 0.1 / sqrt(0.001) (Kingma & Ba 2015, sec. 2.1),
+    # so no iterate is farther from 0 than max |start| + iters step sqrt(k) 0.1 / sqrt(0.001).
+    # Scaling by |x_hat| alone is not enough: a descent that ends near z = 0 has a tiny x_hat.
+    reach = np.linalg.norm(starts, axis=0).max() + config["iters"] * 0.05 * (
+        math.sqrt(net.latent_dim) * 0.1 / math.sqrt(0.001))
+    lipschitz = math.prod(np.linalg.norm(w, 2) for w in net.weights)
+    assert np.linalg.norm(res.x_hat - x_hat) <= 1e-12 * (np.linalg.norm(x_hat) + lipschitz * reach)
     target = A.sample.d_tilde * ms
     assert abs(res.objective - obj) <= 1e-12 * (1.0 + np.real(np.vdot(target, target)))
     assert objective(A, res.x_hat, ms) == res.objective
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generative_cases())
+# no hidden layer, three hidden layers, and one restart pinned by init_z, so no pool is drawn
+@example(_generative_case(31, 32, False, (3,), 24, 0.5,
+                          {"restarts": 4, "iters": 30, "init_pool": 8, "seed": 5}, False))
+@example(_generative_case(31, 32, False, (2, 8, 12, 16), 24, 0.5,
+                          {"restarts": 3, "iters": 40, "init_pool": 5, "seed": 5}, False))
+@example(_generative_case(31, 32, True, (3, 8), 24, 0.5,
+                          {"restarts": 1, "iters": 20, "init_pool": 16, "seed": 5}, True))
+def test_generative_is_the_allocating_solver_bitwise(case):
+    """One-block pool ranking, the buffered residual, the doubled M^T and the in-place running
+    best give the per-restart, allocating solver's x_hat, objective and count bitwise."""
+    A, ms, net, config = case
+    res = recover_generative(A, ms, net, **config)
+    x_hat, obj, iterations = allocating_recover_generative(A, ms, net, **config)
+    assert np.array_equal(res.x_hat, x_hat)
+    assert (res.objective, res.iterations) == (obj, iterations)
 
 
 @settings(max_examples=30, deadline=None)
@@ -709,6 +752,7 @@ def test_generative_runs_the_full_iteration_budget():
         ({"iters": 2.5}, "iters must be an integer, got 2.5"),
         ({"init_pool": 2.5}, "init_pool must be an integer, got 2.5"),
         ({"iters": math.nan}, "iters must be an integer, got nan"),
+        ({"step": math.inf}, "step must be positive and finite, got inf"),
     ],
 )
 def test_generative_rejects_bad_config(config, message):
