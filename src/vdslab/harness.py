@@ -3,7 +3,8 @@
 A sweep walks the (sigma, m) grid cell by cell and runs seeded independent
 trials in each cell. Per-trial randomness comes from four spawned streams of
 SeedSequence(master_seed, spawn_key=(cell_index, trial)): signal, draw,
-noise, solver. The sampling scheme never enters the spawn key, so optimized
+noise, solver. A sweep derives every trial's keys in one batch, bitwise
+equal to that SeedSequence's. The sampling scheme never enters the spawn key, so optimized
 and uniform runs of the same config consume identical signals and noise
 (common random numbers). Trials run one after another in task order, so the
 output CSV bytes are deterministic.
@@ -22,6 +23,7 @@ from operator import index
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .coherence import (
     coherence_vector,
@@ -440,26 +442,142 @@ class TrialStreams:
     solver_seed: int
 
 
+# The hash of numpy.random.SeedSequence (O'Neill's seed_seq with NumPy's constants), whose output
+# NumPy keeps stable across releases. A key's entropy is the master seed's words, padded with zeros
+# to the pool size, then the spawn key's words; each word past the pool size is mixed into all four
+# pool words with four successive hashmix constants. Every key of a sweep shares the master seed,
+# so its pool is mixed once in Python integers, and only the spawn-key words run per key, as uint32
+# arrays whose products wrap silently.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, while mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # while generating state from the pool
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _powers(start: int, mult: int, count: int) -> list:
+    """start * mult**i mod 2**32 for i < count: the successive hash constants."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _xorshift(v):
+    return v ^ (v >> 16)
+
+
+def _master_pool(master_seed: int) -> tuple:
+    """(pool, hashmix constant reached) after SeedSequence mixes in the master seed's words."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
+    words = [master_seed & _MASK32]  # little-endian uint32 words, one word for 0
+    while master_seed >> 32:
+        master_seed >>= 32
+        words.append(master_seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))  # a spawn key makes SeedSequence pad to the pool size
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        return _xorshift(value * const & _MASK32)
+
+    def mix(x, y):
+        return _xorshift((_MIX_L * x - _MIX_R * y) & _MASK32)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool, const
+
+
+def _absorb(pool: np.ndarray, words: np.ndarray, const: int) -> tuple:
+    """(pool, next constant) after mixing one entropy word past the pool size into every pool word.
+
+    ``pool`` is uint32 of shape (4, ...) and ``words`` uint32 broadcasting against ``pool[0]``.
+    """
+    consts = _powers(const, _MULT_A, _POOL_SIZE + 1)
+    table = np.array(consts, dtype=np.uint32).reshape(-1, *[1] * words.ndim)
+    hashed = _xorshift((words ^ table[:-1]) * table[1:])
+    return _xorshift(np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * hashed), consts[-1]
+
+
+def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, np.uint64) of each pool, stacked along axis 0."""
+    consts = np.array(_powers(_INIT_B, _MULT_B, 2 * n_words + 1), dtype=np.uint32)
+    consts = consts.reshape(-1, *[1] * (pool.ndim - 1))
+    words = _xorshift((pool[np.arange(2 * n_words) % _POOL_SIZE] ^ consts[:-1]) * consts[1:])
+    words = words.astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+def _stream_keys(master_seed: int, cells, trials) -> np.ndarray:
+    """(N, 8) uint64 per (cell, trial) pair: seed_id, the signal, draw and noise Philox keys
+    (two words each) and solver_seed, bitwise those of trial_streams's derivation.
+
+    Key i is ``SeedSequence(master_seed, spawn_key=(cells[i], trials[i]))``:
+    seed_id is its first uint64 state word, and its ``spawn(4)`` children,
+    spawn keys (cells[i], trials[i], c), give the rest. Cells and trials
+    must lie in [0, 2**32), so each takes one entropy word.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    trials = np.asarray(trials, dtype=np.int64)
+    if cells.shape != trials.shape or cells.ndim != 1:
+        raise ValueError("cells and trials must be vectors of equal length")
+    if np.any((cells < 0) | (cells > _MASK32) | (trials < 0) | (trials > _MASK32)):
+        raise ValueError("cell and trial indices must lie in [0, 2**32)")
+    pool, const = _master_pool(index(master_seed))
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool, const = _absorb(pool, cells.astype(np.uint32), const)
+    root, const = _absorb(pool, trials.astype(np.uint32), const)
+    # a child's entropy is its root's plus one word, so its pool is the root's with that word mixed in
+    children, _ = _absorb(root[:, None, :], np.arange(4, dtype=np.uint32)[:, None], const)
+    keys = _generate(children, 2)  # (word, child, key)
+    # the solver's seed is its first word, as generate_state(1, np.uint64) gives it
+    return np.column_stack([_generate(root, 1)[0], keys[:, 0].T, keys[:, 1].T, keys[:, 2].T, keys[0, 3]])
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands Philox one precomputed key (two uint64 words)."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.key
+
+
+def _streams(keys: np.ndarray) -> TrialStreams:
+    """Fresh generators from one row of ``_stream_keys``."""
+    signal, draw, noise = (
+        np.random.Generator(np.random.Philox(_PhiloxKey(keys[j : j + 2]))) for j in (1, 3, 5)
+    )
+    return TrialStreams(int(keys[0]), signal, draw, noise, int(keys[7]))
+
+
 def trial_streams(master_seed: int, cell_index: int, trial: int) -> TrialStreams:
     """Derive the four per-trial streams from (master_seed, cell, trial).
 
-    The sampling scheme stays out of the derivation on purpose: runs that
-    differ only in scheme see the same signals and noise.
+    The streams are the spawned children (signal, draw, noise, solver) of
+    ``SeedSequence(master_seed, spawn_key=(cell_index, trial))``, and
+    ``seed_id`` is that root's first uint64 state word; this is the
+    one-trial case of the batch a sweep derives. The sampling scheme stays
+    out of the derivation on purpose: runs that differ only in scheme see
+    the same signals and noise.
     """
-    root = np.random.SeedSequence(master_seed, spawn_key=(cell_index, trial))
-    seed_id = int(root.generate_state(1, dtype=np.uint64)[0])
-    signal_ss, draw_ss, noise_ss, solver_ss = root.spawn(4)
-    return TrialStreams(
-        seed_id,
-        np.random.Generator(np.random.Philox(signal_ss)),
-        np.random.Generator(np.random.Philox(draw_ss)),
-        np.random.Generator(np.random.Philox(noise_ss)),
-        int(solver_ss.generate_state(1, dtype=np.uint64)[0]),
-    )
+    return _streams(_stream_keys(master_seed, [cell_index], [trial])[0])
 
 
-def _run_trial(problem, plan, config, scheme, cell_index, m, sigma, trial) -> ExperimentRecord:
-    streams = trial_streams(config.master_seed, cell_index, trial)
+def _run_trial(problem, plan, config, scheme, m, sigma, trial, streams: TrialStreams) -> ExperimentRecord:
     x0 = _draw_signal(problem, streams.signal)
     sample = draw_sample(plan, m, streams.draw)
     cell = f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
@@ -520,17 +638,21 @@ def _keep_freed_heap() -> None:
 def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
     config.require("m_grid", "sigma_grid")
     _keep_freed_heap()
-    cells = [
-        (si * len(config.m_grid) + mi, m, sigma)
-        for si, sigma in enumerate(config.sigma_grid)
-        for mi, m in enumerate(config.m_grid)
-    ]
-    plans = {scheme: _plan_for(problem, config, scheme) for scheme in schemes}
-    return [
-        _run_trial(problem, plans[scheme], config, scheme, cell_index, m, sigma, trial)
-        for scheme in schemes
-        for cell_index, m, sigma in cells
+    tasks = [
+        (m, sigma, trial)
+        for sigma in config.sigma_grid
+        for m in config.m_grid
         for trial in range(config.trials)
+    ]
+    # cell index si * len(m_grid) + mi of task t is t // trials
+    task_ids = np.arange(len(tasks))
+    keys = _stream_keys(config.master_seed, task_ids // config.trials, task_ids % config.trials)
+    plans = {scheme: _plan_for(problem, config, scheme) for scheme in schemes}
+    # every scheme builds fresh generators from the same keys: common random numbers
+    return [
+        _run_trial(problem, plans[scheme], config, scheme, m, sigma, trial, _streams(row))
+        for scheme in schemes
+        for (m, sigma, trial), row in zip(tasks, keys)
     ]
 
 
@@ -568,7 +690,8 @@ def run_single_trial(config: ExperimentConfig):
     config.require("m", "sigma")
     problem = build_problem(config)
     plan = _plan_for(problem, config, config.scheme)
-    return _run_trial(problem, plan, config, config.scheme, 0, config.m, config.sigma, 0)
+    streams = trial_streams(config.master_seed, 0, 0)
+    return _run_trial(problem, plan, config, config.scheme, config.m, config.sigma, 0, streams)
 
 
 def run_denoise_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:

@@ -15,6 +15,7 @@ noise_factor <= max(gathered d) <= max(d) valid in the compressed regime.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +42,19 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class SamplingPlan:
     """Row probabilities p with the matching preconditioner diagonal d.
 
     Excluded rows carry p_i = 0 and d_i = 0 and are never drawn; on the
     support d_i * sqrt(n * p_i) = 1.
+
+    Two read-only tables, ``cdf`` and ``d_rank``, are built on first use and
+    then kept, so every draw and noise factor on the plan reads the same ones.
     """
 
     def __init__(self, p: np.ndarray, d: np.ndarray):
@@ -63,13 +72,23 @@ class SamplingPlan:
             raise ValueError("d_i * sqrt(n p_i) != 1 on the support")
         if np.any(d[~support] != 0.0):
             raise ValueError("excluded rows must carry d_i = 0")
-        p = p.copy()
-        d = d.copy()
-        p.setflags(write=False)
-        d.setflags(write=False)
-        self.p = p
-        self.d = d
+        self.p = _read_only(p.copy())
+        self.d = _read_only(d.copy())
         self.n = n
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative sum of p, closed to exactly 1 from the last supported row on, so that
+        every u < 1 lands on a supported row; ``draw_sample`` searches it."""
+        cdf = np.cumsum(self.p)
+        cdf[np.flatnonzero(self.p)[-1] :] = 1.0
+        return _read_only(cdf)
+
+    @cached_property
+    def d_rank(self) -> np.ndarray:
+        """Dense descending rank of d: the largest d has rank 0 and equal d share a rank, in the
+        smallest unsigned dtype that holds n; the noise factor sorts a draw by it."""
+        return _read_only(np.unique(-self.d, return_inverse=True)[1].astype(np.min_scalar_type(self.n)))
 
     def __repr__(self) -> str:
         excluded = int(np.sum(self.p == 0))
@@ -82,7 +101,8 @@ class DrawnSample:
     ``omega`` holds the drawn rows and ``d_tilde = plan.d[omega]`` their
     preconditioner entries, both read-only and in draw order. Every drawn row
     must be in range and in the plan's support (d > 0). ``scale`` is the
-    sqrt(n/m) row normalization for signals of dimension ``n``.
+    sqrt(n/m) row normalization for signals of dimension ``n``, and ``plan``
+    is the plan drawn from.
     """
 
     def __init__(self, plan: SamplingPlan, omega):
@@ -98,6 +118,7 @@ class DrawnSample:
             raise ValueError("every drawn row needs d_tilde > 0 (a row the plan excludes was drawn)")
         omega.setflags(write=False)
         d_tilde.setflags(write=False)
+        self.plan = plan
         self.omega = omega
         self.d_tilde = d_tilde
         self.n = plan.n
@@ -160,7 +181,7 @@ def complexity_mu(alpha, p) -> float:
 
 
 def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
-    """Draw m i.i.d. row indices by inverse CDF on a counter-based stream."""
+    """Draw m i.i.d. row indices by inverse CDF (the plan's ``cdf``) on a counter-based stream."""
     m = int(m)
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -168,10 +189,7 @@ def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
         rng = rng_seed
     else:
         rng = np.random.Generator(np.random.Philox(rng_seed))
-    cum = np.cumsum(plan.p)
-    # close the table exactly from the last supported row on: u < 1 always lands on a supported row
-    cum[np.flatnonzero(plan.p)[-1] :] = 1.0
-    return DrawnSample(plan, np.searchsorted(cum, rng.random(m), side="right"))
+    return DrawnSample(plan, np.searchsorted(plan.cdf, rng.random(m), side="right"))
 
 
 def _truncation_index(v: np.ndarray) -> int:
@@ -203,11 +221,16 @@ def unit_truncation(v: np.ndarray) -> np.ndarray:
 
 
 def _sorted_gathers(sample: DrawnSample, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """d_tilde and alpha on the drawn rows, sorted so d_tilde is non-increasing (stable in draw position)."""
+    """d_tilde and alpha on the drawn rows, sorted so d_tilde is non-increasing (stable in draw position).
+
+    The stable sort of the drawn rows' d ranks is the permutation of a stable
+    sort of -d_tilde: the ranks order the rows as d does, ties included. On
+    ranks of 16 bits or fewer NumPy's stable sort is a radix sort.
+    """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.size != sample.n:
         raise ValueError("alpha length does not match the sample")
-    order = np.argsort(-sample.d_tilde, kind="stable")
+    order = np.argsort(sample.plan.d_rank[sample.omega], kind="stable")
     return sample.d_tilde[order], alpha[sample.omega[order]]
 
 

@@ -45,6 +45,7 @@ class UnitaryOperator:
     def __init__(self, n: int, field: str):
         self.n = int(n)
         self.field = field
+        self._conjugate = None
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -72,8 +73,16 @@ class UnitaryOperator:
     def conjugate_rows(self) -> np.ndarray:
         """Row permutation P with conj(forward(x)) == forward(x)[P] for every real x.
 
-        The identity: exact for real operators; for complex ones it makes the fold's ||A||^2 a bound.
+        Built once per operator and read-only; every sampled operator on it reads it.
         """
+        if self._conjugate is None:
+            rows = self._conjugate_rows()
+            rows.setflags(write=False)
+            self._conjugate = rows
+        return self._conjugate
+
+    def _conjugate_rows(self) -> np.ndarray:
+        """The identity: exact for real operators; for complex ones it makes the fold's ||A||^2 a bound."""
         return np.arange(self.n)
 
     def _column_bands(self) -> tuple:
@@ -104,7 +113,7 @@ class _Dft1d(UnitaryOperator):
     def _adjoint(self, y):
         return np.fft.ifft(y, axis=0, norm="ortho")
 
-    def conjugate_rows(self):
+    def _conjugate_rows(self):
         return -np.arange(self.n) % self.n
 
     def _column_bands(self):
@@ -132,7 +141,7 @@ class _Dft2d(UnitaryOperator):
         out = np.fft.ifft2(img, axes=(0, 1), norm="ortho")
         return out.reshape(self.n, -1) if batched else out.reshape(self.n)
 
-    def conjugate_rows(self):
+    def _conjugate_rows(self):
         neg = -np.arange(self.side) % self.side
         return (neg[:, None] * self.side + neg).ravel()
 
@@ -331,9 +340,11 @@ class _Composed(UnitaryOperator):
     def _adjoint(self, y):
         return self.sparsity.forward(self.measurement.adjoint(y))
 
-    def conjugate_rows(self):
+    def _conjugate_rows(self):
         # a real sparsity basis keeps x real on its way into the measurement
-        return (self.measurement if self.sparsity.field == "real" else super()).conjugate_rows()
+        if self.sparsity.field == "real":
+            return self.measurement.conjugate_rows()
+        return super()._conjugate_rows()
 
     def _column_bands(self):
         # column k is the measured k-th wavelet; the wavelets of one Haar band are translates of

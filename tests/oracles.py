@@ -8,12 +8,13 @@ threshold, a Haar cascade that copies its bands, the m-row scatter adjoint
 of the measurement, the latent Adam core that allocates its moments each
 step, the batched generative solver that draws and ranks one pool per
 restart and allocates each step's residual, the generative restart loop
-with its patience stop) are the package's earlier implementations, kept as
-references for the code that replaced them: bitwise, except the dense
-coherence, the Haar cascade, the scatter adjoint and the patience loop,
-which the band-wise coherence, the block-matmul Haar, the folded
-``SampledOperator`` and the batched solver on the last hidden layer match to
-rounding. Together with
+with its patience stop, the trial streams spawned from one SeedSequence per
+trial, the noise factor's float sort of the draw) are the package's earlier
+implementations, kept as references for the code that replaced them: bitwise,
+except the dense coherence, the Haar cascade, the scatter adjoint and the
+patience loop, which the band-wise coherence, the block-matmul Haar, the
+folded ``SampledOperator`` and the batched solver on the last hidden layer
+match to rounding. Together with
 ``sampling.apply_measurement(F, sample, x, preconditioned=True)`` and the
 target ``sample.d_tilde * b`` they are the m-row D~ S F that the folded
 operator replaced in every solver, ``objective`` and ``rip_check``.
@@ -23,6 +24,7 @@ import math
 
 import numpy as np
 
+from vdslab.harness import TrialStreams
 from vdslab.priors import _hidden_pullback, generative_forward, generative_pullback
 from vdslab.recovery import _stack_real, objective
 from vdslab.sampling import apply_measurement
@@ -284,3 +286,25 @@ def patience_recover_generative(A, b, net, config):
             z = z - step
     obj, x_hat = best
     return x_hat, obj, total, np.column_stack(starts)
+
+
+def spawned_trial_streams(master_seed, cell_index, trial):
+    """Reference per-trial streams: the four spawned children of one SeedSequence per trial."""
+    root = np.random.SeedSequence(master_seed, spawn_key=(cell_index, trial))
+    seed_id = int(root.generate_state(1, dtype=np.uint64)[0])
+    signal_ss, draw_ss, noise_ss, solver_ss = root.spawn(4)
+    return TrialStreams(
+        seed_id,
+        np.random.Generator(np.random.Philox(signal_ss)),
+        np.random.Generator(np.random.Philox(draw_ss)),
+        np.random.Generator(np.random.Philox(noise_ss)),
+        int(solver_ss.generate_state(1, dtype=np.uint64)[0]),
+    )
+
+
+def float_sorted_gathers(sample, alpha):
+    """Reference noise-factor gathers: d_tilde and alpha on the drawn rows in the order of a
+    stable float sort of -d_tilde."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    order = np.argsort(-sample.d_tilde, kind="stable")
+    return sample.d_tilde[order], alpha[sample.omega[order]]

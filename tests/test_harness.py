@@ -5,12 +5,15 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_orthogonal
+from oracles import random_orthogonal, spawned_trial_streams
 
 from vdslab import harness, recovery, sampling
 from vdslab.harness import (
@@ -26,6 +29,7 @@ from vdslab.harness import (
     fit_loglog_slope,
     parse_config_file,
     run_denoise_sweep,
+    trial_streams,
     write_records_csv,
 )
 from vdslab.priors import (
@@ -373,6 +377,55 @@ def test_sweep_noiseless_oversampled_recovers(tmp_path):
     assert len(records) == 1
     assert records[0].rre <= 1e-6
     assert records[0].wall_time_ms == 0.0
+
+
+def _same_streams(got, want):
+    """Equal seed ids and solver seeds, and equal first draws from each generator."""
+    assert (got.seed_id, got.solver_seed) == (want.seed_id, want.solver_seed)
+    for name in ("signal", "draw", "noise"):
+        assert np.array_equal(getattr(got, name).random(5), getattr(want, name).random(5)), name
+
+
+_INDEX = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    master=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3 * 2**128 + 11]),
+    pairs=st.lists(st.tuples(_INDEX, _INDEX), min_size=1, max_size=6),
+)
+def test_batched_stream_keys_match_spawned_seed_sequences(master, pairs):
+    """Every row of one batched key derivation, and trial_streams on each pair, gives the
+    streams of SeedSequence(master, spawn_key=(cell, trial)).spawn(4), bitwise, and the
+    uint32 wraparound raises no warning."""
+    cells, trials = zip(*pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = harness._stream_keys(master, cells, trials)
+        single = [trial_streams(master, cell, trial) for cell, trial in pairs]
+    for row, one, (cell, trial) in zip(rows, single, pairs):
+        _same_streams(harness._streams(row), spawned_trial_streams(master, cell, trial))
+        _same_streams(one, spawned_trial_streams(master, cell, trial))
+
+
+def test_trial_streams_pinned_values():
+    """Values of the per-trial SeedSequence derivation, recorded before the batched one."""
+    streams = trial_streams(1, 0, 0)
+    assert streams.seed_id == 6651666526363356749
+    assert streams.solver_seed == 4239756835503100592
+    assert streams.signal.random() == 0.005955125846738629
+    assert streams.draw.random() == 0.2912097957617924
+    assert streams.noise.random() == 0.2831574512314643
+    assert trial_streams(2**32, 31, 1).seed_id == 637512750616579297
+
+
+@pytest.mark.parametrize(
+    "master, cell, trial",
+    [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 2**32, 0), (0, 0, 2**32)],
+)
+def test_trial_streams_reject_negative_or_wide_indices(master, cell, trial):
+    with pytest.raises(ValueError):
+        trial_streams(master, cell, trial)
 
 
 def test_sweep_rerun_is_bit_identical(tmp_path):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_orthogonal, random_unitary, scatter_adjoint_measurement
+from oracles import float_sorted_gathers, random_orthogonal, random_unitary, scatter_adjoint_measurement
 
+from vdslab.coherence import sparse_coherence_vector
 from vdslab.sampling import (
     DrawnSample,
     SampledOperator,
@@ -217,6 +218,55 @@ def test_draw_tie_break_is_stable_in_draw_position():
     flat = draw_sample(uniform_plan(4), 20, 10)
     _, alpha_flat = _sorted_gathers(flat, alpha[:4])
     assert np.array_equal(alpha_flat, alpha[:4][flat.omega])
+
+
+def _one_ulp_plan():
+    """Four rows whose d are 1, one ulp above 1, 1 again and one ulp below 1."""
+    d = np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0)])
+    return SamplingPlan(1.0 / (4 * d**2), d)
+
+
+def _sparse_sweep_plan():
+    """The optimized plan of the n = 1024 DFT over a 5-level Haar basis at k = 10."""
+    op = compose_measurement_basis(make_dft_operator(1024), make_haar_operator(1024, 5))
+    return optimized_probabilities(sparse_coherence_vector(op, 20))
+
+
+@pytest.mark.parametrize(
+    "make, m, distinct, dtype",
+    [
+        (lambda: uniform_plan(64), 200, 1, np.uint8),
+        (_sparse_sweep_plan, 4096, 663, np.uint16),
+        (_one_ulp_plan, 64, 3, np.uint8),
+        (lambda: optimized_probabilities(_positive_alpha(70_000, _rng(47))), 5000, 70_000, np.uint32),
+    ],
+    ids=["uniform", "sparse_sweep_1d", "one_ulp", "n_70000"],
+)
+def test_rank_sort_orders_the_draw_as_the_float_sort(make, m, distinct, dtype):
+    """The noise factor's stable sort of the plan's d ranks puts the drawn rows in the order of
+    the stable float sort of -d_tilde: on an all-tied plan, on 663 distinct d, on d one ulp
+    apart, and where n needs a rank wider than 16 bits. Each row carries its own alpha, so equal
+    gathers mean equal orders."""
+    plan = make()
+    assert plan.d_rank.dtype == dtype
+    assert len(np.unique(plan.d)) == len(np.unique(plan.d_rank)) == distinct
+    sample = draw_sample(plan, m, 21)
+    alpha = np.arange(1.0, plan.n + 1.0)
+    d_sorted, alpha_sorted = _sorted_gathers(sample, alpha)
+    d_float, alpha_float = float_sorted_gathers(sample, alpha)
+    assert np.array_equal(d_sorted, d_float)
+    assert np.array_equal(alpha_sorted, alpha_float)
+
+
+def test_plan_tables_are_read_only_and_match_their_definitions():
+    """The cached CDF is p's cumulative sum closed to 1 from the last supported row on, the rank
+    orders d descending with ties shared, and writing to either raises."""
+    plan = make_plan(np.array([0.1, 0.0, 0.4, 0.1, 0.4 - 4e-13, 0.0]))
+    assert plan.cdf.tolist() == [*np.cumsum(plan.p)[:4].tolist(), 1.0, 1.0]
+    assert plan.d_rank.tolist() == [0, 3, 2, 0, 1, 3]  # the smaller p of rows 2 and 4 has the larger d
+    for table in (plan.cdf, plan.d_rank):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_draws_deterministic_per_seed():
@@ -653,6 +703,21 @@ def test_empty_draw_is_rejected():
     """A DrawnSample with m = 0 names the empty draw."""
     with pytest.raises(ValueError, match="draw is empty"):
         DrawnSample(uniform_plan(8), np.array([], dtype=np.int64))
+
+
+def test_sampled_operators_share_one_read_only_conjugate_row_table():
+    """An operator builds its conjugate rows once; every SampledOperator on it reads the same
+    read-only table and gets the same norm_sq as on a fresh operator."""
+    def make():
+        return compose_measurement_basis(make_dft_operator(64), make_haar_operator(64, 3))
+
+    F = make()
+    sample = draw_sample(uniform_plan(64), 100, 3)
+    first, second = SampledOperator(F, sample), SampledOperator(F, sample)
+    assert first.norm_sq == second.norm_sq == SampledOperator(make(), sample).norm_sq
+    rows = F.conjugate_rows()
+    assert rows is F.conjugate_rows() and not rows.flags.writeable
+    assert np.array_equal(rows, -np.arange(64) % 64)
 
 
 @settings(max_examples=80, deadline=None)
