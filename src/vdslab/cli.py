@@ -37,7 +37,7 @@ def _require_out(config: ExperimentConfig) -> str:
     return config.out
 
 
-def _cmd_coherence(config, args) -> int:
+def _cmd_coherence(config) -> int:
     out = _require_out(config)
     problem = build_problem(config)
     save_coherence_csv(problem.alpha, problem.coherence_method, out)
@@ -46,7 +46,7 @@ def _cmd_coherence(config, args) -> int:
     return 0
 
 
-def _cmd_plan(config, args) -> int:
+def _cmd_plan(config) -> int:
     out = _require_out(config)
     if config.scheme == "both":
         raise ConfigError("plan needs one concrete scheme")
@@ -58,7 +58,7 @@ def _cmd_plan(config, args) -> int:
     return 0
 
 
-def _cmd_rip_check(config, args) -> int:
+def _cmd_rip_check(config) -> int:
     out = _require_out(config)
     config.require("m")
     if config.scheme == "both":
@@ -84,7 +84,7 @@ def _cmd_rip_check(config, args) -> int:
     return 0
 
 
-def _cmd_recover(config, args) -> int:
+def _cmd_recover(config) -> int:
     out = _require_out(config)
     record = run_single_trial(config)
     write_records_csv([record], out)
@@ -105,14 +105,14 @@ def _print_cells(aggregated) -> None:
         )
 
 
-def _cmd_denoise_sweep(config, args) -> int:
+def _cmd_denoise_sweep(config) -> int:
     records = run_denoise_sweep(config)
     _print_cells(aggregate_geometric(records))
     print(f"wrote {len(records)} records to {config.out}")
     return 0
 
 
-def _cmd_compare_schemes(config, args) -> int:
+def _cmd_compare_schemes(config) -> int:
     pair = compare_schemes(config)
     aggregated = aggregate_geometric(pair["optimized"] + pair["uniform"])
     _print_cells(aggregated)
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             mapping["out"] = args.out
         config = ExperimentConfig(mapping)
-        return _COMMANDS[args.command][0](config, args)
+        return _COMMANDS[args.command][0](config)
     except (ConfigError, EnumerationBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .priors import GenerativeNetwork, SubspaceUnion, generative_forward
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, _integer
 
 __all__ = [
     "coherence_vector",
@@ -96,7 +96,7 @@ def sparse_coherence_vector(op: UnitaryOperator, s: int) -> np.ndarray:
     alpha_j^2 is the sum of the s largest |matrix()[j, k]|^2 over k, read
     from the operator's column bands without building the matrix.
     """
-    s = int(s)
+    s = _integer("s", s)
     if not 1 <= s <= op.n:
         raise ValueError(f"need 1 <= s <= {op.n}, got {s}")
     columns, sizes = op._column_bands()
@@ -121,7 +121,7 @@ def empirical_generative_coherence(
     which gives identical values at O(B n log n + B^2 n) cost. Pairs with
     exactly coincident signals are skipped.
     """
-    num_latents = int(num_latents)
+    num_latents = _integer("num_latents", num_latents)
     if num_latents < 2:
         raise ValueError("need at least two latent samples")
     if net.n != op.n:

@@ -18,7 +18,6 @@ import sys
 import time
 import warnings
 from dataclasses import astuple, dataclass, fields
-from numbers import Real
 from operator import index
 from pathlib import Path
 
@@ -92,11 +91,11 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_int_list(s: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in str(s).split(",") if tok.strip())
+    return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
 
 def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(s).split(",") if tok.strip())
+    return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
 _KEY_PARSERS = {
@@ -140,39 +139,13 @@ _MEASUREMENTS = ("dft", "dft2", "haar", "haar2")
 _SPARSITIES = ("none", "haar", "haar2")
 
 
-def _integer(x) -> int:
-    # index() takes Python and NumPy integers and rejects a float that int() would truncate;
-    # a bool is an int to Python, so it is refused first
-    if isinstance(x, (bool, np.bool_)):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return index(x)
-
-
-def _real(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, Real):  # NumPy's bool is no Real
-        raise TypeError(f"expected a real number, got {x!r}")
-    return float(x)
-
-
 def _coerce_value(key, raw):
-    """Parse config-file text with the key's parser; a library caller's non-string value must
-    already have the key's type (a bool is neither an integer nor a real number here)."""
-    parser = _KEY_PARSERS[key]
-    if isinstance(raw, str):
-        return parser(raw)
-    if parser is int:
-        return _integer(raw)
-    if parser is _parse_int_list:
-        return tuple(_integer(x) for x in raw)
-    if parser is float:
-        return _real(raw)
-    if parser is _parse_float_list:
-        return tuple(_real(x) for x in raw)
-    if parser is _parse_bool:
-        if not isinstance(raw, (bool, np.bool_)):
-            raise TypeError(f"expected a bool, got {raw!r}")
-        return bool(raw)
-    return parser(raw)
+    """Parse a value with the key's config-file parser. A library caller's non-string value is
+    parsed from its text, a grid's items comma-joined, so it passes exactly the checks that the
+    same text in a config file does."""
+    if not isinstance(raw, str):
+        raw = ",".join(map(str, raw)) if key in ("m_grid", "sigma_grid") else str(raw)
+    return _KEY_PARSERS[key](raw)
 
 
 def parse_config_file(path) -> dict:
@@ -446,8 +419,8 @@ class TrialStreams:
 # NumPy keeps stable across releases. A key's entropy is the master seed's words, padded with zeros
 # to the pool size, then the spawn key's words; each word past the pool size is mixed into all four
 # pool words with four successive hashmix constants. Every key of a sweep shares the master seed,
-# so its pool is mixed once in Python integers, and only the spawn-key words run per key, as uint32
-# arrays whose products wrap silently.
+# so NumPy mixes its pool once, and only the spawn-key words run per key, as uint32 arrays whose
+# products wrap silently.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, while mixing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # while generating state from the pool
@@ -468,34 +441,15 @@ def _xorshift(v):
 
 
 def _master_pool(master_seed: int) -> tuple:
-    """(pool, hashmix constant reached) after SeedSequence mixes in the master seed's words."""
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
-    words = [master_seed & _MASK32]  # little-endian uint32 words, one word for 0
-    while master_seed >> 32:
-        master_seed >>= 32
-        words.append(master_seed & _MASK32)
-    words += [0] * (_POOL_SIZE - len(words))  # a spawn key makes SeedSequence pad to the pool size
-    const = _INIT_A
+    """(pool, hashmix constant reached) after SeedSequence mixes in the master seed's words.
 
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        return _xorshift(value * const & _MASK32)
-
-    def mix(x, y):
-        return _xorshift((_MIX_L * x - _MIX_R * y) & _MASK32)
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool, const
+    Mixing hashes a zero for each word the seed lacks, so the zero padding a spawn key adds leaves
+    the pool of ``SeedSequence(master_seed)``. It hashes each pool word once, each ordered pair of
+    pool words once, and each word past the pool size once per pool word: 4 * max(4, words) hashes.
+    """
+    words = -(-master_seed.bit_length() // 32)  # the seed's uint32 words
+    hashes = _POOL_SIZE * max(_POOL_SIZE, words)
+    return np.random.SeedSequence(master_seed).pool, _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
 
 
 def _absorb(pool: np.ndarray, words: np.ndarray, const: int) -> tuple:
@@ -534,8 +488,7 @@ def _stream_keys(master_seed: int, cells, trials) -> np.ndarray:
     if np.any((cells < 0) | (cells > _MASK32) | (trials < 0) | (trials > _MASK32)):
         raise ValueError("cell and trial indices must lie in [0, 2**32)")
     pool, const = _master_pool(index(master_seed))
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    pool, const = _absorb(pool, cells.astype(np.uint32), const)
+    pool, const = _absorb(pool[:, None], cells.astype(np.uint32), const)
     root, const = _absorb(pool, trials.astype(np.uint32), const)
     # a child's entropy is its root's plus one word, so its pool is the root's with that word mixed in
     children, _ = _absorb(root[:, None, :], np.arange(4, dtype=np.uint32)[:, None], const)
@@ -698,7 +651,7 @@ def run_denoise_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the configured sweep, write its CSV and manifest, return the records."""
     if config.scheme == "both":
         raise ConfigError("scheme 'both' is for compare_schemes")
-    config.require("out", "trials")
+    config.require("out")
     problem = build_problem(config)
     records = _sweep(problem, config, [config.scheme])
     write_records_csv(records, config.out)
@@ -714,7 +667,7 @@ def compare_schemes(config: ExperimentConfig) -> dict:
     """
     if config.scheme != "both":
         raise ConfigError("compare_schemes needs scheme = both")
-    config.require("out", "trials")
+    config.require("out")
     problem = build_problem(config)
     records = _sweep(problem, config, ["optimized", "uniform"])
     write_records_csv(records, config.out)

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .transforms import _integer
+
 __all__ = [
     "Subspace",
     "SubspaceUnion",
@@ -100,7 +102,7 @@ class SparsePrior:
     """Vectors with at most k nonzero entries in R^n."""
 
     def __init__(self, n: int, k: int):
-        n, k = int(n), int(k)
+        n, k = _integer("n", n), _integer("k", k)
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         self.n = n

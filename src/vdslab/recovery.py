@@ -19,7 +19,6 @@ convention for complex inner products.
 from __future__ import annotations
 
 import math
-from operator import index
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .priors import (
     _top_k_support,
 )
 from .sampling import DrawnSample, SampledOperator, apply_measurement
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, _integer
 
 __all__ = [
     "RecoveryResult",
@@ -71,14 +70,6 @@ class RecoveryResult:
         return (
             f"<RecoveryResult objective={self.objective:.6g} iterations={self.iterations}>"
         )
-
-
-def _integer(name: str, value) -> int:
-    # index() takes Python and NumPy integers and refuses a float that int() would truncate;
-    # a bool is an int to Python, so it is refused first
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return index(value)
 
 
 def _stack_real(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .transforms import UnitaryOperator
+from .transforms import UnitaryOperator, _integer
 
 __all__ = [
     "SamplingPlan",
@@ -131,7 +131,7 @@ class DrawnSample:
 
 def uniform_plan(n: int) -> SamplingPlan:
     """Flat probabilities 1/n with identity preconditioner."""
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     return SamplingPlan(np.full(n, 1.0 / n), np.ones(n))
@@ -182,7 +182,7 @@ def complexity_mu(alpha, p) -> float:
 
 def draw_sample(plan: SamplingPlan, m: int, rng_seed) -> DrawnSample:
     """Draw m i.i.d. row indices by inverse CDF (the plan's ``cdf``) on a counter-based stream."""
-    m = int(m)
+    m = _integer("m", m)
     if m < 1:
         raise ValueError("m must be at least 1")
     if isinstance(rng_seed, np.random.Generator):
@@ -241,7 +241,7 @@ def noise_factor(sample: DrawnSample, alpha) -> float:
     return float(np.linalg.norm(d_tilde * truncated))
 
 
-def noise_factor_bounds(plan: SamplingPlan, sample: DrawnSample, alpha, t: float) -> dict:
+def noise_factor_bounds(sample: DrawnSample, alpha, t: float) -> dict:
     """The paper's upper bounds on the noise factor, for runs and property tests.
 
     max_Sd and max_d bound every draw; truncated_SD2alpha_norm restricts
@@ -258,11 +258,11 @@ def noise_factor_bounds(plan: SamplingPlan, sample: DrawnSample, alpha, t: float
     active = alpha > 0
     closed = float(
         np.linalg.norm(alpha)
-        * min(1.0 / math.sqrt(t), 1.0 / (math.sqrt(plan.n) * np.min(alpha[active])))
+        * min(1.0 / math.sqrt(t), 1.0 / (math.sqrt(sample.n) * np.min(alpha[active])))
     )
     return {
         "max_Sd": float(d_tilde[0]),
-        "max_d": float(np.max(plan.d)),
+        "max_d": float(np.max(sample.plan.d)),
         "truncated_SD2alpha_norm": truncated_norm,
         "optimized_closed_bound": closed,
     }

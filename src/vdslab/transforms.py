@@ -9,6 +9,8 @@ each application allocates its own scratch.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 __all__ = [
@@ -25,6 +27,14 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _integer(name: str, value) -> int:
+    # a public count: index() takes Python and NumPy integers and refuses a float that int() would
+    # truncate; a bool is an int to Python, so it is refused first
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return index(value)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -361,7 +371,7 @@ def make_dft_operator(n: int, *, two_dim: bool = False) -> UnitaryOperator:
     With ``two_dim`` the operator acts on row-major flattened square images and
     n must be a perfect square with power-of-two side.
     """
-    n = int(n)
+    n = _integer("n", n)
     if two_dim:
         side = int(round(np.sqrt(n)))
         if side * side != n:
@@ -381,8 +391,8 @@ def make_haar_operator(n: int, levels: int, *, two_dim: bool = False) -> Unitary
     variant acts separably on a row-major flattened square image whose side
     must be divisible by 2**levels.
     """
-    n = int(n)
-    levels = int(levels)
+    n = _integer("n", n)
+    levels = _integer("levels", levels)
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if two_dim:

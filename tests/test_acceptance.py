@@ -220,7 +220,7 @@ def test_05_noise_factor_bound_chain():
     for i in range(draws):
         sample = draw_sample(plan, m, stream)
         nf = noise_factor(sample, alpha)
-        bounds = noise_factor_bounds(plan, sample, alpha, t=0.1)
+        bounds = noise_factor_bounds(sample, alpha, t=0.1)
         assert nf <= bounds["max_Sd"] + 1e-12
         assert bounds["max_Sd"] <= bounds["max_d"] + 1e-12
         factors[i] = nf

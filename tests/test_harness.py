@@ -6,11 +6,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_orthogonal, spawned_trial_streams
@@ -39,6 +40,7 @@ from vdslab.priors import (
     save_network,
     save_union,
 )
+from vdslab.sampling import save_plan_csv, uniform_plan
 
 
 def _rng(seed):
@@ -154,6 +156,7 @@ def test_config_integer_keys_reject_fractions(tmp_path):
         ("sigma_grid", (0.5, True)),
         ("n", True),
         ("m_grid", (True, 64)),
+        ("sigma", Fraction(1, 2)),  # its text 1/2 is no config-file number
     ],
 )
 def test_config_library_values_get_the_file_checks(tmp_path, key, value):
@@ -161,6 +164,50 @@ def test_config_library_values_get_the_file_checks(tmp_path, key, value):
     as the same text in a config file is."""
     with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
         ExperimentConfig(_sparse_mapping(tmp_path, **{key: value}))
+
+
+def test_config_library_values_resolve_as_their_text(tmp_path):
+    """For every key, a library caller's typed value resolves to the config of its text in a
+    config file; np.float32(0.1) is read as 0.1, not as the float32's own value."""
+    upath, npath, ppath = tmp_path / "u.vdsu", tmp_path / "g.vdsg", tmp_path / "plan.csv"
+    save_union(_small_union(64, 2, 2, seed=0), upath)
+    save_network(GenerativeNetwork([_rng(1).standard_normal((64, 2))]), npath)
+    save_plan_csv(uniform_plan(64), ppath)
+    union = {"prior": "union", "union_file": str(upath)}
+    network = {"prior": "generative", "network_file": str(npath)}
+    cases = [  # (overrides of the sparse mapping, key, typed value, its text)
+        ({}, "prior", np.str_("sparse"), "sparse"),
+        ({}, "n", np.int64(64), "64"),
+        ({}, "measurement", np.str_("dft2"), "dft2"),
+        ({"measurement": "haar"}, "measurement_levels", np.uint8(2), "2"),
+        ({"sparsity_levels": 2}, "sparsity", np.str_("haar"), "haar"),
+        ({"sparsity": "haar"}, "sparsity_levels", np.int32(3), "3"),
+        ({}, "sparse_k", np.int16(3), "3"),
+        (union, "union_file", upath, str(upath)),
+        (network, "network_file", npath, str(npath)),
+        ({}, "scheme", np.str_("uniform"), "uniform"),
+        ({"scheme": "custom"}, "plan_file", ppath, str(ppath)),
+        ({}, "m_grid", np.array([16, 32]), "16,32"),
+        ({}, "m_grid", (np.int16(16), 32), "16,32"),
+        ({}, "sigma_grid", (0.25, np.float64(1e-3)), "0.25,0.001"),
+        ({}, "sigma_grid", np.array([0.5, 2.0]), "0.5,2.0"),
+        ({}, "m", np.int64(40), "40"),
+        ({}, "sigma", np.float64(0.1), "0.1"),
+        ({}, "sigma", np.float32(0.1), "0.1"),
+        ({}, "trials", np.uint8(2), "2"),
+        ({}, "master_seed", 2**70 + 1, "1180591620717411303425"),
+        ({}, "master_seed", np.uint64(2**64 - 1), "18446744073709551615"),
+        ({}, "out", tmp_path / "sweep.csv", str(tmp_path / "sweep.csv")),
+        ({}, "record_timing", True, "true"),
+        ({}, "record_timing", np.bool_(False), "false"),
+        ({}, "bound_delta", np.float64(0.01), "0.01"),
+        ({}, "coherence_latents", np.int64(8), "8"),
+    ]
+    assert {key for _, key, _, _ in cases} == set(_KEY_PARSERS)
+    for base, key, typed, text in cases:
+        mapping = _sparse_mapping(tmp_path, **base)
+        typed_items = ExperimentConfig({**mapping, key: typed}).resolved_items()
+        assert typed_items == ExperimentConfig({**mapping, key: text}).resolved_items(), (key, typed)
 
 
 def test_readme_config_table_names_every_key():
@@ -394,6 +441,7 @@ _INDEX = st.integers(0, 2**32 - 1)
     master=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3 * 2**128 + 11]),
     pairs=st.lists(st.tuples(_INDEX, _INDEX), min_size=1, max_size=6),
 )
+@example(master=2**256 + 3, pairs=[(0, 0), (31, 2**32 - 1)])  # a 9-word seed: more words than the pool
 def test_batched_stream_keys_match_spawned_seed_sequences(master, pairs):
     """Every row of one batched key derivation, and trial_streams on each pair, gives the
     streams of SeedSequence(master, spawn_key=(cell, trial)).spawn(4), bitwise, and the

@@ -199,7 +199,7 @@ def test_draw_order_sorts_d_nonincreasing():
     assert np.all(np.diff(d_sorted) <= 0)
     assert np.array_equal(d_sorted, plan.d[sample.omega[order]])
     assert np.array_equal(alpha_sorted, alpha[sample.omega[order]])
-    assert d_sorted[0] == noise_factor_bounds(plan, sample, alpha, 1.0)["max_Sd"] == sample.d_tilde.max()
+    assert d_sorted[0] == noise_factor_bounds(sample, alpha, 1.0)["max_Sd"] == sample.d_tilde.max()
     assert sample.scale == pytest.approx(math.sqrt(32 / 50))
 
 
@@ -392,7 +392,7 @@ def test_bounds_coincide_for_flat_unit_alpha():
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 4, 15)
     nf = noise_factor(sample, alpha)
-    bounds = noise_factor_bounds(plan, sample, alpha, t=1.0)
+    bounds = noise_factor_bounds(sample, alpha, t=1.0)
     assert nf == pytest.approx(1.0, abs=1e-12)
     for key in ("max_Sd", "max_d", "truncated_SD2alpha_norm", "optimized_closed_bound"):
         assert bounds[key] == pytest.approx(1.0, abs=1e-12)
@@ -408,7 +408,7 @@ def test_noise_factor_below_bounds_over_draws():
     for _ in range(1000):
         sample = draw_sample(plan, 12, stream)
         nf = noise_factor(sample, alpha)
-        bounds = noise_factor_bounds(plan, sample, alpha, t=min(t, 1.0))
+        bounds = noise_factor_bounds(sample, alpha, t=min(t, 1.0))
         assert nf <= bounds["max_Sd"] + 1e-12
         assert bounds["max_Sd"] <= bounds["max_d"] + 1e-12
         assert nf <= bounds["truncated_SD2alpha_norm"] + 1e-12
@@ -420,7 +420,7 @@ def test_noise_factor_bounds_reject_nonpositive_t(t):
     alpha = np.full(4, 0.5)
     plan = optimized_probabilities(alpha)
     with pytest.raises(ValueError, match="t must be positive"):
-        noise_factor_bounds(plan, draw_sample(plan, 4, 15), alpha, t)
+        noise_factor_bounds(draw_sample(plan, 4, 15), alpha, t)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
@@ -433,7 +433,7 @@ def test_noise_factor_and_bounds_reject_a_bad_alpha_at_a_drawn_row(bad):
     with pytest.raises(ValueError, match="negative or non-finite"):
         noise_factor(sample, alpha)
     with pytest.raises(ValueError, match="negative or non-finite"):
-        noise_factor_bounds(plan, sample, alpha, 0.5)
+        noise_factor_bounds(sample, alpha, 0.5)
 
 
 def test_optimized_max_d_closed_form():
@@ -441,7 +441,7 @@ def test_optimized_max_d_closed_form():
     alpha = _positive_alpha(8, rng)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 10, 16)
-    bounds = noise_factor_bounds(plan, sample, alpha, t=0.5)
+    bounds = noise_factor_bounds(sample, alpha, t=0.5)
     expected = np.linalg.norm(alpha) / (math.sqrt(8) * np.min(alpha))
     assert bounds["max_d"] == pytest.approx(expected, abs=1e-12)
 

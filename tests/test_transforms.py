@@ -16,6 +16,9 @@ from oracles import (
     random_orthogonal,
 )
 
+from vdslab.coherence import empirical_generative_coherence, sparse_coherence_vector
+from vdslab.priors import GenerativeNetwork, SparsePrior
+from vdslab.sampling import draw_sample, uniform_plan
 from vdslab.transforms import (
     compose_measurement_basis,
     make_dense_operator,
@@ -276,3 +279,29 @@ def test_forward_rejects_wrong_shape():
         op.forward(np.zeros(7))
     with pytest.raises(ValueError):
         op.forward(np.zeros((8, 2, 2)))
+
+
+_NET = GenerativeNetwork([np.eye(2), np.vstack([np.eye(2), np.zeros((14, 2))])])
+
+# (argument name, public call on that count, a legal count)
+_COUNTS = [
+    ("k", lambda v: SparsePrior(1024, v), 10),
+    ("n", lambda v: SparsePrior(v, 1), 16),
+    ("m", lambda v: draw_sample(uniform_plan(8), v, 0), 70),
+    ("n", uniform_plan, 8),
+    ("n", make_dft_operator, 1024),
+    ("n", lambda v: make_haar_operator(v, 2), 16),
+    ("levels", lambda v: make_haar_operator(1024, v), 2),
+    ("s", lambda v: sparse_coherence_vector(make_dft_operator(16), v), 3),
+    ("num_latents", lambda v: empirical_generative_coherence(_NET, make_dft_operator(16), v, 0), 4),
+]
+
+
+@pytest.mark.parametrize("name, call, good", _COUNTS, ids=[f"{i}-{c[0]}" for i, c in enumerate(_COUNTS)])
+def test_public_counts_refuse_floats_and_bools(name, call, good):
+    """A float that int() would truncate, or a bool, is a TypeError naming the count; NumPy integers pass."""
+    for bad in (good + 0.5, float(good), True):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    for ok in (np.int64(good), np.uint16(good)):
+        call(ok)
