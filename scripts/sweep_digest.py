@@ -16,11 +16,14 @@ sha256 of that file is the printed digest.
 and prints each column's largest relative difference from it and every row
 that moved by more than 1e-9 relative (exit 1 if the headers or row counts
 differ). Text columns differ by 0 or inf, and so does a NaN against a number.
+As in perfbench/run.py, BLAS runs on one thread unless the environment
+already says otherwise.
 """
 
 import argparse
 import hashlib
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -110,4 +113,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # before numpy loads
     raise SystemExit(main())

@@ -6,7 +6,8 @@ SeedSequence(master_seed, spawn_key=(cell_index, trial)): signal, draw,
 noise, solver. A sweep derives every trial's keys in one batch, bitwise
 equal to that SeedSequence's. The sampling scheme never enters the spawn key, so optimized
 and uniform runs of the same config consume identical signals and noise
-(common random numbers). Trials run one after another in task order, so the
+(common random numbers). Trials run one after another in task order (a
+generative sweep's solves in stacked blocks of consecutive trials), so the
 output CSV bytes are deterministic.
 """
 
@@ -30,6 +31,7 @@ from .coherence import (
     sparse_coherence_vector,
 )
 from .priors import (
+    GenerativeNetwork,
     SparsePrior,
     SubspaceUnion,
     difference_union,
@@ -41,6 +43,7 @@ from .priors import (
 from .recovery import (
     deterministic_corollary_bound,
     recover_generative,
+    recover_generative_stack,
     recover_oracle,
     recover_sparse_two_stage,
     relative_recovery_error,
@@ -530,21 +533,49 @@ def trial_streams(master_seed: int, cell_index: int, trial: int) -> TrialStreams
     return _streams(_stream_keys(master_seed, [cell_index], [trial])[0])
 
 
-def _run_trial(problem, plan, config, scheme, m, sigma, trial, streams: TrialStreams) -> ExperimentRecord:
+def _measure(problem, plan, m, sigma, streams: TrialStreams):
+    """A trial's signal, row draw and measurement: (x0, sample, system, ms), with system the
+    draw's (A, b) or the exception the measurement raised, and ms the measurement's time."""
     x0 = _draw_signal(problem, streams.signal)
     sample = draw_sample(plan, m, streams.draw)
-    cell = f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
     started = time.perf_counter()
     try:
         b = simulate_measurements(problem.operator, sample, x0, sigma, seed=streams.noise)
-        A = SampledOperator(problem.operator, sample)
-        result = _solve(problem, A, b, streams.solver_seed)
-        rre = relative_recovery_error(x0, result.x_hat)
-        objective_value = result.objective
+        system = (SampledOperator(problem.operator, sample), b)
+    except Exception as exc:
+        system = exc
+    return x0, sample, system, (time.perf_counter() - started) * 1e3
+
+
+def _run_trial(
+    problem, plan, config, scheme, m, sigma, trial, streams: TrialStreams, solved=None
+) -> ExperimentRecord:
+    """One CSV row. Without ``solved``, the trial is measured and solved here. A generative
+    sweep measures and solves its trials in stacked blocks first (``_run_stack``) and passes
+    each its ``solved`` (x0, sample, outcome, ms): the solver's RecoveryResult or the
+    exception that failed the trial, and the milliseconds timed for it so far."""
+    cell = f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
+    if solved is None:
+        x0, sample, system, spent = _measure(problem, plan, m, sigma, streams)
+        started = time.perf_counter()
+        outcome = system
+        if not isinstance(system, Exception):
+            try:
+                outcome = _solve(problem, *system, streams.solver_seed)
+            except Exception as exc:
+                outcome = exc
+    else:
+        x0, sample, outcome, spent = solved
+        started = time.perf_counter()
+    try:
+        if isinstance(outcome, Exception):
+            raise outcome
+        rre = relative_recovery_error(x0, outcome.x_hat)
+        objective_value = outcome.objective
     except Exception as exc:
         warnings.warn(f"trial failed ({cell}): {type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=2)
         rre, objective_value = float("nan"), float("nan")
-    elapsed = (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
+    elapsed = spent + (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
     try:
         nf = noise_factor(sample, problem.alpha)
         bound = theorem_error_bound(
@@ -561,6 +592,38 @@ def _run_trial(problem, plan, config, scheme, m, sigma, trial, streams: TrialStr
     return ExperimentRecord(
         scheme, m, sigma, trial, streams.seed_id, rre, objective_value, nf, bound, corollary, elapsed
     )
+
+
+# a generative sweep solves this many consecutive trials as one stacked Adam run
+_STACK_TRIALS = 16
+
+
+def _run_stack(problem, plans, config, runs) -> list[ExperimentRecord]:
+    """The rows of a block of generative trials, each run a (scheme, m, sigma, trial, keys) tuple.
+
+    Each trial is measured on its own; then ``recover_generative_stack``
+    solves the block, every trial from its own solver stream, and
+    ``_run_trial`` makes each row. A trial's ``wall_time_ms`` is its own
+    measurement and rre plus 1/T of the block's solve, for a block of T
+    trials. A trial that fails fails alone.
+    """
+    measured, systems = [], []
+    for scheme, m, sigma, _, keys in runs:
+        streams = _streams(keys)
+        x0, sample, system, ms = _measure(problem, plans[scheme], m, sigma, streams)
+        if not isinstance(system, Exception):
+            systems.append((*system, streams.solver_seed))
+        measured.append((streams, x0, sample, system, ms))
+    started = time.perf_counter()
+    results = iter(recover_generative_stack(systems, problem.prior))
+    share = (time.perf_counter() - started) * 1e3 / len(runs)
+    return [
+        _run_trial(
+            problem, plans[scheme], config, scheme, m, sigma, trial, streams,
+            (x0, sample, system if isinstance(system, Exception) else next(results), ms + share),
+        )
+        for (scheme, m, sigma, trial, _), (streams, x0, sample, system, ms) in zip(runs, measured)
+    ]
 
 
 # glibc mallopt (parameter, value) pairs: arrays under 16 MB come from the heap, and up to 32 MB of
@@ -602,10 +665,18 @@ def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
     keys = _stream_keys(config.master_seed, task_ids // config.trials, task_ids % config.trials)
     plans = {scheme: _plan_for(problem, config, scheme) for scheme in schemes}
     # every scheme builds fresh generators from the same keys: common random numbers
+    runs = [
+        (scheme, m, sigma, trial, row) for scheme in schemes for (m, sigma, trial), row in zip(tasks, keys)
+    ]
+    if isinstance(problem.prior, GenerativeNetwork):
+        return [
+            record
+            for start in range(0, len(runs), _STACK_TRIALS)
+            for record in _run_stack(problem, plans, config, runs[start : start + _STACK_TRIALS])
+        ]
     return [
         _run_trial(problem, plans[scheme], config, scheme, m, sigma, trial, _streams(row))
-        for scheme in schemes
-        for (m, sigma, trial), row in zip(tasks, keys)
+        for scheme, m, sigma, trial, row in runs
     ]
 
 

@@ -426,18 +426,25 @@ def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
 def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
     """Multi-start Adam in latent space, every start a column of one (k, R) block.
 
-    ``value_and_grad(Z)`` returns the per-column objectives (R,), a (d, R)
-    block of points and the gradients (k, R); each column keeps its own Adam
-    moments and gets exactly ``iters`` evaluations, with no early stop.
-    Returns the first lowest-objective ``(objective, point)`` over every
-    evaluated iterate in start-major order (strict ``<`` within a column, the
-    lowest column on ties across columns), the point being the column of
-    whatever ``value_and_grad`` returned second, and the number of
-    evaluations. The running best is updated in place, so memory stays
-    O(d R) at any ``iters``. A non-finite objective raises ValueError.
+    ``value_and_grad(Z)`` returns the objectives, a block of points and the
+    gradients (k, R); each column keeps its own Adam moments and gets exactly
+    ``iters`` evaluations, with no early stop. For one problem the objectives
+    are (R,) and the points (d, R). Returns the first lowest-objective
+    ``(objective, point)`` over every evaluated iterate in start-major order
+    (strict ``<`` within a column, the lowest column on ties across columns),
+    the point being the column of whatever ``value_and_grad`` returned second,
+    and the number of evaluations; a non-finite objective raises ValueError.
+
+    For a stack of T independent problems whose R / T columns each lie side
+    by side in Z, the objectives are (T, R / T) and the points (d, T, R / T),
+    and the first element returned is a list with that pair per problem, or
+    None for a problem that met a non-finite objective. Such a problem's
+    columns run on; its NaNs reach no other problem as long as
+    ``value_and_grad`` works per column or per problem. The running best is
+    updated in place, so memory stays O(d R) at any ``iters``.
     ``project`` runs it on ||G(z) - x||_2^2 with G(z) as the point;
-    ``recover_generative`` on the draw's folded system with the last hidden
-    activation as the point.
+    ``recover_generative`` on stacked draws' folded systems with the last
+    hidden activation as the point.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -448,15 +455,18 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
     m2 = np.zeros_like(z)
     update = np.empty_like(z)
     denom = np.empty_like(z)
-    best_obj = np.full(z.shape[1], np.inf)
-    better = np.empty(z.shape[1], dtype=bool)
     best_x = None
     for it in range(1, iters + 1):
         obj, x, gz = value_and_grad(z)
-        if not np.isfinite(obj).all():
+        finite = np.isfinite(obj).all(axis=-1)
+        if best_x is None:  # the first step beats inf in every column
+            best_obj = np.full(obj.shape, np.inf)
+            better = np.empty(obj.shape, dtype=bool)
+            best_x = np.empty_like(x)
+            solved = np.ones(obj.shape[:-1], dtype=bool)
+        if obj.ndim == 1 and not finite:
             raise ValueError("latent descent met a non-finite objective")
-        if best_x is None:
-            best_x = np.empty_like(x)  # the first step beats inf in every column
+        solved &= finite
         np.less(obj, best_obj, out=better)
         np.copyto(best_obj, obj, where=better)
         np.copyto(best_x, x, where=better)
@@ -479,8 +489,14 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
         update *= step
         update /= denom
         z -= update
-    col = int(np.argmin(best_obj))
-    return (float(best_obj[col]), best_x[:, col].copy()), z.shape[1] * iters
+    cols = np.argmin(best_obj, axis=-1)
+    if obj.ndim == 1:
+        return (float(best_obj[cols]), best_x[:, cols].copy()), z.shape[1] * iters
+    found = [
+        (float(best_obj[t, col]), best_x[:, t, col].copy()) if ok else None
+        for t, (col, ok) in enumerate(zip(cols, solved))
+    ]
+    return found, z.shape[1] * iters
 
 
 def save_network(net: GenerativeNetwork, path) -> None:

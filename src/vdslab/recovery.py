@@ -7,7 +7,8 @@ folded form ||A.forward(x) - u||^2 + const, with (u, const) = A.fold(b), and
 report that sum as the objective; the sparse solver is hard thresholding
 pursuit. The generative solver runs its latent descent on the last hidden
 layer through the draw's block M = A W_last, so its steps make no transform:
-x is formed, and its objective evaluated, for the winner alone.
+x is formed, and its objective evaluated, for the winner alone. Draws of one
+operator can share one stacked Adam run (``recover_generative_stack``).
 Measurements are never pre-scaled; the preconditioner enters at
 optimization time only. Only the simulation, the noise factor and the bounds
 read the m-row draw. Complex systems are handled by stacking real and
@@ -40,6 +41,7 @@ __all__ = [
     "recover_oracle",
     "recover_sparse_two_stage",
     "recover_generative",
+    "recover_generative_stack",
     "rip_check",
     "theorem_error_bound",
     "deterministic_corollary_bound",
@@ -196,25 +198,15 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 
     return RecoveryResult(x, obj, used, tuple(flags))
 
 
-def recover_generative(
-    A: SampledOperator, b, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100,
-    step: float = 0.05, init_pool: int = 16, seed=0, init_z=None,
-) -> RecoveryResult:
-    """Multi-restart latent descent with exact reverse-mode gradients.
+def _padded_real(a: np.ndarray, height: int) -> np.ndarray:
+    """``_stack_real(a)`` with zero rows appended up to ``height`` rows."""
+    stacked = _stack_real(a)
+    out = np.zeros((height, *stacked.shape[1:]))
+    out[: stacked.shape[0]] = stacked
+    return out
 
-    Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
-    best of ``init_pool`` candidate latents drawn from ``seed`` (``init_z`` pins
-    the first restart instead) and runs exactly ``iters`` Adam steps; there is no
-    early stop. G's last layer W is linear, so A G(z) = M h(z) with h the last
-    hidden activation and M = A W, built by one batched transform per call:
-    the pool ranking and the restarts read only M and the folded target, in
-    real-stacked form. Every pool is drawn in one call and ranked by one
-    product with M; the restarts run as one (k, restarts) block whose residual
-    reuses one buffer. x_hat = W h is formed for the winner alone, and its
-    objective is ``objective(A, x_hat, b)``, one more transform. Returns the
-    best iterate ever evaluated; its gap to the global minimum is unknown and
-    flagged epsilon_uncertified. ``step`` must be positive and finite.
-    """
+
+def _check_generative(net, restarts, iters, step, init_pool) -> None:
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
     for key, value in (("restarts", restarts), ("iters", iters), ("init_pool", init_pool)):
@@ -222,10 +214,19 @@ def recover_generative(
             raise ValueError(f"{key} must be at least 1")
     if not 0 < step < math.inf:  # written so that NaN fails too
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    u, const = A.fold(b)  # reads no rng
-    # ||A W h - u||^2 = ||M h - u||^2 over the reals, with M = A W and u stacked real
-    design = _stack_real(A.forward(net.weights[-1]))
-    target = _stack_real(u)[:, None]
+
+
+def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init_pool, seed, init_z):
+    """(design, target, starts) of one draw: M = A W_last and the folded target, both real-stacked
+    and padded with zero rows to the operator's full stacked height, and the (k, restarts) block
+    of starts picked from the pools of the draw's own solver stream."""
+    u, _ = A.fold(b)  # reads no rng
+    # ||A W h - u||^2 = ||M h - u||^2 over the reals; the padding rows add 0 to every sum, and
+    # give every draw of one operator the same height, so draws stack
+    forward = A.forward(net.weights[-1])
+    height = (2 if np.iscomplexobj(forward) else 1) * A.F.n
+    design = _padded_real(forward, height)
+    target = _padded_real(u, height)[:, None]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
     if init_z is not None:
@@ -242,23 +243,113 @@ def recover_generative(
     starts = pools[np.arange(drawn), :, picks].T
     if init_z is not None:
         starts = np.column_stack([init_z, starts])
+    return design, target, starts
 
-    # 2 M^T r is (2 M^T) r bitwise, as doubling is exact; the residual and its square
-    # reuse two buffers, and the target is tiled once to the block's width
-    design_t2 = (2.0 * design).T
-    tiled = np.tile(target, restarts)
+
+def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> list:
+    """One Adam run over the starts of every ``_latent_system`` in ``systems``, side by side in
+    one (k, T R) block. Returns per system the last hidden activation of its winner, or the
+    ValueError of a system that met a non-finite objective."""
+    designs = np.stack([s[0] for s in systems])  # (T, rows, H)
+    starts = np.hstack([s[2] for s in systems])
+    trials, rows, width = designs.shape
+    restarts = starts.shape[1] // trials
+    # the residual and the gradient live in (rows, T R) and (H, T R) buffers, column t R + j
+    # for restart j of system t, as the targets are tiled; each product is one matmul over
+    # the (T, rows, H) stack, written through a (T, ., R) view, so every system's columns meet
+    # only its own M, and the sums of squares run down the rows as in a one-system block.
+    # 2 M^T r is (2 M^T) r bitwise, as doubling is exact
+    designs_t2 = (2.0 * designs).transpose(0, 2, 1)
+    tiled = np.repeat(np.hstack([s[1] for s in systems]), restarts, axis=1)
     r = np.empty_like(tiled)
     sq = np.empty_like(tiled)
+    g = np.empty((width, tiled.shape[1]))
+    r_stack = r.reshape(rows, trials, restarts).transpose(1, 0, 2)
+    g_stack = g.reshape(width, trials, restarts).transpose(1, 0, 2)
 
     def value_and_grad(z):
         h, vjp = _hidden_pullback(net, z)
-        np.matmul(design, h, out=r)
+        h = h.reshape(width, trials, restarts)
+        np.matmul(designs, h.transpose(1, 0, 2), out=r_stack)
         np.subtract(r, tiled, out=r)
-        return np.multiply(r, r, out=sq).sum(axis=0), h, vjp(design_t2 @ r)
+        np.matmul(designs_t2, r_stack, out=g_stack)
+        obj = np.multiply(r, r, out=sq).sum(axis=0).reshape(trials, restarts)
+        return obj, h, vjp(g)
 
-    (_, h_hat), total = _latent_adam(value_and_grad, starts, iters, step)
+    found, _ = _latent_adam(value_and_grad, starts, iters, step)
+    return [ValueError("latent descent met a non-finite objective") if f is None else f[1] for f in found]
+
+
+def _generative_result(A: SampledOperator, b, net: GenerativeNetwork, h_hat, iterations) -> RecoveryResult:
     x_hat = net.weights[-1] @ h_hat
-    return RecoveryResult(x_hat, objective(A, x_hat, b), total, ("epsilon_uncertified",))
+    return RecoveryResult(x_hat, objective(A, x_hat, b), iterations, ("epsilon_uncertified",))
+
+
+def recover_generative(
+    A: SampledOperator, b, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100,
+    step: float = 0.05, init_pool: int = 16, seed=0, init_z=None,
+) -> RecoveryResult:
+    """Multi-restart latent descent with exact reverse-mode gradients.
+
+    Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
+    best of ``init_pool`` candidate latents drawn from ``seed`` (``init_z`` pins
+    the first restart instead) and runs exactly ``iters`` Adam steps; there is no
+    early stop. G's last layer W is linear, so A G(z) = M h(z) with h the last
+    hidden activation and M = A W, built by one batched transform per call:
+    the pool ranking and the restarts read only M and the folded target, in
+    real-stacked form and padded with zero rows to the operator's full stacked
+    height (2n for a complex operator, n for a real one). Every pool is drawn
+    in one call and ranked by one product with M; the restarts run as one
+    (k, restarts) block, as the one-draw case of ``recover_generative_stack``.
+    x_hat = W h is formed for the winner alone, and its objective is
+    ``objective(A, x_hat, b)``, one more transform. Returns the best iterate
+    ever evaluated; its gap to the global minimum is unknown and flagged
+    epsilon_uncertified. ``step`` must be positive and finite, and a
+    non-finite objective raises ValueError.
+    """
+    _check_generative(net, restarts, iters, step, init_pool)
+    (h_hat,) = _solve_stack(net, [_latent_system(A, b, net, restarts, init_pool, seed, init_z)], iters, step)
+    if isinstance(h_hat, Exception):
+        raise h_hat
+    return _generative_result(A, b, net, h_hat, restarts * iters)
+
+
+def recover_generative_stack(
+    systems, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100, step: float = 0.05,
+    init_pool: int = 16,
+) -> list:
+    """``recover_generative`` on every (A, b, seed) of ``systems``, with one Adam run for all.
+
+    Each draw's set-up (its fold, M and pool ranking) and its result (x_hat and
+    its objective) are its own; the Adam steps of every draw run as one stacked
+    block, each product one matmul over the draws' padded M, so every draw's
+    columns meet only its own M and target. Draws of one operator stack, as
+    their M share the operator's padded height. Returns per draw the
+    RecoveryResult that ``recover_generative(A, b, net, seed=seed, ...)`` gives,
+    bitwise when ``restarts`` is at least 2 (a lone column's products take
+    BLAS's matrix-vector path, which rounds differently), or the exception it
+    raises: a draw that fails, in its set-up, in its descent (a non-finite
+    objective) or in its result, fails alone.
+    """
+    _check_generative(net, restarts, iters, step, init_pool)
+    staged = []
+    for A, b, seed in systems:
+        try:
+            staged.append(_latent_system(A, b, net, restarts, init_pool, seed, None))
+        except Exception as exc:
+            staged.append(exc)
+    live = [s for s in staged if not isinstance(s, Exception)]
+    found = iter(_solve_stack(net, live, iters, step) if live else ())
+    results = []
+    for (A, b, _), system in zip(systems, staged):
+        outcome = system if isinstance(system, Exception) else next(found)
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = _generative_result(A, b, net, outcome, restarts * iters)
+            except Exception as exc:
+                outcome = exc
+        results.append(outcome)
+    return results
 
 
 def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:

@@ -198,11 +198,17 @@ def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.0
     and a doubled gradient allocated every step, and ``allocating_latent_adam``.
 
     Same arithmetic as ``recovery.recover_generative`` on the block M = A W_last,
-    without its checks. Returns (x_hat, objective, iterations).
+    without its checks: M and the target are real-stacked and padded with zero
+    rows to 2n for a complex operator, n for a real one. Returns (x_hat,
+    objective, iterations).
     """
     u, _ = A.fold(b)
-    design = _stack_real(A.forward(net.weights[-1]))
-    target = _stack_real(u)[:, None]
+    forward = _stack_real(A.forward(net.weights[-1]))
+    height = (2 if A.F.field == "complex" else 1) * A.F.n
+    design = np.zeros((height, forward.shape[1]))
+    design[: forward.shape[0]] = forward
+    target = np.zeros((height, 1))
+    target[: forward.shape[0], 0] = _stack_real(u)
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
 

@@ -30,6 +30,7 @@ from vdslab.harness import (
     fit_loglog_slope,
     parse_config_file,
     run_denoise_sweep,
+    run_single_trial,
     trial_streams,
     write_records_csv,
 )
@@ -671,6 +672,76 @@ def test_sweep_generative_prior(tmp_path):
     # nonconvex descent lands near, not on, the noiseless optimum
     assert all(r.rre <= 5e-2 for r in records)
     assert min(r.rre for r in records) <= 1e-3
+
+
+def _generative_mapping(tmp_path):
+    """A (2, 8, 32) net on a 32-point DFT: 18 trials, so two stacked blocks."""
+    rng = _rng(9)
+    npath = tmp_path / "g.vdsg"
+    save_network(GenerativeNetwork([rng.standard_normal((8, 2)), rng.standard_normal((32, 8))]), npath)
+    assert harness._STACK_TRIALS < 18
+    return {
+        "prior": "generative",
+        "network_file": str(npath),
+        "measurement": "dft",
+        "m_grid": "16,24,32",
+        "sigma_grid": "0.5",
+        "trials": 6,
+        "coherence_latents": 64,
+        "out": str(tmp_path / "g.csv"),
+    }
+
+
+def _without_timing(record):
+    return dataclasses.replace(record, wall_time_ms=0.0)
+
+
+@pytest.mark.parametrize(
+    "fault, reason",
+    [
+        ("nan", "ValueError: latent descent met a non-finite objective"),
+        ("raise", "FloatingPointError: overflow"),
+    ],
+)
+def test_generative_trial_fails_alone_in_its_block(tmp_path, monkeypatch, fault, reason):
+    """A generative trial whose measurement is NaN, or raises, gets a NaN row and a warning that
+    names its cell and the exception; every other row of its stacked block and of the next is
+    the fault-free sweep's bitwise."""
+    cfg = ExperimentConfig(_generative_mapping(tmp_path))
+    clean = run_denoise_sweep(cfg)
+    hit = []
+
+    def faulty(F, sample, x0, sigma, seed):
+        b = recovery.simulate_measurements(F, sample, x0, sigma, seed=seed)
+        if sample.m != 24 or hit:
+            return b
+        hit.append(sample.m)  # the first trial at m = 24 only
+        if fault == "raise":
+            raise FloatingPointError("overflow")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(harness, "simulate_measurements", faulty)
+    with pytest.warns(RuntimeWarning) as caught:
+        records = run_denoise_sweep(cfg)
+    assert len(caught) == 1
+    assert f"trial failed (scheme=optimized m=24 sigma=0.5 trial=0): {reason}" == str(caught[0].message)
+    assert len(records) == len(clean) == 18
+    for got, ref in zip(records, clean):
+        if (got.m, got.trial) == (24, 0):
+            assert math.isnan(got.rre) and math.isnan(got.objective)
+            assert got.noise_factor == ref.noise_factor
+        else:
+            assert _without_timing(got) == _without_timing(ref)
+
+
+def test_generative_single_trial_is_the_sweeps_first_row(tmp_path):
+    """run_single_trial solves alone the trial that the sweep solves in a stacked block, and
+    writes the sweep's (cell 0, trial 0) row bitwise, wall_time_ms aside."""
+    mapping = _generative_mapping(tmp_path)
+    first = run_denoise_sweep(ExperimentConfig(mapping))[0]
+    single = run_single_trial(ExperimentConfig({**mapping, "m": 16, "sigma": 0.5}))
+    assert (first.m, first.trial) == (16, 0)
+    assert _without_timing(single) == _without_timing(first)
 
 
 def test_sweep_haar_sparsity_basis(tmp_path):

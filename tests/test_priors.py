@@ -445,6 +445,30 @@ def test_latent_adam_columns_run_independently():
     assert obj == best[0] and np.array_equal(x, best[1])
 
 
+def test_latent_adam_stack_solves_each_problem_alone():
+    """Problems side by side in one block, their objectives (T, R), each get the result of their
+    own block bitwise; a problem that meets a non-finite objective gets None and no other moves."""
+    centres = np.array([[0.5, 1.0, np.nan], [-2.0, 3.0, 0.0]])  # (k, T): the last one is NaN
+    blocks = np.random.default_rng(5).standard_normal((2, 3, 4))  # (k, T, R)
+
+    def quadratic(centre):
+        def value_and_grad(z):
+            r = z - centre[:, None]
+            return np.sum(r**2, axis=0), z.copy(), 2.0 * r
+
+        return value_and_grad
+
+    def stacked(z):
+        r = z.reshape(blocks.shape) - centres[:, :, None]
+        return np.sum(r**2, axis=0), z.reshape(blocks.shape).copy(), 2.0 * r.reshape(z.shape)
+
+    found, total = _latent_adam(stacked, blocks.reshape(2, -1), 25, 0.05)
+    assert total == 12 * 25 and found[2] is None
+    for t in (0, 1):
+        (obj, x), _ = _latent_adam(quadratic(centres[:, t]), blocks[:, t], 25, 0.05)
+        assert found[t][0] == obj and np.array_equal(found[t][1], x)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

@@ -34,6 +34,7 @@ from vdslab.recovery import (
     deterministic_corollary_bound,
     objective,
     recover_generative,
+    recover_generative_stack,
     recover_oracle,
     recover_sparse_two_stage,
     relative_recovery_error,
@@ -675,6 +676,35 @@ def test_generative_is_the_allocating_solver_bitwise(case):
     x_hat, obj, iterations = allocating_recover_generative(A, ms, net, **config)
     assert np.array_equal(res.x_hat, x_hat)
     assert (res.objective, res.iterations) == (obj, iterations)
+
+
+@pytest.mark.parametrize("haar", [False, True])
+def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
+    """Draws of different drawn-row counts, solved as one stacked Adam run, each get the x_hat,
+    objective and iteration count of their own recover_generative bitwise; a draw whose set-up
+    raises or whose objective is non-finite fails alone, with the exception it raises alone."""
+    n = 32
+    rng = _rng(40 + haar)
+    F = make_haar_operator(n, 2) if haar else make_dft_operator(n)
+    net = _random_net((3, 8, 12, n), rng)
+    plan = optimized_probabilities(0.5 + rng.random(n))
+    systems = []
+    for m in (3, 11, 24, 40, 200):
+        sample = draw_sample(plan, m, rng)
+        ms = simulate_measurements(F, sample, generative_forward(net, rng.standard_normal(3)), 0.5, seed=rng)
+        systems.append((SampledOperator(F, sample), ms, int(rng.integers(2**32))))
+    assert len({A.rows.size for A, _, _ in systems}) == len(systems)  # unequal heights before padding
+    A, ms, _ = systems[2]
+    faulty = [(A, np.full_like(ms, np.nan), 7), (A, ms[:-1], 8)]
+    results = recover_generative_stack(systems[:3] + faulty + systems[3:], net, restarts=4, iters=30)
+    for (A, ms, seed), got in zip(faulty, results[3:5]):
+        with pytest.raises(ValueError) as expected:
+            recover_generative(A, ms, net, restarts=4, iters=30, seed=seed)
+        assert type(got) is ValueError and str(got) == str(expected.value)
+    for (A, ms, seed), got in zip(systems, results[:3] + results[5:]):
+        ref = recover_generative(A, ms, net, restarts=4, iters=30, seed=seed)
+        assert np.array_equal(got.x_hat, ref.x_hat)
+        assert (got.objective, got.iterations, got.flags) == (ref.objective, ref.iterations, ref.flags)
 
 
 @settings(max_examples=30, deadline=None)
