@@ -65,7 +65,6 @@ from vdslab.sampling import (
 from vdslab.transforms import (
     UnitaryOperator,
     compose_measurement_basis,
-    make_dense_operator,
     make_dft_operator,
     make_haar_operator,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "fit_loglog_slope",
     "load_network",
     "load_union",
-    "make_dense_operator",
     "make_dft_operator",
     "make_haar_operator",
     "noise_factor",

@@ -16,7 +16,7 @@ at once:
   column otherwise), and streams the representatives through ``forward``
   in blocks of at most ``_BAND_BLOCK`` columns, keeping a running top s of
   (magnitude, count) pairs per row. Its memory is O(n (s + _BAND_BLOCK));
-  the dense ``matrix()`` is for tests only.
+  no n x n matrix is built.
 - ``empirical_generative_coherence``: the pairwise estimate for a ReLU
   network, the largest |F(x_a - x_b)_j| / ||x_a - x_b|| over sampled pairs.
 
@@ -93,7 +93,7 @@ def _merge_top(values: np.ndarray, counts: np.ndarray, s: int) -> tuple:
 def sparse_coherence_vector(op: UnitaryOperator, s: int) -> np.ndarray:
     """Upper-bound coherences of all rows against s-sparse vectors.
 
-    alpha_j^2 is the sum of the s largest |matrix()[j, k]|^2 over k, read
+    alpha_j^2 is the sum of the s largest |forward(e_k)[j]|^2 over k, read
     from the operator's column bands without building the matrix.
     """
     s = _integer("s", s)

@@ -229,8 +229,8 @@ class ExperimentConfig:
             raise ConfigError("scheme custom needs plan_file")
         lows = {"trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0}
         for key, low in lows.items():
-            if not v.get(key, low) >= low:  # written so that NaN fails too
-                raise ConfigError(f"{key} must be at least {low}")
+            if not low <= v.get(key, low) < math.inf:  # written so that NaN fails too
+                raise ConfigError(f"{key} must be finite and at least {low}")
         if not 0.0 < v["bound_delta"] < 1.0:
             raise ConfigError("bound_delta must be in (0, 1)")
         for key, floor in (("m_grid", 1), ("sigma_grid", 0)):
@@ -238,8 +238,8 @@ class ExperimentConfig:
             if grid is not None:
                 if len(grid) == 0:
                     raise ConfigError(f"{key} must be non-empty")
-                if any(not g >= floor for g in grid):
-                    raise ConfigError(f"{key} entries must be at least {floor}")
+                if any(not floor <= g < math.inf for g in grid):
+                    raise ConfigError(f"{key} entries must be finite and at least {floor}")
 
     def resolved_items(self) -> list[tuple[str, str]]:
         return [(key, _format_value(v)) for key, v in sorted(self._values.items()) if v is not None]

@@ -1,9 +1,10 @@
 """Prior sets contained in unions of subspaces.
 
 Three concrete prior families: explicit subspace unions, k-sparse vectors, and
-small ReLU generative networks without biases. Each supports Euclidean
-projection, construction of a subspace union covering the difference set
-Q - Q, and logarithmic subspace-count bounds. All subspaces are real.
+small ReLU generative networks without biases. Each supports construction of
+a subspace union covering the difference set Q - Q; the sparse and generative
+priors also have logarithmic subspace-count bounds, and the sparse prior a
+Euclidean projection. All subspaces are real.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ _ENUMERATION_BUDGET = 100_000
 # difference_union's generative enumeration: latent directions probed and their stream
 _PATTERN_LATENTS = 4096
 _PATTERN_SEED = 0
-# project's generative projection: Adam starts, steps per start, step size and start stream
-_PROJECT_RESTARTS = 10
-_PROJECT_ITERS = 500
-_PROJECT_STEP = 1e-2
-_PROJECT_SEED = 0
 
 
 def _readonly(a):
@@ -68,9 +64,6 @@ class Subspace:
         self.basis = _readonly(basis)
         self.n = basis.shape[0]
         self.dim = basis.shape[1]
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ x)
 
     def __repr__(self) -> str:
         return f"<Subspace n={self.n} dim={self.dim}>"
@@ -347,33 +340,10 @@ def _lex_greatest(candidates):
 
 
 def project(prior, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of x onto a sparse, subspace-union or generative prior.
-
-    Exact for sparse priors and subspace unions (a single subspace projects
-    with ``Subspace.project``). Generative projection is approximate: 10
-    standard-normal latents from ``default_rng(0)``, run as one (k, 10) block
-    of 500 Adam steps of size 1e-2 on ||G(z) - x||_2^2.
-    """
-    x = np.asarray(x, dtype=np.float64)
+    """Euclidean projection of x onto a sparse prior: its k largest entries by magnitude, the
+    lowest indices on ties."""
     if isinstance(prior, SparsePrior):
-        return _hard_threshold(x, prior.k)
-    if isinstance(prior, SubspaceUnion):
-        projections = [s.project(x) for s in prior.subspaces]
-        residuals = np.array([np.linalg.norm(x - p) for p in projections])
-        tie_tol = 1e-12 * (1.0 + np.linalg.norm(x))
-        tied = [p for p, r in zip(projections, residuals) if r <= residuals.min() + tie_tol]
-        return _lex_greatest(tied)
-    if isinstance(prior, GenerativeNetwork):
-        def value_and_grad(z):
-            out, vjp = generative_pullback(prior, z)
-            r = out - x[:, None]
-            return np.sum(r**2, axis=0), out, vjp(2.0 * r)
-
-        # row i is the i-th draw of k values, so the starts match drawing one start at a time
-        rng = np.random.default_rng(_PROJECT_SEED)
-        starts = rng.standard_normal((_PROJECT_RESTARTS, prior.latent_dim)).T
-        (_, out), _ = _latent_adam(value_and_grad, starts, _PROJECT_ITERS, _PROJECT_STEP)
-        return out
+        return _hard_threshold(np.asarray(x, dtype=np.float64), prior.k)
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
@@ -424,27 +394,22 @@ def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
 
 
 def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
-    """Multi-start Adam in latent space, every start a column of one (k, R) block.
+    """Multi-start Adam in latent space over a stack of T independent problems.
 
-    ``value_and_grad(Z)`` returns the objectives, a block of points and the
+    Every start is a column of one (k, R) block, problem t's R / T starts side
+    by side in columns t R / T to (t + 1) R / T - 1. ``value_and_grad(Z)``
+    returns the objectives (T, R / T), the points (d, T, R / T) and the
     gradients (k, R); each column keeps its own Adam moments and gets exactly
-    ``iters`` evaluations, with no early stop. For one problem the objectives
-    are (R,) and the points (d, R). Returns the first lowest-objective
-    ``(objective, point)`` over every evaluated iterate in start-major order
-    (strict ``<`` within a column, the lowest column on ties across columns),
-    the point being the column of whatever ``value_and_grad`` returned second,
-    and the number of evaluations; a non-finite objective raises ValueError.
-
-    For a stack of T independent problems whose R / T columns each lie side
-    by side in Z, the objectives are (T, R / T) and the points (d, T, R / T),
-    and the first element returned is a list with that pair per problem, or
-    None for a problem that met a non-finite objective. Such a problem's
+    ``iters`` evaluations, with no early stop. Returns a list with, per
+    problem, the first lowest-objective ``(objective, point)`` over every
+    evaluated iterate in start-major order (strict ``<`` within a column, the
+    lowest column on ties across columns), or None for a problem that met a
+    non-finite objective, and the number of evaluations. Such a problem's
     columns run on; its NaNs reach no other problem as long as
     ``value_and_grad`` works per column or per problem. The running best is
     updated in place, so memory stays O(d R) at any ``iters``.
-    ``project`` runs it on ||G(z) - x||_2^2 with G(z) as the point;
-    ``recover_generative`` on stacked draws' folded systems with the last
-    hidden activation as the point.
+    ``recover_generative`` runs it on stacked draws' folded systems with the
+    last hidden activation as the point.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -458,15 +423,12 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
     best_x = None
     for it in range(1, iters + 1):
         obj, x, gz = value_and_grad(z)
-        finite = np.isfinite(obj).all(axis=-1)
         if best_x is None:  # the first step beats inf in every column
             best_obj = np.full(obj.shape, np.inf)
             better = np.empty(obj.shape, dtype=bool)
             best_x = np.empty_like(x)
             solved = np.ones(obj.shape[:-1], dtype=bool)
-        if obj.ndim == 1 and not finite:
-            raise ValueError("latent descent met a non-finite objective")
-        solved &= finite
+        solved &= np.isfinite(obj).all(axis=-1)
         np.less(obj, best_obj, out=better)
         np.copyto(best_obj, obj, where=better)
         np.copyto(best_x, x, where=better)
@@ -490,13 +452,24 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
         update /= denom
         z -= update
     cols = np.argmin(best_obj, axis=-1)
-    if obj.ndim == 1:
-        return (float(best_obj[cols]), best_x[:, cols].copy()), z.shape[1] * iters
     found = [
         (float(best_obj[t, col]), best_x[:, t, col].copy()) if ok else None
         for t, (col, ok) in enumerate(zip(cols, solved))
     ]
     return found, z.shape[1] * iters
+
+
+def _unpack(fmt: str, raw: bytes, offset: int, kind: str) -> tuple:
+    try:
+        return struct.unpack_from(fmt, raw, offset)
+    except struct.error:
+        raise ValueError(f"truncated {kind} file") from None
+
+
+def _floats(raw: bytes, offset: int, count: int, kind: str) -> np.ndarray:
+    if offset + 8 * count > len(raw):  # also a header whose sizes overflow a C count
+        raise ValueError(f"truncated {kind} file")
+    return np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
 
 
 def save_network(net: GenerativeNetwork, path) -> None:
@@ -514,15 +487,15 @@ def load_network(path) -> GenerativeNetwork:
         raw = fh.read()
     if raw[:4] != b"VDSG":
         raise ValueError("not a network file (bad magic)")
-    version, depth = struct.unpack_from("<II", raw, 4)
+    version, depth = _unpack("<II", raw, 4, "network")
     if version != 1:
         raise ValueError(f"unsupported network file version {version}")
-    widths = struct.unpack_from(f"<{depth + 1}I", raw, 12)
+    widths = _unpack(f"<{depth + 1}I", raw, 12, "network")
     offset = 12 + 4 * (depth + 1)
     weights = []
     for i in range(depth):
         rows, cols = widths[i + 1], widths[i]
-        w = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset)
+        w = _floats(raw, offset, rows * cols, "network")
         weights.append(w.reshape(rows, cols))
         offset += 8 * rows * cols
     if offset != len(raw):
@@ -545,15 +518,15 @@ def load_union(path) -> SubspaceUnion:
         raw = fh.read()
     if raw[:4] != b"VDSU":
         raise ValueError("not a subspace-union file (bad magic)")
-    version, m, n = struct.unpack_from("<III", raw, 4)
+    version, m, n = _unpack("<III", raw, 4, "union")
     if version != 1:
         raise ValueError(f"unsupported union file version {version}")
     offset = 16
     subs = []
     for _ in range(m):
-        (dim,) = struct.unpack_from("<I", raw, offset)
+        (dim,) = _unpack("<I", raw, offset, "union")
         offset += 4
-        b = np.frombuffer(raw, dtype="<f8", count=n * dim, offset=offset)
+        b = _floats(raw, offset, n * dim, "union")
         subs.append(Subspace(b.reshape(n, dim)))
         offset += 8 * n * dim
     if offset != len(raw):

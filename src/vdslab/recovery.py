@@ -99,8 +99,8 @@ def simulate_measurements(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.size != F.n:
         raise ValueError("x0 must be a real length-n vector")
-    if not sigma >= 0:  # written so that NaN fails too
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:  # written so that NaN fails too
+        raise ValueError("sigma must be finite and nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.Philox(seed))
     clean = apply_measurement(F, sample, x0)
     if F.field == "complex":

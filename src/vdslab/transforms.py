@@ -17,7 +17,6 @@ __all__ = [
     "UnitaryOperator",
     "make_dft_operator",
     "make_haar_operator",
-    "make_dense_operator",
     "compose_measurement_basis",
 ]
 
@@ -49,7 +48,7 @@ class UnitaryOperator:
         field: "real" or "complex", the scalar field of the matrix entries.
 
     Row j of the operator, f_j with f_j* x = forward(x)[j], is adjoint(e_j),
-    the conjugate of ``matrix()[j]``.
+    the conjugate of row j of the matrix, whose column k is forward(e_k).
     """
 
     def __init__(self, n: int, field: str):
@@ -73,13 +72,6 @@ class UnitaryOperator:
         """Apply the conjugate transpose along axis 0 of ``y``."""
         return self._adjoint(self._check_input(y))
 
-    def matrix(self) -> np.ndarray:
-        """Return the dense n x n matrix (column j is forward(e_j)).
-
-        For tests: it costs O(n^2) memory, and no library path builds it.
-        """
-        return self.forward(np.eye(self.n))
-
     def conjugate_rows(self) -> np.ndarray:
         """Row permutation P with conj(forward(x)) == forward(x)[P] for every real x.
 
@@ -98,7 +90,7 @@ class UnitaryOperator:
     def _column_bands(self) -> tuple:
         """(columns, sizes): column columns[b] stands for sizes[b] columns with its row-wise magnitudes.
 
-        Every column k has |matrix()[j, k]| equal to that of its band's
+        Every column k has |forward(e_k)[j]| equal to that of its band's
         representative in every row j. The default is n bands of one column.
         """
         return np.arange(self.n), np.ones(self.n, dtype=np.int64)
@@ -305,32 +297,6 @@ class _Haar2d(UnitaryOperator):
         return self._separable(y, adjoint=True)
 
 
-class _Dense(UnitaryOperator):
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("dense operator requires a square matrix")
-        n = matrix.shape[0]
-        if np.iscomplexobj(matrix):
-            mat = matrix.astype(np.complex128)
-            field = "complex"
-        else:
-            mat = matrix.astype(np.float64)
-            field = "real"
-        gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(n))) > 1e-8:
-            raise ValueError("matrix is not unitary within tolerance 1e-8")
-        mat.setflags(write=False)
-        super().__init__(n, field)
-        self._mat = mat
-
-    def _forward(self, x):
-        return self._mat @ x
-
-    def _adjoint(self, y):
-        return self._mat.conj().T @ y
-
-
 class _Composed(UnitaryOperator):
     """measurement . sparsity-adjoint, so priors live on coefficient vectors."""
 
@@ -405,11 +371,6 @@ def make_haar_operator(n: int, levels: int, *, two_dim: bool = False) -> Unitary
     if n < 1 or (levels and n % (1 << levels) != 0):
         raise ValueError(f"n={n} not divisible by 2**{levels}")
     return _Haar1d(n, levels)
-
-
-def make_dense_operator(matrix: np.ndarray) -> UnitaryOperator:
-    """Wrap an explicit unitary matrix (validated to 1e-8) as an operator."""
-    return _Dense(matrix)
 
 
 def compose_measurement_basis(

@@ -2,7 +2,9 @@
 
 The dense matrices are built from explicit formulas (index grids, wavelet
 rows, Kronecker products) rather than the package's fast transforms, so
-agreement is evidence and not tautology. The straightforward kernels at the
+agreement is evidence and not tautology. ``DenseOperator`` wraps such a
+matrix, or a random unitary, as an operator, and ``dense_matrix`` reads any
+operator back as its n x n matrix. The straightforward kernels at the
 end (the sparse coherence read off the dense matrix, a full lexsort hard
 threshold, a Haar cascade that copies its bands, the m-row scatter adjoint
 of the measurement, the latent Adam core that allocates its moments each
@@ -28,6 +30,7 @@ from vdslab.harness import TrialStreams
 from vdslab.priors import _hidden_pullback, generative_forward, generative_pullback
 from vdslab.recovery import _stack_real, objective
 from vdslab.sampling import apply_measurement
+from vdslab.transforms import UnitaryOperator
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -88,9 +91,42 @@ def random_unitary(n, rng):
     return q * (d / np.abs(d))
 
 
+class DenseOperator(UnitaryOperator):
+    """An explicit unitary matrix as an operator; the matrix must be unitary within 1e-8."""
+
+    def __init__(self, matrix):
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("dense operator requires a square matrix")
+        complex_entries = np.iscomplexobj(matrix)
+        mat = matrix.astype(np.complex128 if complex_entries else np.float64)
+        if np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) > 1e-8:
+            raise ValueError("matrix is not unitary within tolerance 1e-8")
+        mat.setflags(write=False)
+        super().__init__(len(mat), "complex" if complex_entries else "real")
+        self._mat = mat
+
+    def _forward(self, x):
+        return self._mat @ x
+
+    def _adjoint(self, y):
+        return self._mat.conj().T @ y
+
+
+def dense_matrix(op):
+    """The n x n matrix of an operator: column j is forward(e_j)."""
+    return op.forward(np.eye(op.n))
+
+
+def nearest_subspace_projection(union, x):
+    """Projection of x onto the member of a subspace union nearest to it."""
+    projections = [s.basis @ (s.basis.T @ x) for s in union.subspaces]
+    return min(projections, key=lambda p: np.linalg.norm(x - p))
+
+
 def dense_sparse_coherence(op, s):
     """Root sum of each row's s largest squared magnitudes, partitioned out of the dense matrix."""
-    mags = np.abs(op.matrix()) ** 2
+    mags = np.abs(dense_matrix(op)) ** 2
     top = np.partition(mags, op.n - s, axis=1)[:, op.n - s :]
     return np.sqrt(np.sum(top, axis=1))
 
@@ -167,8 +203,9 @@ def dense_support_least_squares(dense, sample, b, support):
 def allocating_latent_adam(value_and_grad, starts, iters, step):
     """Reference multi-start latent Adam: the moments and the step are new arrays every step.
 
-    Same contract as ``priors._latent_adam``: ((objective, point), evaluations)
-    for the first lowest objective over every evaluated iterate.
+    One problem, objectives (R,) and points (d, R): returns ((objective, point),
+    evaluations) for the first lowest objective over every evaluated iterate,
+    the pair ``priors._latent_adam`` gives for a stack of T = 1.
     """
     z = np.array(starts, dtype=np.float64)
     m1 = np.zeros_like(z)

@@ -16,6 +16,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import dense_matrix
+
 from vdslab.calibration import ISOMETRY_COMPLEXITY_CONSTANT
 from vdslab.coherence import coherence_vector, sparse_coherence_vector
 from vdslab.harness import (
@@ -261,7 +263,7 @@ def test_07_isotropy_and_preconditioner_mass():
     n, m, draws = 16, 4, 20_000
     alpha = 0.5 + _philox(74).random(n)
     plan = optimized_probabilities(alpha)
-    f = make_dft_operator(n).matrix()
+    f = dense_matrix(make_dft_operator(n))
     omegas = np.searchsorted(np.cumsum(plan.p), _philox(75).random((draws, m)), side="right")
     counts = np.bincount(omegas.ravel(), minlength=n)
     weights = (n / m) * plan.d**2 * counts / draws

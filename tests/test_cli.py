@@ -198,12 +198,23 @@ def test_missing_config_file_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_corrupt_prior_file_exits_3(tmp_path, capsys):
-    bad = tmp_path / "u.vdsu"
-    bad.write_bytes(b"not a union file")
-    cfg = _write_config(tmp_path, prior="union", union_file=str(bad), n=None, sparse_k=None)
-    assert main(["coherence", "--config", cfg]) == 3
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, prior, key, magic",
+    [("coherence", "union", "union_file", b"VDSU"), ("plan", "generative", "network_file", b"VDSG")],
+    ids=["union", "network"],
+)
+@pytest.mark.parametrize("content", ["bad_magic", "magic_only", "header_cut_short"])
+def test_corrupt_prior_file_exits_3(tmp_path, capsys, command, prior, key, magic, content):
+    raw, message = {
+        "bad_magic": (b"not a prior file", "bad magic"),
+        "magic_only": (magic, "truncated"),
+        "header_cut_short": (magic + b"\x01\0\0\0", "truncated"),
+    }[content]
+    bad = tmp_path / "prior.bin"
+    bad.write_bytes(raw)
+    cfg = _write_config(tmp_path, prior=prior, n=None, sparse_k=None, **{key: str(bad)})
+    assert main([command, "--config", cfg]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_recover_requires_m_and_sigma(tmp_path, capsys):
@@ -231,6 +242,7 @@ def test_recover_requires_m_and_sigma(tmp_path, capsys):
         ({"measurement": "haar", "measurement_levels": -2}, "levels must be nonnegative"),
         ({"measurement": "dft2", "sparsity": "haar2", "sparsity_levels": 4}, "side 8 not divisible by 2**4"),
         (_GENERATIVE | {"measurement": "haar", "measurement_levels": 5}, "n=16 not divisible by 2**5"),
+        ({"sigma": "inf"}, "sigma must be"),
     ],
 )
 def test_recover_rejects_out_of_range_point_exits_2(tmp_path, capsys, keys, message):

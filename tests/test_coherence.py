@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import dense_sparse_coherence, random_orthogonal, random_unitary
+from oracles import DenseOperator, dense_matrix, dense_sparse_coherence, random_orthogonal, random_unitary
 
 from vdslab.coherence import (
     coherence_vector,
@@ -24,9 +24,7 @@ from vdslab.priors import (
     SparsePrior,
 )
 from vdslab.transforms import (
-    UnitaryOperator,
     compose_measurement_basis,
-    make_dense_operator,
     make_dft_operator,
     make_haar_operator,
 )
@@ -66,7 +64,7 @@ def test_row_coherence_matches_brute_force():
     rng = np.random.default_rng(21)
     mat = random_unitary(8, rng)
     basis = subspace_from_span(rng.standard_normal((8, 3))).basis
-    closed = coherence_vector(make_dense_operator(mat), _one_subspace(basis))
+    closed = coherence_vector(DenseOperator(mat), _one_subspace(basis))
     for j in (0, 5):
         brute = _brute_row_coherence(mat[j].conj(), basis, rng)
         assert brute <= closed[j] + 1e-12
@@ -78,7 +76,7 @@ def test_row_coherence_matches_svd():
     for _ in range(10):
         mat = random_unitary(6, rng)
         basis = subspace_from_span(rng.standard_normal((6, 2))).basis
-        alpha = coherence_vector(make_dense_operator(mat), _one_subspace(basis))
+        alpha = coherence_vector(DenseOperator(mat), _one_subspace(basis))
         expected = [_svd_row_coherence(row.conj(), basis) for row in mat]
         assert np.allclose(alpha, expected, rtol=0, atol=1e-12)
 
@@ -107,7 +105,7 @@ def test_coherence_vector_agrees_with_row_function():
         [subspace_from_span(rng.standard_normal((8, d))) for d in (1, 2, 3)]
     )
     cv = coherence_vector(op, union)
-    mat = op.matrix()
+    mat = dense_matrix(op)
     for j in (0, 2, 7):
         expected = max(_svd_row_coherence(mat[j].conj(), s.basis) for s in union.subspaces)
         assert cv[j] == pytest.approx(expected, abs=1e-12)
@@ -123,7 +121,7 @@ def test_sparse_upper_bound_trivial_rows():
     squared magnitudes, taken from a full sort of each row."""
     assert np.allclose(sparse_coherence_vector(_identity_op(4), 2), 1.0, atol=1e-12)
     mat = random_unitary(8, np.random.default_rng(34))
-    got = sparse_coherence_vector(make_dense_operator(mat), 3)
+    got = sparse_coherence_vector(DenseOperator(mat), 3)
     expected = np.sqrt(np.sort(np.abs(mat) ** 2, axis=1)[:, -3:].sum(axis=1))
     assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
@@ -160,7 +158,7 @@ def test_sparse_coherence_matches_the_dense_build(measurement, sparsity, n):
 
 @pytest.mark.parametrize("n", (16, 64, 256))
 def test_sparse_coherence_matches_the_dense_build_on_a_complex_unitary(n):
-    op = make_dense_operator(random_unitary(n, np.random.default_rng(n)))
+    op = DenseOperator(random_unitary(n, np.random.default_rng(n)))
     for s in (1, 3, n // 3, n):
         np.testing.assert_allclose(
             sparse_coherence_vector(op, s), dense_sparse_coherence(op, s), rtol=1e-12, atol=0
@@ -175,16 +173,22 @@ def test_sparse_coherence_never_builds_the_matrix(monkeypatch):
             make_dft_operator(256, two_dim=True), make_haar_operator(256, 2, two_dim=True)
         ),
         compose_measurement_basis(make_haar_operator(256, 2), make_haar_operator(256, 4, two_dim=True)),
-        make_dense_operator(random_unitary(16, np.random.default_rng(36))),
+        DenseOperator(random_unitary(16, np.random.default_rng(36))),
     ]
     expected = [dense_sparse_coherence(op, 5) for op in ops]
-
-    def refuse(self):
-        raise AssertionError("sparse_coherence_vector built the dense matrix")
-
-    monkeypatch.setattr(UnitaryOperator, "matrix", refuse)
+    widths = []
     for op, want in zip(ops, expected):
+
+        def counting(x, forward=op.forward):
+            widths[-1] += x.shape[1]
+            return forward(x)
+
+        widths.append(0)
+        monkeypatch.setattr(op, "forward", counting)
         np.testing.assert_allclose(sparse_coherence_vector(op, 5), want, rtol=1e-12, atol=0)
+    # only one representative column per band goes through forward: one band for a bare DFT,
+    # (L + 1) or (L + 1)^2 for a DFT over a Haar basis, n for an operator without translate bands
+    assert widths == [1, 4, 9, 256, 16]
 
 
 def _support_union(n, s):
@@ -197,7 +201,7 @@ def test_sparse_exact_matches_supportwise_svd():
     op = make_dft_operator(8)
     supports = _support_union(8, 2)
     cv = coherence_vector(op, supports)
-    mat = op.matrix()
+    mat = dense_matrix(op)
     for j in range(8):
         f = mat[j].conj()  # row as measured: f* x = (Fx)_j
         best = max(_svd_row_coherence(f, sub.basis) for sub in supports.subspaces)
@@ -205,7 +209,7 @@ def test_sparse_exact_matches_supportwise_svd():
 
 
 def test_sparse_upper_dominates_exact():
-    op = make_dense_operator(random_unitary(6, np.random.default_rng(25)))
+    op = DenseOperator(random_unitary(6, np.random.default_rng(25)))
     exact = coherence_vector(op, _support_union(6, 2))
     assert np.all(sparse_coherence_vector(op, 2) >= exact - 1e-12)
 
@@ -301,7 +305,7 @@ def test_exactness_certificate_small_scale():
         [subspace_from_span(rng.standard_normal((8, d))) for d in (2, 3)]
     )
     cv = coherence_vector(op, union)
-    mat = op.matrix()
+    mat = dense_matrix(op)
     for j in (0, 3, 6):
         brute = max(_brute_row_coherence(mat[j].conj(), s.basis, rng) for s in union.subspaces)
         assert brute <= cv[j] + 1e-12
@@ -314,7 +318,7 @@ def test_exact_alpha_norm_at_least_one():
     ops = [
         make_dft_operator(8),
         make_haar_operator(8, 2),
-        make_dense_operator(random_orthogonal(8, rng)),
+        DenseOperator(random_orthogonal(8, rng)),
     ]
     for op in ops:
         union = SubspaceUnion([subspace_from_span(rng.standard_normal((8, 2)))])

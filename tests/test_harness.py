@@ -304,7 +304,7 @@ def test_config_nonpositive_m(tmp_path):
         ExperimentConfig(_sparse_mapping(tmp_path, m_grid="0,16"))
 
 
-@pytest.mark.parametrize("grid", ["-0.5,1.0", "0.5,nan"])
+@pytest.mark.parametrize("grid", ["-0.5,1.0", "0.5,nan", "0.5,inf"])
 def test_config_negative_or_nan_sigma_grid(tmp_path, grid):
     with pytest.raises(ConfigError, match="sigma_grid"):
         ExperimentConfig(_sparse_mapping(tmp_path, sigma_grid=grid))

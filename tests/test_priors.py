@@ -1,9 +1,9 @@
 """Prior sets: projection, difference unions, count bounds, serialization."""
 
 import math
+import struct
 import tracemalloc
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from oracles import allocating_latent_adam, lexsort_hard_threshold
 
-from vdslab import priors
 from vdslab.priors import (
     EnumerationBudgetError,
     GenerativeNetwork,
@@ -211,7 +210,7 @@ def test_difference_soundness_random_pairs(kind):
 
     for _ in range(200):
         d = draw() - draw()
-        resid = min(np.linalg.norm(d - s.project(d)) for s in union.subspaces)
+        resid = min(np.linalg.norm(d - s.basis @ (s.basis.T @ d)) for s in union.subspaces)
         assert resid <= 1e-8 * (1 + np.linalg.norm(d))
 
 
@@ -279,17 +278,11 @@ def test_project_sparse_tie_keeps_lowest_index():
     assert np.array_equal(out, [1, -1, 0, 0])
 
 
-def test_project_single_subspace():
-    sub = subspace_from_span(np.array([[1.0], [1.0], [0.0]]))
-    out = sub.project(np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(out, [0.5, 0.5, 0.0], atol=1e-12)
-
-
-def test_project_union_lexicographic_tie():
-    """Equal residuals resolve to the lexicographically greatest candidate."""
-    union = _coordinate_union(2, [(0,), (1,)])
-    out = project(union, np.array([1.0, 1.0]))
-    assert np.allclose(out, [1.0, 0.0], atol=0)
+def test_project_takes_only_a_sparse_prior():
+    x = np.array([1.0, 1.0])
+    for prior in (_coordinate_union(2, [(0,), (1,)]), GenerativeNetwork([np.eye(2), np.eye(2)])):
+        with pytest.raises(TypeError, match="unsupported prior type"):
+            project(prior, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,22 +349,14 @@ def test_hard_threshold_rejects_nan_wherever_it_sits(x, k):
         _hard_threshold(x, k)
 
 
-def test_project_union_beats_every_member():
-    rng = np.random.default_rng(13)
-    subs = [subspace_from_span(rng.standard_normal((6, d))) for d in (1, 2, 3)]
-    union = SubspaceUnion(subs)
-    for _ in range(20):
-        x = rng.standard_normal(6)
-        got = np.linalg.norm(x - project(union, x))
-        for s in subs:
-            assert got <= np.linalg.norm(x - s.project(x)) + 1e-12
+def _one_problem(value_and_grad):
+    """The T = 1 stack of a one-problem ``value_and_grad``: objectives (1, R) and points (d, 1, R)."""
 
+    def stacked(z):
+        obj, x, gz = value_and_grad(z)
+        return obj[None], x[:, None], gz
 
-def test_project_generative_nonnegative_orthant():
-    """relu-identity net projects onto the nonnegative orthant."""
-    net = GenerativeNetwork([np.eye(2), np.eye(2)])
-    out = project(net, np.array([1.0, -1.0]))
-    assert np.linalg.norm(out - np.array([1.0, 0.0])) < 1e-3
+    return stacked
 
 
 def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
@@ -383,7 +368,7 @@ def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
         blocks.append(z.copy())
         return np.ones(z.shape[1]), z.copy(), np.ones_like(z)
 
-    (obj, x), total = _latent_adam(flat, np.array([[1.0, 2.0, 3.0]]), 7, 0.1)
+    [(obj, x)], total = _latent_adam(_one_problem(flat), np.array([[1.0, 2.0, 3.0]]), 7, 0.1)
     assert (obj, x.tolist(), total) == (1.0, [1.0], 21)
     assert len(blocks) == 7 and all(b.shape == (1, 3) for b in blocks)
     assert np.all(blocks[-1] < blocks[0])  # the ties were between distinct iterates
@@ -403,10 +388,10 @@ def test_latent_adam_tie_goes_to_the_earliest_iterate_and_the_lowest_column():
             objs = np.array([scripts[name][it - 1] for name in order])
             return objs, np.full((2, len(order)), float(it)), np.zeros_like(z)
 
-        return _latent_adam(scripted, np.zeros((1, len(order))), 6, 0.1)
+        return _latent_adam(_one_problem(scripted), np.zeros((1, len(order))), 6, 0.1)
 
     for order, winner in ((["late", "early"], 4.0), (["early", "late"], 2.0), (["late"], 4.0)):
-        (obj, point), total = run(order)
+        [(obj, point)], total = run(order)
         assert (obj, point.tolist(), total) == (1.0, [winner, winner], 6 * len(order))
 
 
@@ -423,7 +408,7 @@ def test_latent_adam_memory_does_not_grow_with_iters():
     for iters in (20, 2000):
         tracemalloc.start()
         try:
-            _latent_adam(quadratic, starts, iters, 0.05)
+            _latent_adam(_one_problem(quadratic), starts, iters, 0.05)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -439,8 +424,8 @@ def test_latent_adam_columns_run_independently():
         return np.sum(r**2, axis=0), z.copy(), 2.0 * r
 
     block = np.array([[3.0, -1.0, 0.2], [1.0, 4.0, -0.7]])
-    (obj, x), _ = _latent_adam(quadratic, block, 25, 0.05)
-    singles = [_latent_adam(quadratic, block[:, [j]], 25, 0.05)[0] for j in range(3)]
+    [(obj, x)], _ = _latent_adam(_one_problem(quadratic), block, 25, 0.05)
+    singles = [_latent_adam(_one_problem(quadratic), block[:, [j]], 25, 0.05)[0][0] for j in range(3)]
     best = min(singles, key=lambda pair: pair[0])
     assert obj == best[0] and np.array_equal(x, best[1])
 
@@ -465,7 +450,7 @@ def test_latent_adam_stack_solves_each_problem_alone():
     found, total = _latent_adam(stacked, blocks.reshape(2, -1), 25, 0.05)
     assert total == 12 * 25 and found[2] is None
     for t in (0, 1):
-        (obj, x), _ = _latent_adam(quadratic(centres[:, t]), blocks[:, t], 25, 0.05)
+        [(obj, x)], _ = _latent_adam(_one_problem(quadratic(centres[:, t])), blocks[:, t], 25, 0.05)
         assert found[t][0] == obj and np.array_equal(found[t][1], x)
 
 
@@ -489,28 +474,17 @@ def test_latent_adam_is_the_allocating_update_bitwise(seed, widths, restarts, it
         return np.sum(r**2, axis=0), out, vjp(2.0 * r)
 
     starts = rng.standard_normal((net.latent_dim, restarts))
-    (obj, point), total = _latent_adam(value_and_grad, starts, iters, step)
+    [(obj, point)], total = _latent_adam(_one_problem(value_and_grad), starts, iters, step)
     (ref_obj, ref_point), ref_total = allocating_latent_adam(value_and_grad, starts, iters, step)
     assert obj == ref_obj and total == ref_total
     assert np.array_equal(point, ref_point)
 
 
-@pytest.mark.parametrize("widths", [(2, 16), (3, 8, 16), (3, 8, 12, 16)])
-def test_project_generative_is_the_allocating_adam_bitwise(widths):
-    rng = np.random.default_rng(len(widths))
-    net = _random_net(widths, rng)
-    x = rng.standard_normal(net.n)
-    got = project(net, x)
-    with mock.patch.object(priors, "_latent_adam", allocating_latent_adam):
-        ref = project(net, x)
-    assert np.array_equal(got, ref)
-
-
 def test_latent_adam_rejects_non_finite_objectives_and_empty_blocks():
-    with pytest.raises(ValueError, match="non-finite"):
-        _latent_adam(lambda z: (np.array([1.0, np.nan]), z, z), np.ones((1, 2)), 3, 0.1)
+    found, _ = _latent_adam(_one_problem(lambda z: (np.array([1.0, np.nan]), z, z)), np.ones((1, 2)), 3, 0.1)
+    assert found == [None]
     with pytest.raises(ValueError, match="at least one start"):
-        _latent_adam(lambda z: (np.ones(0), z, z), np.ones((1, 0)), 3, 0.1)
+        _latent_adam(_one_problem(lambda z: (np.ones(0), z, z)), np.ones((1, 0)), 3, 0.1)
 
 
 # ---------------------------------------------------------------- forward / pullback
@@ -579,6 +553,26 @@ def test_network_file_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(16))
     with pytest.raises(ValueError):
         load_network(path)
+
+
+def test_prior_files_cut_short_raise_value_error(tmp_path):
+    """A file cut at any byte, or whose header claims more than C can count, is a ValueError."""
+    rng = np.random.default_rng(20)
+    files = {tmp_path / "net.vdsg": load_network, tmp_path / "u.vdsu": load_union}
+    save_network(_random_net((2, 3, 5), rng), tmp_path / "net.vdsg")
+    save_union(SubspaceUnion([subspace_from_span(rng.standard_normal((5, 2)))]), tmp_path / "u.vdsu")
+    for path, load in files.items():
+        raw = path.read_bytes()
+        for cut in range(4, len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                load(path)
+    huge = struct.pack("<I", 2**32 - 1)
+    (tmp_path / "u.vdsu").write_bytes(b"VDSU" + struct.pack("<II", 1, 1) + huge + huge)
+    (tmp_path / "net.vdsg").write_bytes(b"VDSG" + struct.pack("<II", 1, 1) + huge + huge)
+    for path, load in files.items():
+        with pytest.raises(ValueError, match="truncated"):
+            load(path)
 
 
 def test_union_round_trip(tmp_path):

@@ -9,10 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DenseOperator,
     allocating_recover_generative,
+    dense_matrix,
     dense_support_least_squares,
     dft_matrix,
     haar_matrix,
+    nearest_subspace_projection,
     patience_recover_generative,
     random_orthogonal,
     random_unitary,
@@ -54,7 +57,6 @@ from vdslab.sampling import (
 from vdslab.transforms import (
     UnitaryOperator,
     compose_measurement_basis,
-    make_dense_operator,
     make_dft_operator,
     make_haar_operator,
 )
@@ -88,7 +90,7 @@ def _coordinate_pair_union(n):
 
 def _dense_preconditioned(F, sample):
     """Dense D~ S F for small checks."""
-    mat = F.matrix()
+    mat = dense_matrix(F)
     return sample.scale * sample.d_tilde[:, None] * mat[sample.omega]
 
 
@@ -128,7 +130,7 @@ def test_fixed_seed_reproduces_measurements():
 def test_noise_second_moment_real_field():
     # E||eta||^2 = sigma^2 for the real field; ||eta||^2 concentrates at m = 1e4
     n = 16
-    F = make_dense_operator(random_orthogonal(n, _rng(2)))
+    F = DenseOperator(random_orthogonal(n, _rng(2)))
     sample = draw_sample(uniform_plan(n), 10_000, 4)
     x0 = np.zeros(n)
     b = simulate_measurements(F, sample, x0, 1.0, seed=9)
@@ -146,17 +148,17 @@ def test_noise_second_moment_complex_field():
 
 
 def test_measurement_set_validation():
-    """simulate_measurements rejects a negative or NaN sigma before drawing noise."""
+    """simulate_measurements rejects a negative, infinite or NaN sigma before drawing noise."""
     n = 8
     F = make_dft_operator(n)
     sample = draw_sample(uniform_plan(n), 4, 0)
-    for sigma in (-1.0, float("nan")):
+    for sigma in (-1.0, math.inf, float("nan")):
         with pytest.raises(ValueError, match="sigma"):
             simulate_measurements(F, sample, np.zeros(n), sigma)
 
 
 def test_fold_rejects_b_of_the_wrong_length():
-    A = SampledOperator(make_dense_operator(np.eye(4)), _full_sample(4))
+    A = SampledOperator(DenseOperator(np.eye(4)), _full_sample(4))
     u, const = A.fold(np.ones(4))
     assert np.array_equal(u, np.ones(4)) and const == 0.0
     for b in (np.zeros(3), np.zeros((4, 1))):
@@ -179,8 +181,8 @@ def _adjoint_cases(draw):
     F = {
         "dft": lambda: make_dft_operator(n),
         "haar": lambda: make_haar_operator(n, 2),
-        "dense_real": lambda: make_dense_operator(random_orthogonal(n, rng)),
-        "dense_complex": lambda: make_dense_operator(random_unitary(n, rng)),
+        "dense_real": lambda: DenseOperator(random_orthogonal(n, rng)),
+        "dense_complex": lambda: DenseOperator(random_unitary(n, rng)),
     }[kind]()
     # a skewed plan puts most of the mass on a few rows, so draws repeat rows often
     skewed = draw(st.booleans())
@@ -272,7 +274,7 @@ def test_oracle_noiseless_exact_recovery():
 
 def test_oracle_picks_dominant_axis():
     eye = np.eye(2)
-    F = make_dense_operator(eye)
+    F = DenseOperator(eye)
     sample = _full_sample(2)
     union = SubspaceUnion([Subspace(eye[:, [0]]), Subspace(eye[:, [1]])])
     res = recover_oracle(SampledOperator(F, sample), np.array([1.0, 1e-9]), union)
@@ -303,7 +305,7 @@ def test_oracle_beats_random_candidates():
 
 def test_oracle_flags_rank_deficiency():
     n = 4
-    F = make_dense_operator(np.eye(n))
+    F = DenseOperator(np.eye(n))
     # single row cannot determine two coordinates
     sample = DrawnSample(uniform_plan(n), [0])
     union = SubspaceUnion([Subspace(np.eye(n)[:, :2])])
@@ -315,7 +317,7 @@ def test_oracle_flags_rank_deficiency():
 
 def test_oracle_requires_explicit_union():
     n = 4
-    F = make_dense_operator(np.eye(n))
+    F = DenseOperator(np.eye(n))
     sample = _full_sample(n)
     with pytest.raises(TypeError, match="enumerated"):
         recover_oracle(SampledOperator(F, sample), np.zeros(n), object())
@@ -325,7 +327,7 @@ def test_oracle_tie_breaks_lexicographically_greatest():
     # orthogonal axes fit b = 0 equally well (both give x = 0); a tie between
     # sign-flipped bases of the same line must also resolve deterministically
     eye = np.eye(2)
-    F = make_dense_operator(eye)
+    F = DenseOperator(eye)
     sample = _full_sample(2)
     union = SubspaceUnion([Subspace(eye[:, [0]]), Subspace(eye[:, [1]])])
     res = recover_oracle(SampledOperator(F, sample), np.zeros(2), union)
@@ -832,7 +834,7 @@ def test_rip_matches_random_search():
 def test_rip_wide_subspace_cannot_hold():
     # one drawn row against a 2-dimensional subspace: sigma_min is zero
     n = 4
-    F = make_dense_operator(np.eye(n))
+    F = DenseOperator(np.eye(n))
     sample = DrawnSample(uniform_plan(n), [0])
     union = SubspaceUnion([Subspace(np.eye(n)[:, :2])])
     report = rip_check(SampledOperator(F, sample), union)
@@ -1056,7 +1058,7 @@ def test_noiseless_exactness_both_fields(kind):
     if kind == "complex":
         F = make_dft_operator(n)
     else:
-        F = make_dense_operator(random_orthogonal(n, rng))
+        F = DenseOperator(random_orthogonal(n, rng))
     union = _random_union(n, 5, 2, rng)
     plan = optimized_probabilities(coherence_vector(F, union))
     for trial in range(10):
@@ -1097,14 +1099,12 @@ def test_objective_consistency_oracle():
     F = make_dft_operator(n)
     union = _random_union(n, 4, 2, rng)
     plan = optimized_probabilities(coherence_vector(F, union))
-    from vdslab.priors import project
-
     for trial in range(25):
         sample = draw_sample(plan, 14, 1500 + trial)
         x0 = _point_in(union, rng) + 0.05 * rng.standard_normal(n)
         ms = simulate_measurements(F, sample, x0, 0.3, seed=1600 + trial)
         res = recover_oracle(SampledOperator(F, sample), ms, union)
-        reference = objective(SampledOperator(F, sample), project(union, x0), ms)
+        reference = objective(SampledOperator(F, sample), nearest_subspace_projection(union, x0), ms)
         assert res.objective <= reference + 1e-9
 
 

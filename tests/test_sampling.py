@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import float_sorted_gathers, random_orthogonal, random_unitary, scatter_adjoint_measurement
+from oracles import (
+    DenseOperator,
+    dense_matrix,
+    float_sorted_gathers,
+    random_orthogonal,
+    random_unitary,
+    scatter_adjoint_measurement,
+)
 
 from vdslab.coherence import sparse_coherence_vector
 from vdslab.sampling import (
@@ -31,7 +38,6 @@ from vdslab.sampling import (
 )
 from vdslab.transforms import (
     compose_measurement_basis,
-    make_dense_operator,
     make_dft_operator,
     make_haar_operator,
 )
@@ -481,7 +487,7 @@ def test_isotropy_of_preconditioned_matrix():
     n, m, draws = 16, 4, 20_000
     alpha = _positive_alpha(n, rng)
     plan = optimized_probabilities(alpha)
-    f = make_dft_operator(n).matrix()
+    f = dense_matrix(make_dft_operator(n))
     stream = _rng(56)
     omegas = np.searchsorted(np.cumsum(plan.p), stream.random((draws, m)), side="right")
     counts = np.bincount(omegas.ravel(), minlength=n)
@@ -537,14 +543,14 @@ def test_apply_measurement_flat_preconditioner_is_noop():
 def test_apply_measurement_matches_dense_oracle():
     rng = _rng(58)
     n, m = 8, 5
-    op = make_dense_operator(random_orthogonal(n, rng))
+    op = DenseOperator(random_orthogonal(n, rng))
     alpha = _positive_alpha(n, rng)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, m, 19)
     x = rng.standard_normal((n, 3))
-    dense = op.matrix()[sample.omega] * math.sqrt(n / m)
+    dense = dense_matrix(op)[sample.omega] * math.sqrt(n / m)
     assert np.max(np.abs(apply_measurement(op, sample, x) - dense @ x)) < 1e-10
-    dense_pre = (plan.d[sample.omega][:, None] * op.matrix()[sample.omega]) * math.sqrt(n / m)
+    dense_pre = (plan.d[sample.omega][:, None] * dense_matrix(op)[sample.omega]) * math.sqrt(n / m)
     got_pre = apply_measurement(op, sample, x, preconditioned=True)
     assert np.max(np.abs(got_pre - dense_pre @ x)) < 1e-10
 
@@ -605,7 +611,7 @@ _FOLD_KINDS = {
     "dft2d": (lambda n, rng: make_dft_operator(n, two_dim=True), True),
     "haar1d": (lambda n, rng: make_haar_operator(n, 2), True),
     "haar2d": (lambda n, rng: make_haar_operator(n, 2, two_dim=True), True),
-    "dense_real": (lambda n, rng: make_dense_operator(random_orthogonal(n, rng)), True),
+    "dense_real": (lambda n, rng: DenseOperator(random_orthogonal(n, rng)), True),
     "dft_haar": (
         lambda n, rng: compose_measurement_basis(make_dft_operator(n), make_haar_operator(n, 2)), True
     ),
@@ -615,7 +621,7 @@ _FOLD_KINDS = {
         ),
         True,
     ),
-    "dense_complex": (lambda n, rng: make_dense_operator(random_unitary(n, rng)), False),
+    "dense_complex": (lambda n, rng: DenseOperator(random_unitary(n, rng)), False),
     "dft_dft": (lambda n, rng: compose_measurement_basis(make_dft_operator(n), make_dft_operator(n)), False),
     "haar_dft": (
         lambda n, rng: compose_measurement_basis(make_haar_operator(n, 2), make_dft_operator(n)), False

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DenseOperator,
     copying_haar2d,
     copying_haar_adjoint,
     copying_haar_forward,
     dft2d_matrix,
+    dense_matrix,
     dft_matrix,
     haar2d_matrix,
     haar_matrix,
@@ -21,7 +23,6 @@ from vdslab.priors import GenerativeNetwork, SparsePrior
 from vdslab.sampling import draw_sample, uniform_plan
 from vdslab.transforms import (
     compose_measurement_basis,
-    make_dense_operator,
     make_dft_operator,
     make_haar_operator,
 )
@@ -35,7 +36,7 @@ def _all_operator_kinds(rng):
         make_dft_operator(16, two_dim=True),
         haar,
         make_haar_operator(16, 2, two_dim=True),
-        make_dense_operator(random_orthogonal(16, rng)),
+        DenseOperator(random_orthogonal(16, rng)),
         compose_measurement_basis(dft, haar),
     ]
 
@@ -61,7 +62,7 @@ def test_dft_matches_dense_oracle():
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert np.max(np.abs(op.forward(x) - w @ x)) < 1e-10
     assert np.max(np.abs(op.adjoint(x) - w.conj().T @ x)) < 1e-10
-    assert np.max(np.abs(op.matrix() - w)) < 1e-10
+    assert np.max(np.abs(dense_matrix(op) - w)) < 1e-10
 
 
 def test_haar_constant_signal():
@@ -103,7 +104,7 @@ def test_haar_level_zero_is_identity():
 def test_fast_transforms_match_dense_oracles(build, oracle):
     """Dense-oracle equivalence for every fast transform at n = 64."""
     op = build()
-    assert np.max(np.abs(op.matrix() - oracle())) < 1e-10
+    assert np.max(np.abs(dense_matrix(op) - oracle())) < 1e-10
 
 
 @st.composite
@@ -199,7 +200,7 @@ def test_composed_matches_dense_product():
     dense = dft_matrix(8) @ haar_matrix(8, 3).conj().T
     x = rng.standard_normal(8)
     assert np.max(np.abs(op.forward(x) - dense @ x)) < 1e-10
-    assert np.max(np.abs(op.matrix() - dense)) < 1e-10
+    assert np.max(np.abs(dense_matrix(op) - dense)) < 1e-10
 
 
 def test_composition_rejects_dimension_mismatch():
@@ -236,7 +237,7 @@ def test_batched_application_matches_columnwise():
 def test_dense_operator_applies_matrix():
     rng = np.random.default_rng(20)
     q = random_orthogonal(8, rng)
-    op = make_dense_operator(q)
+    op = DenseOperator(q)
     x = rng.standard_normal(8)
     assert np.allclose(op.forward(x), q @ x, atol=1e-12)
     assert np.allclose(op.adjoint(x), q.T @ x, atol=1e-12)
@@ -244,9 +245,9 @@ def test_dense_operator_applies_matrix():
 
 def test_dense_operator_rejects_non_unitary():
     with pytest.raises(ValueError):
-        make_dense_operator(np.eye(4) * 1.001)  # off by 1e-3 > 1e-8 gate
+        DenseOperator(np.eye(4) * 1.001)  # off by 1e-3 > 1e-8 gate
     with pytest.raises(ValueError):
-        make_dense_operator(np.ones((3, 4)))
+        DenseOperator(np.ones((3, 4)))
 
 
 def test_dft_rejects_bad_lengths():
