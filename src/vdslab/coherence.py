@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .priors import GenerativeNetwork, SubspaceUnion, generative_forward
-from .transforms import UnitaryOperator, _integer
+from .transforms import UnitaryOperator, _integer, _read_only
 
 __all__ = [
     "coherence_vector",
@@ -39,11 +39,6 @@ __all__ = [
 ]
 
 _BAND_BLOCK = 128  # band columns per transform of sparse_coherence_vector
-
-
-def _read_only(alpha: np.ndarray) -> np.ndarray:
-    alpha.setflags(write=False)
-    return alpha
 
 
 def _row_sup_norms(rows: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ noise, solver. A sweep derives every trial's keys in one batch, bitwise
 equal to that SeedSequence's. The sampling scheme never enters the spawn key, so optimized
 and uniform runs of the same config consume identical signals and noise
 (common random numbers). Trials run one after another in task order (a
-generative sweep's solves in stacked blocks of consecutive trials), so the
-output CSV bytes are deterministic.
+network's solves in stacked blocks of consecutive trials, a single trial's
+in a block of one), so the output CSV bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .priors import (
 )
 from .recovery import (
     deterministic_corollary_bound,
-    recover_generative,
     recover_generative_stack,
     recover_oracle,
     recover_sparse_two_stage,
@@ -225,6 +224,9 @@ class ExperimentConfig:
             path = v.get(key)
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"{key} does not exist: {path}")
+        out = v.get("out")
+        if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigError(f"out must be a file in an existing directory, got {out}")
         if v["scheme"] == "custom" and v.get("plan_file") is None:
             raise ConfigError("scheme custom needs plan_file")
         lows = {"trials": 1, "master_seed": 0, "coherence_latents": 2, "m": 1, "sigma": 0}
@@ -397,14 +399,13 @@ def _draw_signal(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("network output vanished on 100 latent draws")
 
 
-def _solve(problem: _Problem, A: SampledOperator, b: np.ndarray, solver_seed: int):
-    """Run the prior's own solver: HTP for sparse, the oracle for unions, latent Adam for networks."""
+def _solve(problem: _Problem, A: SampledOperator, b: np.ndarray):
+    """Run the prior's own solver: HTP for sparse, the oracle for unions. A network's trials are
+    solved in stacked blocks (``_run_stack``)."""
     prior = problem.prior
     if isinstance(prior, SparsePrior):
         return recover_sparse_two_stage(A, b, prior.k)
-    if isinstance(prior, SubspaceUnion):
-        return recover_oracle(A, b, prior)
-    return recover_generative(A, b, prior, seed=solver_seed)
+    return recover_oracle(A, b, prior)
 
 
 @dataclass(frozen=True)
@@ -550,9 +551,9 @@ def _measure(problem, plan, m, sigma, streams: TrialStreams):
 def _run_trial(
     problem, plan, config, scheme, m, sigma, trial, streams: TrialStreams, solved=None
 ) -> ExperimentRecord:
-    """One CSV row. Without ``solved``, the trial is measured and solved here. A generative
-    sweep measures and solves its trials in stacked blocks first (``_run_stack``) and passes
-    each its ``solved`` (x0, sample, outcome, ms): the solver's RecoveryResult or the
+    """One CSV row. Without ``solved``, a sparse or union trial is measured and solved here. A
+    network's trials are measured and solved in stacked blocks first (``_run_stack``), which
+    passes each its ``solved`` (x0, sample, outcome, ms): the solver's RecoveryResult or the
     exception that failed the trial, and the milliseconds timed for it so far."""
     cell = f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
     if solved is None:
@@ -561,7 +562,7 @@ def _run_trial(
         outcome = system
         if not isinstance(system, Exception):
             try:
-                outcome = _solve(problem, *system, streams.solver_seed)
+                outcome = _solve(problem, *system)
             except Exception as exc:
                 outcome = exc
     else:
@@ -594,7 +595,7 @@ def _run_trial(
     )
 
 
-# a generative sweep solves this many consecutive trials as one stacked Adam run
+# a network's trials are solved this many consecutive trials at a time, as one stacked Adam run
 _STACK_TRIALS = 16
 
 
@@ -651,6 +652,21 @@ def _keep_freed_heap() -> None:
             mallopt(param, value)
 
 
+def _run(problem, plans, config, runs) -> list[ExperimentRecord]:
+    """The rows of ``runs``, each a (scheme, m, sigma, trial, keys) tuple, in order: a network's
+    in stacked blocks of consecutive runs, every other trial on its own."""
+    if isinstance(problem.prior, GenerativeNetwork):
+        return [
+            record
+            for start in range(0, len(runs), _STACK_TRIALS)
+            for record in _run_stack(problem, plans, config, runs[start : start + _STACK_TRIALS])
+        ]
+    return [
+        _run_trial(problem, plans[scheme], config, scheme, m, sigma, trial, _streams(row))
+        for scheme, m, sigma, trial, row in runs
+    ]
+
+
 def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
     config.require("m_grid", "sigma_grid")
     _keep_freed_heap()
@@ -668,16 +684,7 @@ def _sweep(problem, config, schemes) -> list[ExperimentRecord]:
     runs = [
         (scheme, m, sigma, trial, row) for scheme in schemes for (m, sigma, trial), row in zip(tasks, keys)
     ]
-    if isinstance(problem.prior, GenerativeNetwork):
-        return [
-            record
-            for start in range(0, len(runs), _STACK_TRIALS)
-            for record in _run_stack(problem, plans, config, runs[start : start + _STACK_TRIALS])
-        ]
-    return [
-        _run_trial(problem, plans[scheme], config, scheme, m, sigma, trial, _streams(row))
-        for scheme, m, sigma, trial, row in runs
-    ]
+    return _run(problem, plans, config, runs)
 
 
 def _format_value(v) -> str:
@@ -708,26 +715,32 @@ def write_manifest(config: ExperimentConfig, out_path) -> None:
 
 
 def run_single_trial(config: ExperimentConfig):
-    """One seeded trial (cell 0, trial 0) at the config's single (m, sigma) point."""
+    """One seeded trial (cell 0, trial 0) at the config's single (m, sigma) point: the sweep's
+    path on one run, so a network's trial is a stacked block of one."""
     if config.scheme == "both":
         raise ConfigError("a single trial needs one concrete scheme")
     config.require("m", "sigma")
     problem = build_problem(config)
-    plan = _plan_for(problem, config, config.scheme)
-    streams = trial_streams(config.master_seed, 0, 0)
-    return _run_trial(problem, plan, config, config.scheme, config.m, config.sigma, 0, streams)
+    plans = {config.scheme: _plan_for(problem, config, config.scheme)}
+    keys = _stream_keys(config.master_seed, [0], [0])[0]  # those of trial_streams(master_seed, 0, 0)
+    (record,) = _run(problem, plans, config, [(config.scheme, config.m, config.sigma, 0, keys)])
+    return record
+
+
+def _sweep_to_file(config: ExperimentConfig, schemes) -> list[ExperimentRecord]:
+    """Build the problem, sweep it under ``schemes``, and write the CSV and manifest at ``out``."""
+    config.require("out")
+    records = _sweep(build_problem(config), config, schemes)
+    write_records_csv(records, config.out)
+    write_manifest(config, config.out)
+    return records
 
 
 def run_denoise_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the configured sweep, write its CSV and manifest, return the records."""
     if config.scheme == "both":
         raise ConfigError("scheme 'both' is for compare_schemes")
-    config.require("out")
-    problem = build_problem(config)
-    records = _sweep(problem, config, [config.scheme])
-    write_records_csv(records, config.out)
-    write_manifest(config, config.out)
-    return records
+    return _sweep_to_file(config, [config.scheme])
 
 
 def compare_schemes(config: ExperimentConfig) -> dict:
@@ -738,11 +751,7 @@ def compare_schemes(config: ExperimentConfig) -> dict:
     """
     if config.scheme != "both":
         raise ConfigError("compare_schemes needs scheme = both")
-    config.require("out")
-    problem = build_problem(config)
-    records = _sweep(problem, config, ["optimized", "uniform"])
-    write_records_csv(records, config.out)
-    write_manifest(config, config.out)
+    records = _sweep_to_file(config, ["optimized", "uniform"])
     split = len(records) // 2
     return {"optimized": records[:split], "uniform": records[split:]}
 

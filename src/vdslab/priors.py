@@ -58,8 +58,10 @@ class Subspace:
             raise ValueError("subspace bases must be real")
         if basis.ndim != 2 or basis.shape[1] == 0:
             raise ValueError("basis must be a nonempty n x dim matrix")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis entries must be finite")
         gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-10:  # written so that NaN fails too
             raise ValueError("basis columns are not orthonormal within 1e-10")
         self.basis = _readonly(basis)
         self.n = basis.shape[0]
@@ -118,6 +120,8 @@ class GenerativeNetwork:
             raise ValueError("need at least one weight matrix")
         if any(np.iscomplexobj(w) or w.ndim != 2 for w in weights):
             raise ValueError("weights must be real matrices")
+        if not all(np.isfinite(w).all() for w in weights):
+            raise ValueError("weights must be finite")
         widths = [weights[0].shape[1]] + [w.shape[0] for w in weights]
         for i, w in enumerate(weights):
             if w.shape[1] != widths[i]:
@@ -329,16 +333,6 @@ def _hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _lex_greatest(candidates):
-    best = candidates[0]
-    for c in candidates[1:]:
-        diff = c - best
-        nz = np.nonzero(diff)[0]
-        if nz.size and diff[nz[0]] > 0:
-            best = c
-    return best
-
-
 def project(prior, x: np.ndarray) -> np.ndarray:
     """Euclidean projection of x onto a sparse prior: its k largest entries by magnitude, the
     lowest indices on ties."""
@@ -391,72 +385,6 @@ def generative_pullback(net: GenerativeNetwork, z: np.ndarray):
         return hidden_vjp(last.T @ np.asarray(v, dtype=np.float64))
 
     return last @ h, vjp
-
-
-def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float):
-    """Multi-start Adam in latent space over a stack of T independent problems.
-
-    Every start is a column of one (k, R) block, problem t's R / T starts side
-    by side in columns t R / T to (t + 1) R / T - 1. ``value_and_grad(Z)``
-    returns the objectives (T, R / T), the points (d, T, R / T) and the
-    gradients (k, R); each column keeps its own Adam moments and gets exactly
-    ``iters`` evaluations, with no early stop. Returns a list with, per
-    problem, the first lowest-objective ``(objective, point)`` over every
-    evaluated iterate in start-major order (strict ``<`` within a column, the
-    lowest column on ties across columns), or None for a problem that met a
-    non-finite objective, and the number of evaluations. Such a problem's
-    columns run on; its NaNs reach no other problem as long as
-    ``value_and_grad`` works per column or per problem. The running best is
-    updated in place, so memory stays O(d R) at any ``iters``.
-    ``recover_generative`` runs it on stacked draws' folded systems with the
-    last hidden activation as the point.
-    """
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
-    z = np.array(starts, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] == 0:
-        raise ValueError("latent descent needs a (k, R) block of at least one start")
-    m1 = np.zeros_like(z)
-    m2 = np.zeros_like(z)
-    update = np.empty_like(z)
-    denom = np.empty_like(z)
-    best_x = None
-    for it in range(1, iters + 1):
-        obj, x, gz = value_and_grad(z)
-        if best_x is None:  # the first step beats inf in every column
-            best_obj = np.full(obj.shape, np.inf)
-            better = np.empty(obj.shape, dtype=bool)
-            best_x = np.empty_like(x)
-            solved = np.ones(obj.shape[:-1], dtype=bool)
-        solved &= np.isfinite(obj).all(axis=-1)
-        np.less(obj, best_obj, out=better)
-        np.copyto(best_obj, obj, where=better)
-        np.copyto(best_x, x, where=better)
-        if it == iters:
-            break  # the budget is spent; a further step would go unevaluated
-        # in place, and in the order of m1 = 0.9 m1 + 0.1 g, m2 = 0.999 m2 + 0.001 g^2 and
-        # z -= step (m1 / c1) / (sqrt(m2 / c2) + 1e-8), so every iterate is bitwise that of
-        # the allocating form
-        m1 *= 0.9
-        np.multiply(gz, 0.1, out=update)
-        m1 += update
-        m2 *= 0.999
-        np.multiply(gz, gz, out=update)
-        update *= 0.001
-        m2 += update
-        np.divide(m2, 1.0 - 0.999**it, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += 1e-8
-        np.divide(m1, 1.0 - 0.9**it, out=update)
-        update *= step
-        update /= denom
-        z -= update
-    cols = np.argmin(best_obj, axis=-1)
-    found = [
-        (float(best_obj[t, col]), best_x[:, t, col].copy()) if ok else None
-        for t, (col, ok) in enumerate(zip(cols, solved))
-    ]
-    return found, z.shape[1] * iters
 
 
 def _unpack(fmt: str, raw: bytes, offset: int, kind: str) -> tuple:

@@ -5,11 +5,12 @@ operator A = D~ S F (a SampledOperator), which acts on the draw's distinct
 rows. The solvers minimize ||A x - D~ b||_2^2 over their prior set in its
 folded form ||A.forward(x) - u||^2 + const, with (u, const) = A.fold(b), and
 report that sum as the objective; the sparse solver is hard thresholding
-pursuit. The generative solver runs its latent descent on the last hidden
-layer through the draw's block M = A W_last, so its steps make no transform:
-x is formed, and its objective evaluated, for the winner alone. Draws of one
-operator can share one stacked Adam run (``recover_generative_stack``).
-Measurements are never pre-scaled; the preconditioner enters at
+pursuit. The generative solver, ``recover_generative_stack``, solves a list
+of draws of one operator with one stacked multi-start Adam run, whose core
+(``_latent_adam``) lives here; ``recover_generative`` is its one-draw call.
+It descends on the last hidden layer through each draw's block
+M = A W_last, so its steps make no transform: x is formed, and its
+objective evaluated, for each draw's winner alone. Measurements are never pre-scaled; the preconditioner enters at
 optimization time only. Only the simulation, the noise factor and the bounds
 read the m-row draw. Complex systems are handled by stacking real and
 imaginary parts, so least squares, the generative descent and singular
@@ -23,14 +24,7 @@ import math
 
 import numpy as np
 
-from .priors import (
-    GenerativeNetwork,
-    SubspaceUnion,
-    _hidden_pullback,
-    _latent_adam,
-    _lex_greatest,
-    _top_k_support,
-)
+from .priors import GenerativeNetwork, SubspaceUnion, _hidden_pullback, _top_k_support
 from .sampling import DrawnSample, SampledOperator, apply_measurement
 from .transforms import UnitaryOperator, _integer
 
@@ -117,6 +111,16 @@ def objective(A: SampledOperator, x, b) -> float:
     u, const = A.fold(b)
     r = A.forward(x) - u
     return float(np.real(np.vdot(r, r))) + const
+
+
+def _lex_greatest(candidates):
+    best = candidates[0]
+    for c in candidates[1:]:
+        diff = c - best
+        nz = np.nonzero(diff)[0]
+        if nz.size and diff[nz[0]] > 0:
+            best = c
+    return best
 
 
 def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResult:
@@ -206,17 +210,69 @@ def _padded_real(a: np.ndarray, height: int) -> np.ndarray:
     return out
 
 
-def _check_generative(net, restarts, iters, step, init_pool) -> None:
-    if not isinstance(net, GenerativeNetwork):
-        raise TypeError("recover_generative needs a GenerativeNetwork")
-    for key, value in (("restarts", restarts), ("iters", iters), ("init_pool", init_pool)):
-        if _integer(key, value) < 1:
-            raise ValueError(f"{key} must be at least 1")
-    if not 0 < step < math.inf:  # written so that NaN fails too
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float) -> list:
+    """Multi-start Adam in latent space over a stack of T independent problems.
+
+    Every start is a column of one (k, R) block, problem t's R / T starts side
+    by side in columns t R / T to (t + 1) R / T - 1. ``value_and_grad(Z)``
+    returns the objectives (T, R / T), the points (d, T, R / T) and the
+    gradients (k, R); each column keeps its own Adam moments and gets exactly
+    ``iters`` evaluations, with no early stop. Returns a list with, per
+    problem, the first lowest-objective ``(objective, point)`` over every
+    evaluated iterate in start-major order (strict ``<`` within a column, the
+    lowest column on ties across columns), or None for a problem that met a
+    non-finite objective. Such a problem's columns run on; its NaNs reach no
+    other problem as long as ``value_and_grad`` works per column or per
+    problem. The running best is updated in place, so memory stays O(d R) at
+    any ``iters``. ``_solve_stack`` runs it on stacked draws' folded systems
+    with the last hidden activation as the point.
+    """
+    z = np.array(starts, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("latent descent needs a (k, R) block of at least one start")
+    m1 = np.zeros_like(z)
+    m2 = np.zeros_like(z)
+    update = np.empty_like(z)
+    denom = np.empty_like(z)
+    best_x = None
+    for it in range(1, iters + 1):
+        obj, x, gz = value_and_grad(z)
+        if best_x is None:  # the first step beats inf in every column
+            best_obj = np.full(obj.shape, np.inf)
+            better = np.empty(obj.shape, dtype=bool)
+            best_x = np.empty_like(x)
+            solved = np.ones(obj.shape[:-1], dtype=bool)
+        solved &= np.isfinite(obj).all(axis=-1)
+        np.less(obj, best_obj, out=better)
+        np.copyto(best_obj, obj, where=better)
+        np.copyto(best_x, x, where=better)
+        if it == iters:
+            break  # the budget is spent; a further step would go unevaluated
+        # in place, and in the order of m1 = 0.9 m1 + 0.1 g, m2 = 0.999 m2 + 0.001 g^2 and
+        # z -= step (m1 / c1) / (sqrt(m2 / c2) + 1e-8), so every iterate is bitwise that of
+        # the allocating form
+        m1 *= 0.9
+        np.multiply(gz, 0.1, out=update)
+        m1 += update
+        m2 *= 0.999
+        np.multiply(gz, gz, out=update)
+        update *= 0.001
+        m2 += update
+        np.divide(m2, 1.0 - 0.999**it, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        np.divide(m1, 1.0 - 0.9**it, out=update)
+        update *= step
+        update /= denom
+        z -= update
+    cols = np.argmin(best_obj, axis=-1)
+    return [
+        (float(best_obj[t, col]), best_x[:, t, col].copy()) if ok else None
+        for t, (col, ok) in enumerate(zip(cols, solved))
+    ]
 
 
-def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init_pool, seed, init_z):
+def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init_pool, seed):
     """(design, target, starts) of one draw: M = A W_last and the folded target, both real-stacked
     and padded with zero rows to the operator's full stacked height, and the (k, restarts) block
     of starts picked from the pools of the draw's own solver stream."""
@@ -229,21 +285,12 @@ def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init
     target = _padded_real(u, height)[:, None]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
-    if init_z is not None:
-        init_z = np.asarray(init_z, dtype=np.float64)
-        if init_z.shape != (k,):
-            raise ValueError("init_z must have the latent dimension")
-
     # every pool in one draw reads the rng as one restart at a time would, and one block
     # ranks them all; the folded residuals rank as the m-row ones, as they differ by const
-    drawn = restarts - (init_z is not None)
-    pools = rng.standard_normal((drawn, k, init_pool))
+    pools = rng.standard_normal((restarts, k, init_pool))
     r = design @ _hidden_pullback(net, pools.transpose(1, 0, 2).reshape(k, -1))[0] - target
-    picks = np.argmin(np.sum(r * r, axis=0).reshape(drawn, init_pool), axis=1)
-    starts = pools[np.arange(drawn), :, picks].T
-    if init_z is not None:
-        starts = np.column_stack([init_z, starts])
-    return design, target, starts
+    picks = np.argmin(np.sum(r * r, axis=0).reshape(restarts, init_pool), axis=1)
+    return design, target, pools[np.arange(restarts), :, picks].T
 
 
 def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> list:
@@ -276,66 +323,52 @@ def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> li
         obj = np.multiply(r, r, out=sq).sum(axis=0).reshape(trials, restarts)
         return obj, h, vjp(g)
 
-    found, _ = _latent_adam(value_and_grad, starts, iters, step)
+    found = _latent_adam(value_and_grad, starts, iters, step)
     return [ValueError("latent descent met a non-finite objective") if f is None else f[1] for f in found]
-
-
-def _generative_result(A: SampledOperator, b, net: GenerativeNetwork, h_hat, iterations) -> RecoveryResult:
-    x_hat = net.weights[-1] @ h_hat
-    return RecoveryResult(x_hat, objective(A, x_hat, b), iterations, ("epsilon_uncertified",))
-
-
-def recover_generative(
-    A: SampledOperator, b, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100,
-    step: float = 0.05, init_pool: int = 16, seed=0, init_z=None,
-) -> RecoveryResult:
-    """Multi-restart latent descent with exact reverse-mode gradients.
-
-    Adam on f(z) = ||A G(z) - D~ b||_2^2. Each restart starts from the
-    best of ``init_pool`` candidate latents drawn from ``seed`` (``init_z`` pins
-    the first restart instead) and runs exactly ``iters`` Adam steps; there is no
-    early stop. G's last layer W is linear, so A G(z) = M h(z) with h the last
-    hidden activation and M = A W, built by one batched transform per call:
-    the pool ranking and the restarts read only M and the folded target, in
-    real-stacked form and padded with zero rows to the operator's full stacked
-    height (2n for a complex operator, n for a real one). Every pool is drawn
-    in one call and ranked by one product with M; the restarts run as one
-    (k, restarts) block, as the one-draw case of ``recover_generative_stack``.
-    x_hat = W h is formed for the winner alone, and its objective is
-    ``objective(A, x_hat, b)``, one more transform. Returns the best iterate
-    ever evaluated; its gap to the global minimum is unknown and flagged
-    epsilon_uncertified. ``step`` must be positive and finite, and a
-    non-finite objective raises ValueError.
-    """
-    _check_generative(net, restarts, iters, step, init_pool)
-    (h_hat,) = _solve_stack(net, [_latent_system(A, b, net, restarts, init_pool, seed, init_z)], iters, step)
-    if isinstance(h_hat, Exception):
-        raise h_hat
-    return _generative_result(A, b, net, h_hat, restarts * iters)
 
 
 def recover_generative_stack(
     systems, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100, step: float = 0.05,
     init_pool: int = 16,
 ) -> list:
-    """``recover_generative`` on every (A, b, seed) of ``systems``, with one Adam run for all.
+    """Multi-restart latent descent with exact reverse-mode gradients, on every (A, b, seed) of
+    ``systems`` with one Adam run for all.
 
-    Each draw's set-up (its fold, M and pool ranking) and its result (x_hat and
-    its objective) are its own; the Adam steps of every draw run as one stacked
-    block, each product one matmul over the draws' padded M, so every draw's
-    columns meet only its own M and target. Draws of one operator stack, as
-    their M share the operator's padded height. Returns per draw the
-    RecoveryResult that ``recover_generative(A, b, net, seed=seed, ...)`` gives,
-    bitwise when ``restarts`` is at least 2 (a lone column's products take
-    BLAS's matrix-vector path, which rounds differently), or the exception it
-    raises: a draw that fails, in its set-up, in its descent (a non-finite
-    objective) or in its result, fails alone.
+    Adam on f(z) = ||A G(z) - D~ b||_2^2 for each draw. Each restart starts
+    from the best of ``init_pool`` candidate latents drawn from the draw's
+    ``seed`` and runs exactly ``iters`` Adam steps; there is no early stop.
+    G's last layer W is linear, so A G(z) = M h(z) with h the last hidden
+    activation and M = A W, built by one batched transform per draw: the pool
+    ranking and the restarts read only M and the folded target, in
+    real-stacked form and padded with zero rows to the operator's full stacked
+    height (2n for a complex operator, n for a real one). A draw's pools are
+    drawn in one call and ranked by one product with M. The restarts of every
+    draw then run as one stacked block, each product one matmul over the
+    draws' padded M, so every draw's columns meet only its own M and target;
+    draws of one operator stack, as their M share the operator's padded
+    height. x_hat = W h is formed for each draw's winner alone, and its
+    objective is ``objective(A, x_hat, b)``, one more transform. The result is
+    the best iterate ever evaluated, after restarts * iters iterations; its
+    gap to the global minimum is unknown and flagged epsilon_uncertified.
+
+    Returns per draw its RecoveryResult, or the exception that failed it: a
+    draw that fails, in its set-up, in its descent (a non-finite objective
+    raises ValueError) or in its result, fails alone. A draw's result is the
+    one it gets alone (``recover_generative``) bitwise when ``restarts`` is at
+    least 2 (a lone column's products take BLAS's matrix-vector path, which
+    rounds differently). ``step`` must be positive and finite.
     """
-    _check_generative(net, restarts, iters, step, init_pool)
+    if not isinstance(net, GenerativeNetwork):
+        raise TypeError("recover_generative needs a GenerativeNetwork")
+    for key, value in (("restarts", restarts), ("iters", iters), ("init_pool", init_pool)):
+        if _integer(key, value) < 1:
+            raise ValueError(f"{key} must be at least 1")
+    if not 0 < step < math.inf:  # written so that NaN fails too
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     staged = []
     for A, b, seed in systems:
         try:
-            staged.append(_latent_system(A, b, net, restarts, init_pool, seed, None))
+            staged.append(_latent_system(A, b, net, restarts, init_pool, seed))
         except Exception as exc:
             staged.append(exc)
     live = [s for s in staged if not isinstance(s, Exception)]
@@ -345,11 +378,28 @@ def recover_generative_stack(
         outcome = system if isinstance(system, Exception) else next(found)
         if not isinstance(outcome, Exception):
             try:
-                outcome = _generative_result(A, b, net, outcome, restarts * iters)
+                x_hat = net.weights[-1] @ outcome
+                outcome = RecoveryResult(
+                    x_hat, objective(A, x_hat, b), restarts * iters, ("epsilon_uncertified",)
+                )
             except Exception as exc:
                 outcome = exc
         results.append(outcome)
     return results
+
+
+def recover_generative(
+    A: SampledOperator, b, net: GenerativeNetwork, *, restarts: int = 10, iters: int = 100,
+    step: float = 0.05, init_pool: int = 16, seed=0,
+) -> RecoveryResult:
+    """``recover_generative_stack`` on the one draw (A, b) with solver stream ``seed``: its
+    RecoveryResult, or the exception that failed it, raised."""
+    (result,) = recover_generative_stack(
+        [(A, b, seed)], net, restarts=restarts, iters=iters, step=step, init_pool=init_pool
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:

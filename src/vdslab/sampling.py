@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .transforms import UnitaryOperator, _integer
+from .transforms import UnitaryOperator, _integer, _read_only
 
 __all__ = [
     "SamplingPlan",
@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 _SIMPLEX_TOL = 1e-12
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class SamplingPlan:

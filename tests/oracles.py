@@ -205,7 +205,7 @@ def allocating_latent_adam(value_and_grad, starts, iters, step):
 
     One problem, objectives (R,) and points (d, R): returns ((objective, point),
     evaluations) for the first lowest objective over every evaluated iterate,
-    the pair ``priors._latent_adam`` gives for a stack of T = 1.
+    the pair ``recovery._latent_adam`` gives for a stack of T = 1.
     """
     z = np.array(starts, dtype=np.float64)
     m1 = np.zeros_like(z)
@@ -229,8 +229,7 @@ def allocating_latent_adam(value_and_grad, starts, iters, step):
     return (float(best_obj[col]), best_x[:, col].copy()), z.shape[1] * iters
 
 
-def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.05, init_pool=16, seed=0,
-                                  init_z=None):
+def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.05, init_pool=16, seed=0):
     """Reference batched generative solver: one pool drawn and ranked per restart, a residual
     and a doubled gradient allocated every step, and ``allocating_latent_adam``.
 
@@ -254,9 +253,7 @@ def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.0
         r = design @ _hidden_pullback(net, pool)[0] - target
         return pool[:, int(np.argmin(np.sum(r * r, axis=0)))]
 
-    if init_z is not None:
-        init_z = np.asarray(init_z, dtype=np.float64)
-    starts = [init_z if r == 0 and init_z is not None else best_of_pool() for r in range(restarts)]
+    starts = [best_of_pool() for _ in range(restarts)]
 
     def value_and_grad(z):
         h, vjp = _hidden_pullback(net, z)
@@ -276,8 +273,7 @@ def patience_recover_generative(A, b, net, config):
     min(iters, patience) steps. Returns (x_hat, objective, iterations, starts),
     with ``starts`` the (k, restarts) block of the latents each restart began from.
     """
-    cfg = {"restarts": 10, "iters": 2000, "step": 0.05, "patience": 100, "init_pool": 16, "seed": 0,
-           "init_z": None, **config}
+    cfg = {"restarts": 10, "iters": 2000, "step": 0.05, "patience": 100, "init_pool": 16, "seed": 0, **config}
     target = A.sample.d_tilde * np.asarray(b)
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     k = net.latent_dim
@@ -301,11 +297,8 @@ def patience_recover_generative(A, b, net, config):
     best = None
     total = 0
     starts = []
-    for restart in range(cfg["restarts"]):
-        if restart == 0 and cfg["init_z"] is not None:
-            z = np.asarray(cfg["init_z"], dtype=np.float64).copy()
-        else:
-            z = best_of_pool()
+    for _ in range(cfg["restarts"]):
+        z = best_of_pool()
         starts.append(z)
         m1 = np.zeros(k)
         m2 = np.zeros(k)

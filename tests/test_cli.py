@@ -1,5 +1,6 @@
 """Exercises the command-line entry points and their exit codes."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -203,18 +204,33 @@ def test_missing_config_file_exits_3(tmp_path, capsys):
     [("coherence", "union", "union_file", b"VDSU"), ("plan", "generative", "network_file", b"VDSG")],
     ids=["union", "network"],
 )
-@pytest.mark.parametrize("content", ["bad_magic", "magic_only", "header_cut_short"])
+@pytest.mark.parametrize("content", ["bad_magic", "magic_only", "header_cut_short", "non_finite"])
 def test_corrupt_prior_file_exits_3(tmp_path, capsys, command, prior, key, magic, content):
+    # version 1 and one 4 x 1 block: a union of M = 1 subspace of n = 4, dim 1, with a NaN in its
+    # basis, or a depth-1 network of widths (1, 4) with an inf weight
+    header = struct.pack("<IIII", 1, 1, 4, 1) if magic == b"VDSU" else struct.pack("<IIII", 1, 1, 1, 4)
+    entries = np.array([1.0, 0.0, 0.0, np.nan if magic == b"VDSU" else np.inf], dtype="<f8")
     raw, message = {
         "bad_magic": (b"not a prior file", "bad magic"),
         "magic_only": (magic, "truncated"),
         "header_cut_short": (magic + b"\x01\0\0\0", "truncated"),
+        "non_finite": (magic + header + entries.tobytes(), "must be finite"),
     }[content]
     bad = tmp_path / "prior.bin"
     bad.write_bytes(raw)
     cfg = _write_config(tmp_path, prior=prior, n=None, sparse_k=None, **{key: str(bad)})
     assert main([command, "--config", cfg]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/out.csv", "."], ids=["missing_directory", "directory"])
+def test_sweep_whose_out_cannot_be_written_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, out):
+    cfg = _write_config(tmp_path, m_grid="32", sigma_grid="0.5", trials="2")
+    monkeypatch.setattr(harness, "build_problem", lambda config: pytest.fail("the sweep started"))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["denoise-sweep", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert "out must be a file in an existing directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no records file, no manifest
 
 
 def test_recover_requires_m_and_sigma(tmp_path, capsys):

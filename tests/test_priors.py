@@ -2,7 +2,6 @@
 
 import math
 import struct
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import allocating_latent_adam, lexsort_hard_threshold
+from oracles import lexsort_hard_threshold
 
 from vdslab.priors import (
     EnumerationBudgetError,
@@ -29,7 +28,7 @@ from vdslab.priors import (
     subspace_count_bounds,
     subspace_from_span,
 )
-from vdslab.priors import _activation_patterns, _hard_threshold, _latent_adam, _top_k_support
+from vdslab.priors import _activation_patterns, _hard_threshold, _top_k_support
 
 
 def _coordinate_union(n, supports):
@@ -83,6 +82,9 @@ def test_subspace_validates_orthonormality():
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Subspace(np.array([[1j], [0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Subspace(np.array([[1.0], [bad]]))
 
 
 def test_union_metadata():
@@ -102,6 +104,9 @@ def test_network_validates_shape_chain():
         GenerativeNetwork([np.ones((3, 2)), np.ones((4, 2))])  # 2 != 3
     with pytest.raises(ValueError):
         GenerativeNetwork([np.ones((3, 2)), np.ones((2, 3))])  # widths decrease
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GenerativeNetwork([np.ones((3, 2)), np.full((4, 3), bad)])
 
 
 def test_subspace_from_span_orthonormalizes():
@@ -347,144 +352,6 @@ def test_hard_threshold_rejects_nan_wherever_it_sits(x, k):
         _top_k_support(x, k)
     with pytest.raises(ValueError, match="NaN"):
         _hard_threshold(x, k)
-
-
-def _one_problem(value_and_grad):
-    """The T = 1 stack of a one-problem ``value_and_grad``: objectives (1, R) and points (d, 1, R)."""
-
-    def stacked(z):
-        obj, x, gz = value_and_grad(z)
-        return obj[None], x[:, None], gz
-
-    return stacked
-
-
-def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
-    """Flat objectives tie every iterate while the latents move: within a column the first
-    iterate wins, across columns the lowest column, and each start gets iters evaluations."""
-    blocks = []
-
-    def flat(z):
-        blocks.append(z.copy())
-        return np.ones(z.shape[1]), z.copy(), np.ones_like(z)
-
-    [(obj, x)], total = _latent_adam(_one_problem(flat), np.array([[1.0, 2.0, 3.0]]), 7, 0.1)
-    assert (obj, x.tolist(), total) == (1.0, [1.0], 21)
-    assert len(blocks) == 7 and all(b.shape == (1, 3) for b in blocks)
-    assert np.all(blocks[-1] < blocks[0])  # the ties were between distinct iterates
-
-
-def test_latent_adam_tie_goes_to_the_earliest_iterate_and_the_lowest_column():
-    """Two columns reach the same minimum, one at step 4 and the other at step 2, and hold it:
-    the winner is the lowest column's first iterate at the minimum, whichever column got there
-    first. Each point is its step number, so the winner names its step."""
-    scripts = {"late": [5.0, 4.0, 3.0, 1.0, 1.0, 1.0], "early": [4.0, 1.0, 1.0, 1.0, 2.0, 1.0]}
-
-    def run(order):
-        step = iter(range(1, 7))
-
-        def scripted(z):
-            it = next(step)
-            objs = np.array([scripts[name][it - 1] for name in order])
-            return objs, np.full((2, len(order)), float(it)), np.zeros_like(z)
-
-        return _latent_adam(_one_problem(scripted), np.zeros((1, len(order))), 6, 0.1)
-
-    for order, winner in ((["late", "early"], 4.0), (["early", "late"], 2.0), (["late"], 4.0)):
-        [(obj, point)], total = run(order)
-        assert (obj, point.tolist(), total) == (1.0, [winner, winner], 6 * len(order))
-
-
-def test_latent_adam_memory_does_not_grow_with_iters():
-    """The running best is kept in place, so the peak allocation is O(d R) at any budget."""
-    centre = np.linspace(-1.0, 1.0, 64)[:, None]
-    starts = np.random.default_rng(3).standard_normal((64, 10))
-
-    def quadratic(z):
-        r = z - centre
-        return np.sum(r**2, axis=0), z.copy(), 2.0 * r
-
-    peaks = []
-    for iters in (20, 2000):
-        tracemalloc.start()
-        try:
-            _latent_adam(_one_problem(quadratic), starts, iters, 0.05)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 2 * peaks[0]
-
-
-def test_latent_adam_columns_run_independently():
-    """Each column keeps its own Adam moments: the block gives the single-column runs."""
-    centre = np.array([[0.5], [-2.0]])
-
-    def quadratic(z):
-        r = z - centre
-        return np.sum(r**2, axis=0), z.copy(), 2.0 * r
-
-    block = np.array([[3.0, -1.0, 0.2], [1.0, 4.0, -0.7]])
-    [(obj, x)], _ = _latent_adam(_one_problem(quadratic), block, 25, 0.05)
-    singles = [_latent_adam(_one_problem(quadratic), block[:, [j]], 25, 0.05)[0][0] for j in range(3)]
-    best = min(singles, key=lambda pair: pair[0])
-    assert obj == best[0] and np.array_equal(x, best[1])
-
-
-def test_latent_adam_stack_solves_each_problem_alone():
-    """Problems side by side in one block, their objectives (T, R), each get the result of their
-    own block bitwise; a problem that meets a non-finite objective gets None and no other moves."""
-    centres = np.array([[0.5, 1.0, np.nan], [-2.0, 3.0, 0.0]])  # (k, T): the last one is NaN
-    blocks = np.random.default_rng(5).standard_normal((2, 3, 4))  # (k, T, R)
-
-    def quadratic(centre):
-        def value_and_grad(z):
-            r = z - centre[:, None]
-            return np.sum(r**2, axis=0), z.copy(), 2.0 * r
-
-        return value_and_grad
-
-    def stacked(z):
-        r = z.reshape(blocks.shape) - centres[:, :, None]
-        return np.sum(r**2, axis=0), z.reshape(blocks.shape).copy(), 2.0 * r.reshape(z.shape)
-
-    found, total = _latent_adam(stacked, blocks.reshape(2, -1), 25, 0.05)
-    assert total == 12 * 25 and found[2] is None
-    for t in (0, 1):
-        [(obj, x)], _ = _latent_adam(_one_problem(quadratic(centres[:, t])), blocks[:, t], 25, 0.05)
-        assert found[t][0] == obj and np.array_equal(found[t][1], x)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([(2, 16), (3, 8, 16), (3, 8, 12, 16)]),
-    st.integers(1, 49),
-    st.integers(1, 200),
-    st.sampled_from([1e-2, 0.05, 0.3]),
-)
-def test_latent_adam_is_the_allocating_update_bitwise(seed, widths, restarts, iters, step):
-    """The in-place moments give the allocating form's iterates, best point and objective bitwise."""
-    rng = np.random.default_rng(seed)
-    net = _random_net(widths, rng)
-    x = rng.standard_normal(net.n)
-
-    def value_and_grad(z):
-        out, vjp = generative_pullback(net, z)
-        r = out - x[:, None]
-        return np.sum(r**2, axis=0), out, vjp(2.0 * r)
-
-    starts = rng.standard_normal((net.latent_dim, restarts))
-    [(obj, point)], total = _latent_adam(_one_problem(value_and_grad), starts, iters, step)
-    (ref_obj, ref_point), ref_total = allocating_latent_adam(value_and_grad, starts, iters, step)
-    assert obj == ref_obj and total == ref_total
-    assert np.array_equal(point, ref_point)
-
-
-def test_latent_adam_rejects_non_finite_objectives_and_empty_blocks():
-    found, _ = _latent_adam(_one_problem(lambda z: (np.array([1.0, np.nan]), z, z)), np.ones((1, 2)), 3, 0.1)
-    assert found == [None]
-    with pytest.raises(ValueError, match="at least one start"):
-        _latent_adam(_one_problem(lambda z: (np.ones(0), z, z)), np.ones((1, 0)), 3, 0.1)
 
 
 # ---------------------------------------------------------------- forward / pullback

@@ -1,6 +1,7 @@
 """Measurement simulation, the three solvers, and the closed-form bounds."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     DenseOperator,
+    allocating_latent_adam,
     allocating_recover_generative,
     dense_matrix,
     dense_support_least_squares,
@@ -28,12 +30,12 @@ from vdslab.priors import (
     GenerativeNetwork,
     Subspace,
     SubspaceUnion,
-    _latent_adam,
     generative_forward,
     generative_pullback,
 )
 from vdslab.recovery import (
     RecoveryResult,
+    _latent_adam,
     deterministic_corollary_bound,
     objective,
     recover_generative,
@@ -513,21 +515,6 @@ def _random_net(widths, rng, scale=1.0):
     return GenerativeNetwork(weights)
 
 
-def test_generative_seeded_at_truth_is_exact():
-    n = 16
-    rng = _rng(9)
-    net = _random_net((2, 8, 16), rng)
-    F = make_dft_operator(n)
-    sample = _full_sample(n)
-    z0 = rng.standard_normal(2)
-    x0 = generative_forward(net, z0)
-    ms = simulate_measurements(F, sample, x0, 0.0)
-    res = recover_generative(SampledOperator(F, sample), ms, net, init_z=z0, restarts=1, iters=5)
-    assert res.objective == 0.0
-    assert np.array_equal(res.x_hat, x0)
-    assert res.flags == ("epsilon_uncertified",)
-
-
 def test_generative_gradient_matches_finite_differences():
     n = 16
     rng = _rng(10)
@@ -588,18 +575,7 @@ def test_generative_recovery_success_rate():
     assert hits >= 0.8 * trials
 
 
-def test_generative_init_z_shape_checked():
-    n = 16
-    rng = _rng(11)
-    net = _random_net((2, 8, 16), rng)
-    F = make_dft_operator(n)
-    with pytest.raises(ValueError, match="init_z"):
-        recover_generative(
-            SampledOperator(F, _full_sample(n)), np.zeros(n, dtype=complex), net, init_z=np.zeros(3)
-        )
-
-
-def _generative_case(seed, n, haar, widths, m, sigma, config, pin_start):
+def _generative_case(seed, n, haar, widths, m, sigma, config):
     """(A, b, net, config) for a draw of m rows on a real Haar (``haar``) or complex DFT operator
     of size n and a net of the given widths before its last layer; all data come from ``seed``."""
     rng = _rng(seed)
@@ -609,15 +585,13 @@ def _generative_case(seed, n, haar, widths, m, sigma, config, pin_start):
     sample = draw_sample(plan, m, rng)
     x0 = generative_forward(net, rng.standard_normal(net.latent_dim))
     ms = simulate_measurements(F, sample, x0, sigma, seed=rng)
-    if pin_start:
-        config = {**config, "init_z": rng.standard_normal(net.latent_dim)}
     return SampledOperator(F, sample), ms, net, config
 
 
 @st.composite
 def _generative_cases(draw):
     """(A, b, net, config): real Haar and complex DFT draws, nets of one and two hidden layers,
-    iters <= 100, with and without init_z."""
+    iters <= 100."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.sampled_from([16, 32]))
     haar = draw(st.booleans())
@@ -630,7 +604,7 @@ def _generative_cases(draw):
         "init_pool": draw(st.integers(1, 16)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
-    return _generative_case(seed, n, haar, widths, m, sigma, config, draw(st.booleans()))
+    return _generative_case(seed, n, haar, widths, m, sigma, config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -638,7 +612,7 @@ def _generative_cases(draw):
 # a descent that ends near z = 0: five steps take |z| from 0.19 to near 0, so |x_hat| = 2.9e-5
 # while the two results are 2.1e-16 apart
 @example(_generative_case(275, 16, False, (1, 8), 2, 0.5,
-                          {"restarts": 1, "iters": 5, "init_pool": 1, "seed": 23837}, False))
+                          {"restarts": 1, "iters": 5, "init_pool": 1, "seed": 23837}))
 def test_generative_matches_patience_loop(case):
     """Within the 100 steps the old patience stop allowed, the batched folded core is the
     one-restart-at-a-time loop on the m-row draw, up to rounding."""
@@ -663,13 +637,13 @@ def test_generative_matches_patience_loop(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_generative_cases())
-# no hidden layer, three hidden layers, and one restart pinned by init_z, so no pool is drawn
+# no hidden layer, three hidden layers, and one restart, a block of a single column
 @example(_generative_case(31, 32, False, (3,), 24, 0.5,
-                          {"restarts": 4, "iters": 30, "init_pool": 8, "seed": 5}, False))
+                          {"restarts": 4, "iters": 30, "init_pool": 8, "seed": 5}))
 @example(_generative_case(31, 32, False, (2, 8, 12, 16), 24, 0.5,
-                          {"restarts": 3, "iters": 40, "init_pool": 5, "seed": 5}, False))
+                          {"restarts": 3, "iters": 40, "init_pool": 5, "seed": 5}))
 @example(_generative_case(31, 32, True, (3, 8), 24, 0.5,
-                          {"restarts": 1, "iters": 20, "init_pool": 16, "seed": 5}, True))
+                          {"restarts": 1, "iters": 20, "init_pool": 16, "seed": 5}))
 def test_generative_is_the_allocating_solver_bitwise(case):
     """One-block pool ranking, the buffered residual, the doubled M^T and the in-place running
     best give the per-restart, allocating solver's x_hat, objective and count bitwise."""
@@ -712,7 +686,7 @@ def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
 @settings(max_examples=30, deadline=None)
 @given(_generative_cases())
 def test_generative_start_block_is_the_patience_loops_starts(case):
-    """The eager start block, with and without init_z, holds bitwise the latents the lazy loop starts from."""
+    """The eager start block holds bitwise the latents the lazy loop starts from."""
     A, ms, net, config = case
     blocks = []
 
@@ -720,14 +694,11 @@ def test_generative_start_block_is_the_patience_loops_starts(case):
         blocks.append(np.array(starts))
         return _latent_adam(value_and_grad, starts, iters, step)
 
-    pinned = {**config, "init_z": np.linspace(-1.0, 1.0, net.latent_dim)}
-    for cfg in ({k: v for k, v in config.items() if k != "init_z"}, pinned):
-        blocks.clear()
-        with mock.patch.object(recovery, "_latent_adam", spy):
-            recover_generative(A, ms, net, **cfg)
-        *_, starts = patience_recover_generative(A, ms, net, cfg)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0], starts)
+    with mock.patch.object(recovery, "_latent_adam", spy):
+        recover_generative(A, ms, net, **config)
+    *_, starts = patience_recover_generative(A, ms, net, config)
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0], starts)
 
 
 @pytest.mark.parametrize("restarts, iters, init_pool", [(1, 1, 1), (3, 40, 16), (10, 100, 5)])
@@ -795,6 +766,156 @@ def test_generative_rejects_bad_config(config, message):
         recover_generative(
             SampledOperator(make_dft_operator(n), _full_sample(n)), np.zeros(n, dtype=complex), net, **config
         )
+
+
+# ------------------------------------------------------------------ latent Adam
+
+
+def _one_problem(value_and_grad):
+    """The T = 1 stack of a one-problem ``value_and_grad``: objectives (1, R) and points (d, 1, R)."""
+
+    def stacked(z):
+        obj, x, gz = value_and_grad(z)
+        return obj[None], x[:, None], gz
+
+    return stacked
+
+
+def test_latent_adam_fixed_budget_keeps_the_first_lowest_objective():
+    """Flat objectives tie every iterate while the latents move: within a column the first
+    iterate wins, across columns the lowest column, and each start gets iters evaluations."""
+    blocks = []
+
+    def flat(z):
+        blocks.append(z.copy())
+        return np.ones(z.shape[1]), z.copy(), np.ones_like(z)
+
+    [(obj, x)] = _latent_adam(_one_problem(flat), np.array([[1.0, 2.0, 3.0]]), 7, 0.1)
+    assert (obj, x.tolist()) == (1.0, [1.0])
+    assert len(blocks) == 7 and all(b.shape == (1, 3) for b in blocks)
+    assert np.all(blocks[-1] < blocks[0])  # the ties were between distinct iterates
+
+
+def test_latent_adam_tie_goes_to_the_earliest_iterate_and_the_lowest_column():
+    """Two columns reach the same minimum, one at step 4 and the other at step 2, and hold it:
+    the winner is the lowest column's first iterate at the minimum, whichever column got there
+    first. Each point is its step number, so the winner names its step."""
+    scripts = {"late": [5.0, 4.0, 3.0, 1.0, 1.0, 1.0], "early": [4.0, 1.0, 1.0, 1.0, 2.0, 1.0]}
+
+    def run(order):
+        blocks = []
+
+        def scripted(z):
+            blocks.append(z.shape)
+            it = len(blocks)
+            objs = np.array([scripts[name][it - 1] for name in order])
+            return objs, np.full((2, len(order)), float(it)), np.zeros_like(z)
+
+        return _latent_adam(_one_problem(scripted), np.zeros((1, len(order))), 6, 0.1), blocks
+
+    for order, winner in ((["late", "early"], 4.0), (["early", "late"], 2.0), (["late"], 4.0)):
+        [(obj, point)], blocks = run(order)
+        assert (obj, point.tolist()) == (1.0, [winner, winner])
+        assert blocks == [(1, len(order))] * 6  # every column evaluated exactly iters times
+
+
+def test_latent_adam_memory_does_not_grow_with_iters():
+    """The running best is kept in place, so the peak allocation is O(d R) at any budget."""
+    centre = np.linspace(-1.0, 1.0, 64)[:, None]
+    starts = np.random.default_rng(3).standard_normal((64, 10))
+
+    def quadratic(z):
+        r = z - centre
+        return np.sum(r**2, axis=0), z.copy(), 2.0 * r
+
+    peaks = []
+    for iters in (20, 2000):
+        tracemalloc.start()
+        try:
+            _latent_adam(_one_problem(quadratic), starts, iters, 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def test_latent_adam_columns_run_independently():
+    """Each column keeps its own Adam moments: the block gives the single-column runs."""
+    centre = np.array([[0.5], [-2.0]])
+
+    def quadratic(z):
+        r = z - centre
+        return np.sum(r**2, axis=0), z.copy(), 2.0 * r
+
+    block = np.array([[3.0, -1.0, 0.2], [1.0, 4.0, -0.7]])
+    [(obj, x)] = _latent_adam(_one_problem(quadratic), block, 25, 0.05)
+    singles = [_latent_adam(_one_problem(quadratic), block[:, [j]], 25, 0.05)[0] for j in range(3)]
+    best = min(singles, key=lambda pair: pair[0])
+    assert obj == best[0] and np.array_equal(x, best[1])
+
+
+def test_latent_adam_stack_solves_each_problem_alone():
+    """Problems side by side in one block, their objectives (T, R), each get the result of their
+    own block bitwise; a problem that meets a non-finite objective gets None and no other moves."""
+    centres = np.array([[0.5, 1.0, np.nan], [-2.0, 3.0, 0.0]])  # (k, T): the last one is NaN
+    blocks = np.random.default_rng(5).standard_normal((2, 3, 4))  # (k, T, R)
+
+    def quadratic(centre):
+        def value_and_grad(z):
+            r = z - centre[:, None]
+            return np.sum(r**2, axis=0), z.copy(), 2.0 * r
+
+        return value_and_grad
+
+    calls = []
+
+    def stacked(z):
+        calls.append(z.shape)
+        r = z.reshape(blocks.shape) - centres[:, :, None]
+        return np.sum(r**2, axis=0), z.reshape(blocks.shape).copy(), 2.0 * r.reshape(z.shape)
+
+    found = _latent_adam(stacked, blocks.reshape(2, -1), 25, 0.05)
+    assert calls == [(2, 12)] * 25 and found[2] is None
+    for t in (0, 1):
+        [(obj, x)] = _latent_adam(_one_problem(quadratic(centres[:, t])), blocks[:, t], 25, 0.05)
+        assert found[t][0] == obj and np.array_equal(found[t][1], x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(2, 16), (3, 8, 16), (3, 8, 12, 16)]),
+    st.integers(1, 49),
+    st.integers(1, 200),
+    st.sampled_from([1e-2, 0.05, 0.3]),
+)
+def test_latent_adam_is_the_allocating_update_bitwise(seed, widths, restarts, iters, step):
+    """The in-place moments give the allocating form's iterates, best point and objective bitwise."""
+    rng = np.random.default_rng(seed)
+    net = _random_net(widths, rng)
+    x = rng.standard_normal(net.n)
+
+    calls = []
+
+    def value_and_grad(z):
+        calls.append(z.shape[1])
+        out, vjp = generative_pullback(net, z)
+        r = out - x[:, None]
+        return np.sum(r**2, axis=0), out, vjp(2.0 * r)
+
+    starts = rng.standard_normal((net.latent_dim, restarts))
+    [(obj, point)] = _latent_adam(_one_problem(value_and_grad), starts, iters, step)
+    evaluations = sum(calls)
+    (ref_obj, ref_point), ref_total = allocating_latent_adam(value_and_grad, starts, iters, step)
+    assert obj == ref_obj and evaluations == ref_total == restarts * iters
+    assert np.array_equal(point, ref_point)
+
+
+def test_latent_adam_rejects_non_finite_objectives_and_empty_blocks():
+    found = _latent_adam(_one_problem(lambda z: (np.array([1.0, np.nan]), z, z)), np.ones((1, 2)), 3, 0.1)
+    assert found == [None]
+    with pytest.raises(ValueError, match="at least one start"):
+        _latent_adam(_one_problem(lambda z: (np.ones(0), z, z)), np.ones((1, 0)), 3, 0.1)
 
 
 # ------------------------------------------------------------------ rip check
