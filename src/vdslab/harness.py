@@ -786,14 +786,18 @@ def aggregate_geometric(records) -> dict:
 
 
 def fit_loglog_slope(points, window) -> dict:
-    """OLS fit of log(rre) against log(m) inside the inclusive m-window."""
+    """OLS fit of log(rre) against log(m) inside the inclusive m-window.
+
+    Every m and value inside the window must be finite and positive, and the window must hold
+    at least two distinct m.
+    """
     lo, hi = window
-    inside = [(m, v) for m, v in points if lo <= m <= hi]
-    if len(inside) < 2:
-        raise ValueError("need at least two points inside the fit window")
-    log_m = np.log([p[0] for p in inside])
-    log_v = np.log([p[1] for p in inside])
-    slope, intercept = np.polyfit(log_m, log_v, 1)
+    inside = np.array([(m, v) for m, v in points if lo <= m <= hi], dtype=np.float64).reshape(-1, 2)
+    if not np.all((inside > 0) & (inside < np.inf)):  # written so that NaN fails too
+        raise ValueError("every m and value inside the fit window must be finite and positive")
+    if np.unique(inside[:, 0]).size < 2:
+        raise ValueError("need at least two points of distinct m inside the fit window")
+    slope, intercept = np.polyfit(*np.log(inside).T, 1)
     return {"slope": float(slope), "intercept": float(intercept)}
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .transforms import _integer
+from .transforms import _integer, _read_only
 
 __all__ = [
     "Subspace",
@@ -43,12 +43,6 @@ _PATTERN_LATENTS = 4096
 _PATTERN_SEED = 0
 
 
-def _readonly(a):
-    a = np.array(a, dtype=np.float64, order="C")
-    a.setflags(write=False)
-    return a
-
-
 class Subspace:
     """A linear subspace of R^n given by an n x dim orthonormal basis."""
 
@@ -63,7 +57,7 @@ class Subspace:
         gram = basis.T @ basis
         if not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-10:  # written so that NaN fails too
             raise ValueError("basis columns are not orthonormal within 1e-10")
-        self.basis = _readonly(basis)
+        self.basis = _read_only(np.array(basis, dtype=np.float64, order="C"))
         self.n = basis.shape[0]
         self.dim = basis.shape[1]
 
@@ -132,7 +126,7 @@ class GenerativeNetwork:
             raise ValueError(f"layer widths must be non-decreasing, got {widths}")
         if widths[0] < 1:
             raise ValueError("latent dimension must be positive")
-        self.weights = tuple(_readonly(w) for w in weights)
+        self.weights = tuple(_read_only(np.array(w, dtype=np.float64, order="C")) for w in weights)
         self.layer_widths = tuple(widths)
         self.depth = len(weights)
         self.latent_dim = widths[0]

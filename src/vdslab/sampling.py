@@ -26,7 +26,6 @@ __all__ = [
     "DrawnSample",
     "SampledOperator",
     "uniform_plan",
-    "make_plan",
     "optimized_probabilities",
     "complexity_mu",
     "draw_sample",
@@ -43,33 +42,28 @@ _SIMPLEX_TOL = 1e-12
 
 
 class SamplingPlan:
-    """Row probabilities p with the matching preconditioner diagonal d.
+    """Row probabilities p and the preconditioner diagonal they fix, d_i = (n p_i)^(-1/2).
 
-    Excluded rows carry p_i = 0 and d_i = 0 and are never drawn; on the
-    support d_i * sqrt(n * p_i) = 1.
+    Excluded rows carry p_i = 0 and d_i = 0 and are never drawn.
 
     Two read-only tables, ``cdf`` and ``d_rank``, are built on first use and
     then kept, so every draw and noise factor on the plan reads the same ones.
     """
 
-    def __init__(self, p: np.ndarray, d: np.ndarray):
-        p = np.asarray(p, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
-        if p.ndim != 1 or p.shape != d.shape:
-            raise ValueError("p and d must be vectors of equal length")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+    def __init__(self, p: np.ndarray):
+        p = np.array(p, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError("p must be a vector")
+        if not _finite_nonnegative(p):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(p.sum() - 1.0) > _SIMPLEX_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within 1e-12")
-        n = p.size
         support = p > 0
-        if not np.all(np.abs(d[support] * np.sqrt(n * p[support]) - 1.0) <= _SIMPLEX_TOL):
-            raise ValueError("d_i * sqrt(n p_i) != 1 on the support")
-        if np.any(d[~support] != 0.0):
-            raise ValueError("excluded rows must carry d_i = 0")
-        self.p = _read_only(p.copy())
-        self.d = _read_only(d.copy())
-        self.n = n
+        d = np.zeros_like(p)
+        d[support] = 1.0 / np.sqrt(p.size * p[support])
+        self.p = _read_only(p)
+        self.d = _read_only(d)
+        self.n = p.size
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -125,20 +119,11 @@ class DrawnSample:
 
 
 def uniform_plan(n: int) -> SamplingPlan:
-    """Flat probabilities 1/n with identity preconditioner."""
+    """Flat probabilities 1/n, so d = 1 (within an ulp where 1/n is inexact)."""
     n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be positive")
-    return SamplingPlan(np.full(n, 1.0 / n), np.ones(n))
-
-
-def make_plan(p: np.ndarray) -> SamplingPlan:
-    """Plan from arbitrary simplex probabilities; d computed on the support."""
-    p = np.asarray(p, dtype=np.float64)
-    d = np.zeros_like(p)
-    support = p > 0
-    d[support] = 1.0 / np.sqrt(p.size * p[support])
-    return SamplingPlan(p, d)
+    return SamplingPlan(np.full(n, 1.0 / n))
 
 
 def _finite_nonnegative(v: np.ndarray) -> bool:
@@ -156,7 +141,7 @@ def optimized_probabilities(alpha) -> SamplingPlan:
         raise ValueError("coherence vector is identically zero")
     p = alpha**2 / total
     p = p / p.sum()  # renormalize away float drift
-    return make_plan(p)
+    return SamplingPlan(p)
 
 
 def complexity_mu(alpha, p) -> float:
@@ -359,6 +344,8 @@ def save_plan_csv(plan: SamplingPlan, path) -> None:
 
 
 def load_plan_csv(path) -> SamplingPlan:
+    """The plan of the file's p column; its d column must be the plan's d within 1e-12 relative,
+    and 0 on excluded rows."""
     with open(path, newline="") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != "index,p,d":
@@ -370,4 +357,7 @@ def load_plan_csv(path) -> SamplingPlan:
         if int(idx) != row:
             raise ValueError(f"row {row} has index {idx}")
         p[row], d[row] = float(pv), float(dv)
-    return SamplingPlan(p, d)
+    plan = SamplingPlan(p)
+    if not np.all(np.abs(d - plan.d) <= _SIMPLEX_TOL * plan.d):  # written so that NaN fails too
+        raise ValueError("the d column is not 1/sqrt(n p) within 1e-12 relative, and 0 on excluded rows")
+    return plan

@@ -9,6 +9,7 @@ each application allocates its own scratch.
 
 from __future__ import annotations
 
+import math
 from operator import index
 
 import numpy as np
@@ -38,6 +39,14 @@ def _integer(name: str, value) -> int:
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _square_side(n: int) -> int:
+    """The side of a square image of n pixels; n must be a positive perfect square."""
+    side = math.isqrt(max(n, 0))
+    if n < 1 or side * side != n:
+        raise ValueError(f"2D transform needs a square image, n={n} is not a positive perfect square")
+    return side
 
 
 class UnitaryOperator:
@@ -339,9 +348,7 @@ def make_dft_operator(n: int, *, two_dim: bool = False) -> UnitaryOperator:
     """
     n = _integer("n", n)
     if two_dim:
-        side = int(round(np.sqrt(n)))
-        if side * side != n:
-            raise ValueError(f"2D transform needs a square image, n={n} is not a perfect square")
+        side = _square_side(n)
         if not _is_power_of_two(side) or side < 2:
             raise ValueError(f"side length must be a power of two >= 2, got {side}")
         return _Dft2d(side)
@@ -362,13 +369,13 @@ def make_haar_operator(n: int, levels: int, *, two_dim: bool = False) -> Unitary
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if two_dim:
-        side = int(round(np.sqrt(n)))
-        if side * side != n:
-            raise ValueError(f"2D transform needs a square image, n={n} is not a perfect square")
+        side = _square_side(n)
         if levels and side % (1 << levels) != 0:
             raise ValueError(f"side {side} not divisible by 2**{levels}")
         return _Haar2d(side, levels)
-    if n < 1 or (levels and n % (1 << levels) != 0):
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if levels and n % (1 << levels) != 0:
         raise ValueError(f"n={n} not divisible by 2**{levels}")
     return _Haar1d(n, levels)
 

@@ -84,6 +84,42 @@ def test_plan_command(tmp_path):
     assert plan.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _sweep_rows(path):
+    """The sweep CSV's header and rows, each without its scheme column."""
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index("scheme")
+    return [[cell for i, cell in enumerate(line.split(",")) if i != column] for line in lines]
+
+
+def test_custom_scheme_sweeps_a_written_plan(tmp_path, capsys):
+    """The plan `vdslab plan` writes, read back as plan_file, sweeps to the optimized rows bitwise;
+    a plan of another n exits 2 and one whose d column disagrees with p exits 3."""
+    sweep = {"m_grid": "32,96", "sigma_grid": "0.5", "trials": "2", "master_seed": "3"}
+    plan_path = tmp_path / "plan.csv"
+    assert main(["plan", "--config", _write_config(tmp_path), "--out", str(plan_path)]) == 0
+    optimized = _write_config(tmp_path, "opt.cfg", out=str(tmp_path / "opt.csv"), **sweep)
+    assert main(["denoise-sweep", "--config", optimized]) == 0
+    custom = _write_config(tmp_path, "custom.cfg", scheme="custom", plan_file=str(plan_path), **sweep)
+    assert main(["denoise-sweep", "--config", custom]) == 0
+    rows = _sweep_rows(tmp_path / "out.csv")
+    assert len(rows) == 1 + 4 and rows == _sweep_rows(tmp_path / "opt.csv")
+    assert "custom" in (tmp_path / "out.csv").read_text().splitlines()[1].split(",")
+
+    short = tmp_path / "short.csv"
+    short.write_text("index,p,d\n0,0.5,1\n1,0.5,1\n")
+    wrong_n = _write_config(tmp_path, "short.cfg", scheme="custom", plan_file=str(short), **sweep)
+    capsys.readouterr()
+    assert main(["denoise-sweep", "--config", wrong_n]) == 2
+    assert "plan_file dimension" in capsys.readouterr().err
+
+    lines = plan_path.read_text().splitlines()
+    index, p, d = lines[5].split(",")
+    lines[5] = f"{index},{p},{float(d) * (1 + 1e-9)!r}"
+    plan_path.write_text("\n".join(lines) + "\n")
+    assert main(["denoise-sweep", "--config", custom]) == 3
+    assert "d column" in capsys.readouterr().err
+
+
 def test_plan_rejects_both(tmp_path, capsys):
     cfg = _write_config(tmp_path, scheme="both")
     assert main(["plan", "--config", cfg]) == 2
@@ -259,6 +295,7 @@ def test_recover_requires_m_and_sigma(tmp_path, capsys):
         ({"measurement": "dft2", "sparsity": "haar2", "sparsity_levels": 4}, "side 8 not divisible by 2**4"),
         (_GENERATIVE | {"measurement": "haar", "measurement_levels": 5}, "n=16 not divisible by 2**5"),
         ({"sigma": "inf"}, "sigma must be"),
+        ({"n": -16, "measurement": "dft2"}, "n=-16 is not a positive perfect square"),
     ],
 )
 def test_recover_rejects_out_of_range_point_exits_2(tmp_path, capsys, keys, message):

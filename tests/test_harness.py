@@ -906,7 +906,10 @@ def test_fit_slope_constant_is_flat():
 
 
 def test_fit_slope_window_excludes_points():
-    points = [(8, 100.0), (16, 1.0), (32, 1 / math.sqrt(2)), (64, 0.5), (1024, 9.0)]
+    """Points outside the window are not read, not even a zero or a NaN."""
+    points = [
+        (4, 0.0), (8, 100.0), (16, 1.0), (32, 1 / math.sqrt(2)), (64, 0.5), (1024, 9.0), (2048, math.nan)
+    ]
     fit = fit_loglog_slope(points, (16, 64))
     assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)
 
@@ -914,6 +917,25 @@ def test_fit_slope_window_excludes_points():
 def test_fit_slope_needs_two_points():
     with pytest.raises(ValueError, match="two points"):
         fit_loglog_slope([(16, 1.0), (32, 0.5)], (20, 30))
+    with pytest.raises(ValueError, match="two points of distinct m"):
+        fit_loglog_slope([(16, 1.0), (16, 0.5), (64, 0.2)], (1, 32))  # one m, twice
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(10, 0.0), (20, 1.0)],
+        [(10, 1.0), (20, -1.0)],
+        [(10, math.nan), (20, 1.0)],
+        [(10, 1.0), (20, math.inf)],
+        [(10, 1.0), (math.inf, 1.0)],
+        [(-10, 1.0), (20, 1.0)],
+    ],
+    ids=["zero", "negative", "nan", "inf", "inf_m", "negative_m"],
+)
+def test_fit_slope_rejects_nonpositive_or_nonfinite_points(points):
+    with pytest.raises(ValueError, match="finite and positive"):
+        fit_loglog_slope(points, (-100, math.inf))
 
 
 def test_fit_slope_recovers_noisy_exponent():

@@ -27,7 +27,6 @@ from vdslab.sampling import (
     complexity_mu,
     draw_sample,
     load_plan_csv,
-    make_plan,
     noise_factor,
     noise_factor_bounds,
     optimized_probabilities,
@@ -84,17 +83,45 @@ def test_optimized_rejects_negative_or_nonfinite_alpha(alpha):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        SamplingPlan(np.array([0.5, 0.4]), np.ones(2))  # sums to 0.9
-    with pytest.raises(ValueError):
-        SamplingPlan(np.array([0.5, 0.5]), np.array([1.0, 2.0]))  # d mismatch
-    with pytest.raises(ValueError):
-        SamplingPlan(np.array([1.0, 0.0]), np.array([1.0 / math.sqrt(2), 3.0]))
+    with pytest.raises(ValueError, match="not 1 within"):
+        SamplingPlan(np.array([0.5, 0.4]))  # sums to 0.9
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SamplingPlan(np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="vector"):
+        SamplingPlan(np.full((2, 2), 0.25))
+
+
+def _write_plan(path, p, d):
+    rows = "".join(f"{j},{pj!r},{dj!r}\n" for j, (pj, dj) in enumerate(zip(p, d)))
+    path.write_text("index,p,d\n" + rows)
+    return path
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    [
+        ([0.5, 0.5], [1.0, 2.0]),  # d mismatch
+        ([0.5, 0.5], [1.0, 1.0 + 2e-12]),  # d off by twice the tolerance
+        ([0.5, 0.5], [1.0, math.nan]),
+        ([1.0, 0.0], [1.0 / math.sqrt(2), 3.0]),  # d on an excluded row
+    ],
+    ids=["mismatch", "off_by_2e-12", "nan", "excluded_row"],
+)
+def test_plan_csv_rejects_a_d_column_that_is_not_the_plans(tmp_path, p, d):
+    """The loader builds the plan from p and checks the file's d against it, 1e-12 relative."""
+    with pytest.raises(ValueError, match="d column"):
+        load_plan_csv(_write_plan(tmp_path / "plan.csv", p, d))
+
+
+def test_plan_csv_accepts_d_within_the_tolerance(tmp_path):
+    plan = load_plan_csv(_write_plan(tmp_path / "plan.csv", [0.5, 0.5], [1.0, 1.0 + 5e-13]))
+    assert plan.d.tolist() == [1.0, 1.0]
 
 
 def test_uniform_plan_identity_preconditioner():
     plan = uniform_plan(8)
     assert np.allclose(plan.d, 1.0, atol=1e-15)
+    assert np.all(uniform_plan(49).d == np.nextafter(1.0, 2.0))  # 1/49 is inexact
 
 
 # ---------------------------------------------------------------- complexity
@@ -154,7 +181,7 @@ def test_mu_optimality_over_random_plans():
 
 
 def test_degenerate_plan_draws_single_row():
-    plan = make_plan(np.array([1.0]))
+    plan = SamplingPlan(np.array([1.0]))
     sample = draw_sample(plan, 5, 0)
     assert np.array_equal(sample.omega, np.zeros(5, dtype=np.int64))
 
@@ -176,7 +203,7 @@ def test_draw_never_hits_excluded_rows():
 def test_draw_never_lands_on_an_excluded_last_row():
     """p sums to 1 - 4e-13, which the plan accepts, and its last row is excluded: a u above the
     last supported row's cumulative sum still draws that row."""
-    plan = make_plan(np.array([0.3, 0.7 - 4e-13, 0.0]))
+    plan = SamplingPlan(np.array([0.3, 0.7 - 4e-13, 0.0]))
     rng = mock.Mock(spec=np.random.Generator)
     rng.random.return_value = np.array([1.0 - 1e-13])
     assert draw_sample(plan, 1, rng).omega.tolist() == [1]
@@ -227,9 +254,14 @@ def test_draw_tie_break_is_stable_in_draw_position():
 
 
 def _one_ulp_plan():
-    """Four rows whose d are 1, one ulp above 1, 1 again and one ulp below 1."""
-    d = np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0)])
-    return SamplingPlan(1.0 / (4 * d**2), d)
+    """Five rows whose d are x, one ulp above x, x again, one ulp below x, and a fifth value:
+    rows 0-3 carry probabilities a few ulps apart near 0.19, where d = (5 p)^(-1/2) lands on
+    adjacent floats."""
+    p = 0.19 + np.spacing(0.19) * np.array([57.0, 53.0, 57.0, 60.0])
+    plan = SamplingPlan(np.append(p, 1.0 - p.sum()))
+    x = plan.d[0]
+    assert plan.d[:4].tolist() == [x, np.nextafter(x, 2.0), x, np.nextafter(x, 0.0)]
+    return plan
 
 
 def _sparse_sweep_plan():
@@ -243,7 +275,7 @@ def _sparse_sweep_plan():
     [
         (lambda: uniform_plan(64), 200, 1, np.uint8),
         (_sparse_sweep_plan, 4096, 663, np.uint16),
-        (_one_ulp_plan, 64, 3, np.uint8),
+        (_one_ulp_plan, 64, 4, np.uint8),
         (lambda: optimized_probabilities(_positive_alpha(70_000, _rng(47))), 5000, 70_000, np.uint32),
     ],
     ids=["uniform", "sparse_sweep_1d", "one_ulp", "n_70000"],
@@ -267,7 +299,7 @@ def test_rank_sort_orders_the_draw_as_the_float_sort(make, m, distinct, dtype):
 def test_plan_tables_are_read_only_and_match_their_definitions():
     """The cached CDF is p's cumulative sum closed to 1 from the last supported row on, the rank
     orders d descending with ties shared, and writing to either raises."""
-    plan = make_plan(np.array([0.1, 0.0, 0.4, 0.1, 0.4 - 4e-13, 0.0]))
+    plan = SamplingPlan(np.array([0.1, 0.0, 0.4, 0.1, 0.4 - 4e-13, 0.0]))
     assert plan.cdf.tolist() == [*np.cumsum(plan.p)[:4].tolist(), 1.0, 1.0]
     assert plan.d_rank.tolist() == [0, 3, 2, 0, 1, 3]  # the smaller p of rows 2 and 4 has the larger d
     for table in (plan.cdf, plan.d_rank):
@@ -523,7 +555,7 @@ def test_sample_complexity_optimized_shape():
 
 
 def test_apply_measurement_repeated_row():
-    plan = make_plan(np.array([0.0, 1.0]))
+    plan = SamplingPlan(np.array([0.0, 1.0]))
     sample = draw_sample(plan, 2, 17)
     assert np.array_equal(sample.omega, [1, 1])
     out = apply_measurement(make_haar_operator(2, 0), sample, np.array([3.0, 5.0]))
@@ -593,12 +625,14 @@ def test_paired_diagonal_projection_bound_500_instances():
 
 
 def test_plan_csv_round_trip(tmp_path):
-    plan = optimized_probabilities(np.array([2.0, 1.0, 1.0]))
+    """p and d come back bitwise, also on an excluded row and where a uniform d sits an ulp above
+    1 (n = 49, the smallest such n)."""
     path = tmp_path / "plan.csv"
-    save_plan_csv(plan, path)
-    back = load_plan_csv(path)
-    assert np.array_equal(back.p, plan.p)
-    assert np.array_equal(back.d, plan.d)
+    for plan in (optimized_probabilities(np.array([2.0, 1.0, 1.0, 0.0])), uniform_plan(49)):
+        save_plan_csv(plan, path)
+        back = load_plan_csv(path)
+        assert np.array_equal(back.p, plan.p)
+        assert np.array_equal(back.d, plan.d)
 
 
 # ---------------------------------------------------------------- folded system
@@ -644,7 +678,7 @@ def _folded_cases(draw):
     else:
         p = rng.random(n) ** 4 * (rng.random(n) > 0.25)
         p[rng.integers(n)] += 1.0
-        plan = make_plan(p / p.sum())
+        plan = SamplingPlan(p / p.sum())
     m = draw(st.integers(1, 4 * n))
     sample = draw_sample(plan, m, rng)
     x = rng.standard_normal((n, 3))
@@ -690,7 +724,7 @@ def test_drawn_row_of_zero_weight_is_rejected():
     n = 16
     p = np.ones(n)
     p[3] = 0.0
-    plan = make_plan(p / p.sum())
+    plan = SamplingPlan(p / p.sum())
     for omega in ([3, 5, 5, 7, 3, 9], [5, 7, 3], [3, 5, 7], [3]):
         with pytest.raises(ValueError, match="d_tilde > 0"):
             DrawnSample(plan, omega)

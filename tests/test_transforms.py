@@ -254,8 +254,9 @@ def test_dft_rejects_bad_lengths():
     for bad in (0, 1, 3, 12):
         with pytest.raises(ValueError):
             make_dft_operator(bad)
-    with pytest.raises(ValueError):
-        make_dft_operator(8, two_dim=True)  # 8 is not a perfect square
+    for bad in (8, 0, -16):  # not a perfect square, and no image at all
+        with pytest.raises(ValueError, match="positive perfect square"):
+            make_dft_operator(bad, two_dim=True)
 
 
 def test_haar_rejects_incompatible_depth():
@@ -263,6 +264,11 @@ def test_haar_rejects_incompatible_depth():
         make_haar_operator(6, 2)  # 6 not divisible by 4
     with pytest.raises(ValueError):
         make_haar_operator(16, 3, two_dim=True)  # side 4 not divisible by 8
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match=f"n must be positive, got {bad}"):
+            make_haar_operator(bad, 0)
+        with pytest.raises(ValueError, match="positive perfect square"):
+            make_haar_operator(bad, 0, two_dim=True)
 
 
 def test_operator_metadata():
