@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .priors import GenerativeNetwork, SubspaceUnion, generative_forward
+from .priors import GenerativeNetwork, SubspaceUnion, _basis_blocks, generative_forward
 from .transforms import UnitaryOperator, _integer, _read_only
 
 __all__ = [
@@ -59,17 +59,11 @@ def coherence_vector(op: UnitaryOperator, union: SubspaceUnion) -> np.ndarray:
     """Exact coherence of every row of ``op`` against a subspace union."""
     if not isinstance(union, SubspaceUnion):
         raise TypeError(f"expected a SubspaceUnion, got {type(union).__name__}")
-    subspaces = union.subspaces
-    if any(s.n != op.n for s in subspaces):
+    if union.n != op.n:
         raise ValueError("prior ambient dimension does not match the operator")
-    # one batched transform for all bases, then a per-subspace max-reduce
-    stacked = op.forward(np.hstack([s.basis for s in subspaces]))
     alpha = np.zeros(op.n)
-    start = 0
-    for s in subspaces:
-        rows = stacked[:, start : start + s.dim]
-        np.maximum(alpha, _row_sup_norms(rows), out=alpha)
-        start += s.dim
+    for block in _basis_blocks(op.forward, union):
+        np.maximum(alpha, _row_sup_norms(block), out=alpha)
     return _read_only(alpha)
 
 

@@ -143,11 +143,11 @@ _SPARSITIES = ("none", "haar", "haar2")
 
 def _coerce_value(key, raw):
     """Parse a value with the key's config-file parser. A library caller's non-string value is
-    parsed from its text, a grid's items comma-joined, so it passes exactly the checks that the
-    same text in a config file does."""
-    if not isinstance(raw, str):
-        raw = ",".join(map(str, raw)) if key in ("m_grid", "sigma_grid") else str(raw)
-    return _KEY_PARSERS[key](raw)
+    parsed from its text, a grid's items comma-joined and a grid that is not a sequence taken as
+    one item, so it passes exactly the checks that the same text in a config file does."""
+    if key in ("m_grid", "sigma_grid") and not isinstance(raw, str):
+        raw = ",".join(map(str, raw if np.iterable(raw) else [raw]))
+    return _KEY_PARSERS[key](str(raw))
 
 
 def parse_config_file(path) -> dict:
@@ -242,6 +242,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} must be non-empty")
                 if any(not floor <= g < math.inf for g in grid):
                     raise ConfigError(f"{key} entries must be finite and at least {floor}")
+                if len(set(grid)) < len(grid):  # (scheme, m, sigma, trial) would name two rows
+                    raise ConfigError(f"{key} repeats a value: {grid}")
 
     def resolved_items(self) -> list[tuple[str, str]]:
         return [(key, _format_value(v)) for key, v in sorted(self._values.items()) if v is not None]
@@ -635,12 +637,15 @@ _HEAP_SETTINGS = ((-3, 16 << 20), (-1, 32 << 20))  # M_MMAP_THRESHOLD, M_TRIM_TH
 def _keep_freed_heap() -> None:
     """Keep freed arrays in the process between trials instead of returning them to the OS.
 
-    A sparse trial at n = 1024 frees about 0.5 MB of arrays. Under glibc's
-    default thresholds that memory goes back to the OS after each trial and
-    is faulted in again by the next, which makes its trials about 30% slower.
-    These are the thresholds glibc itself adopts after a 16 MB array is
-    freed. The setting is process-wide; other C libraries keep their own
-    policy.
+    Without this setting, alternating pairs on a 2-vCPU x86-64 VM lost steadily on a paired
+    2-D comparison (n = 4096; p50 16.1 against 12.1 ms, 4 of 4 pairs) and on a union-oracle
+    sweep (n = 64; p50 0.56 against 0.48 and 0.61 against 0.56 ms, 7 of 8), were mixed on a
+    generative sweep (worse in 10 of 10 pairs and 3 of 4, better in 5 and 7 of 10), and lost
+    nothing on a 1-D sparse sweep. Array size does not say which work needs it: a traced
+    union-oracle trial allocates nothing over 83 KB, under glibc's default 128 KB mmap
+    threshold, while a 1-D sparse trial makes 0.4 MB temporaries. These are the thresholds
+    glibc itself adopts after a 16 MB array is freed. The setting is process-wide; other C
+    libraries keep their own policy.
     """
     if not sys.platform.startswith("linux"):
         return

@@ -181,41 +181,33 @@ def _dedup_subspaces(subspaces):
     return kept
 
 
-def _activation_patterns(net: GenerativeNetwork):
-    """Realizable hidden-layer sign patterns found by directional sampling.
+def _activation_patterns(net: GenerativeNetwork) -> np.ndarray:
+    """Realizable hidden-layer sign patterns found by directional sampling, one per row in
+    lexicographic order, each the hidden layers' masks end to end.
 
     Patterns are positively homogeneous (no biases), so latent directions and
     their negations probe every cone that random sampling can reach.
     """
-    rng = np.random.default_rng(_PATTERN_SEED)
-    k = net.latent_dim
-    z = rng.standard_normal((k, _PATTERN_LATENTS))
-    z = np.concatenate([z, -z], axis=1)
-    patterns = {}
-    a = z
-    masks = []
-    for w in net.weights[:-1]:
-        pre = w @ a
-        masks.append(pre > 0)
-        a = np.where(masks[-1], pre, 0.0)
-    stacked = np.concatenate(masks, axis=0) if masks else np.zeros((0, z.shape[1]), bool)
-    for col in range(stacked.shape[1]):
-        patterns.setdefault(stacked[:, col].tobytes(), col)
-    keys = sorted(patterns)
-    split = np.cumsum([w.shape[0] for w in net.weights[:-1]])[:-1]
-    out = []
-    for key in keys:
-        bits = np.frombuffer(key, dtype=bool)
-        out.append(tuple(np.split(bits, split)) if masks else ())
-    return out
+    z = np.random.default_rng(_PATTERN_SEED).standard_normal((net.latent_dim, _PATTERN_LATENTS))
+    hidden = _hidden_layers(net, np.concatenate([z, -z], axis=1))[1:]
+    rows = (np.concatenate(hidden, axis=0) > 0).T if hidden else np.zeros((1, 0), bool)
+    return np.unique(rows, axis=0)
 
 
-def _piece_matrix(net: GenerativeNetwork, pattern) -> np.ndarray:
+def _piece_matrix(net: GenerativeNetwork, pattern: np.ndarray) -> np.ndarray:
     """Linear map of G on the cone with the given activation pattern."""
-    mat = net.weights[0]
-    for i, w in enumerate(net.weights[1:]):
-        mat = w @ (pattern[i][:, None] * mat)
+    mat, start = net.weights[0], 0
+    for w, width in zip(net.weights[1:], net.layer_widths[1:]):
+        mat = w @ (pattern[start : start + width, None] * mat)
+        start += width
     return mat
+
+
+def _basis_blocks(forward, union: SubspaceUnion) -> list:
+    """``forward`` of every basis of ``union`` in one call on the bases side by side, split back
+    into one block per subspace."""
+    dims = np.cumsum([s.dim for s in union.subspaces])[:-1]
+    return np.split(forward(np.hstack([s.basis for s in union.subspaces])), dims, axis=1)
 
 
 def _sparse_support_size(n: int, k: int, budget: int = _ENUMERATION_BUDGET) -> int:
@@ -335,14 +327,22 @@ def project(prior, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
+def _hidden_layers(net: GenerativeNetwork, z: np.ndarray) -> list:
+    """[z, h_1(z), ...]: the latent, then each hidden layer's activation max(w @ a, 0) in order,
+    so the last entry feeds the linear last layer. A NaN stays NaN, and a hidden layer's ReLU
+    mask is its activation > 0."""
+    acts = [np.asarray(z, dtype=np.float64)]
+    for w in net.weights[:-1]:
+        acts.append(np.maximum(w @ acts[-1], 0.0))
+    return acts
+
+
 def generative_forward(net: GenerativeNetwork, z: np.ndarray) -> np.ndarray:
     """Forward pass; z of shape (k,) or (k, batch)."""
-    a = np.asarray(z, dtype=np.float64)
-    if a.shape[0] != net.latent_dim:
-        raise ValueError(f"latent length {a.shape[0]} != {net.latent_dim}")
-    for w in net.weights[:-1]:
-        a = np.maximum(w @ a, 0.0)
-    return net.weights[-1] @ a
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[0] != net.latent_dim:
+        raise ValueError(f"latent length {z.shape[0]} != {net.latent_dim}")
+    return net.weights[-1] @ _hidden_layers(net, z)[-1]
 
 
 def _hidden_pullback(net: GenerativeNetwork, z: np.ndarray):
@@ -351,19 +351,15 @@ def _hidden_pullback(net: GenerativeNetwork, z: np.ndarray):
     vjp(g) is J_h(z)^T g, with the ReLU subgradient at exactly zero taken as
     zero. With no hidden layer, h(z) is z and vjp the identity.
     """
-    a = np.asarray(z, dtype=np.float64)
-    masks = []
-    for w in net.weights[:-1]:
-        pre = w @ a
-        masks.append(pre > 0)
-        a = np.where(masks[-1], pre, 0.0)
+    acts = _hidden_layers(net, z)
+    masks = [a > 0 for a in acts[1:]]
 
     def vjp(g):
         for w, mask in zip(reversed(net.weights[:-1]), reversed(masks)):
             g = w.T @ np.where(mask, g, 0.0)
         return g
 
-    return a, vjp
+    return acts[-1], vjp
 
 
 def generative_pullback(net: GenerativeNetwork, z: np.ndarray):

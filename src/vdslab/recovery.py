@@ -24,7 +24,14 @@ import math
 
 import numpy as np
 
-from .priors import GenerativeNetwork, SubspaceUnion, _hidden_pullback, _top_k_support
+from .priors import (
+    _RANK_RTOL,
+    GenerativeNetwork,
+    SubspaceUnion,
+    _basis_blocks,
+    _hidden_pullback,
+    _top_k_support,
+)
 from .sampling import DrawnSample, SampledOperator, apply_measurement
 from .transforms import UnitaryOperator, _integer
 
@@ -41,8 +48,6 @@ __all__ = [
     "deterministic_corollary_bound",
     "relative_recovery_error",
 ]
-
-_RANK_RTOL = 1e-10
 
 
 class RecoveryResult:
@@ -130,16 +135,15 @@ def recover_oracle(A: SampledOperator, b, union: SubspaceUnion) -> RecoveryResul
     factorization with rank tolerance 1e-10 relative to the top singular
     value; a rank-deficient winner takes the minimum-norm solution and flags
     the result. Objective ties go to the lexicographically greatest signal.
-    The fits run on the folded system; each objective is the folded residual
-    plus its constant.
+    The fits run on the folded system, whose blocks come from one transform
+    of all the bases; each objective is the folded residual plus its constant.
     """
     if not isinstance(union, SubspaceUnion):
         raise TypeError("recover_oracle needs an explicitly enumerated union")
     u, const = A.fold(b)
     stacked_u = _stack_real(u)
     candidates = []
-    for sub in union.subspaces:
-        design = A.forward(sub.basis)
+    for sub, design in zip(union.subspaces, _basis_blocks(A.forward, union)):
         w, _, rank, _ = np.linalg.lstsq(_stack_real(design), stacked_u, rcond=_RANK_RTOL)
         candidates.append((_residual_sq(design, w, u) + const, sub.basis @ w, rank < sub.dim))
     best_obj = min(c[0] for c in candidates)
@@ -414,15 +418,12 @@ def rip_check(A: SampledOperator, union: SubspaceUnion) -> dict:
     """
     if not isinstance(union, SubspaceUnion):
         raise TypeError("rip_check needs an explicitly enumerated union")
-    block = A.forward(np.hstack([s.basis for s in union.subspaces]))
     devs = np.empty(union.M)
-    start = 0
-    for i, sub in enumerate(union.subspaces):
-        cols = _stack_real(block[:, start : start + sub.dim])
+    for i, block in enumerate(_basis_blocks(A.forward, union)):
+        cols = _stack_real(block)
         s = np.linalg.svd(cols, compute_uv=False)
         smin = s[-1] if cols.shape[0] >= cols.shape[1] else 0.0
         devs[i] = max(s[0] - 1.0, 1.0 - smin)
-        start += sub.dim
     devs.setflags(write=False)
     worst = float(devs.max())
     return {"max_deviation": worst, "holds": bool(worst <= 1.0 / 3.0), "per_subspace": devs}

@@ -230,6 +230,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_repeated_grid_value_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, m_grid="16,16", sigma_grid="0.5", trials="2")
+    assert main(["denoise-sweep", "--config", cfg]) == 2
+    assert "m_grid repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     assert main(["coherence", "--config", str(tmp_path / "nope.cfg")]) == 3
     assert "error" in capsys.readouterr().err

@@ -190,8 +190,10 @@ def test_config_library_values_resolve_as_their_text(tmp_path):
         ({"scheme": "custom"}, "plan_file", ppath, str(ppath)),
         ({}, "m_grid", np.array([16, 32]), "16,32"),
         ({}, "m_grid", (np.int16(16), 32), "16,32"),
+        ({}, "m_grid", np.int64(64), "64"),
         ({}, "sigma_grid", (0.25, np.float64(1e-3)), "0.25,0.001"),
         ({}, "sigma_grid", np.array([0.5, 2.0]), "0.5,2.0"),
+        ({}, "sigma_grid", 0.5, "0.5"),
         ({}, "m", np.int64(40), "40"),
         ({}, "sigma", np.float64(0.1), "0.1"),
         ({}, "sigma", np.float32(0.1), "0.1"),
@@ -297,6 +299,18 @@ def test_config_custom_scheme_needs_plan(tmp_path):
 def test_config_empty_grid(tmp_path):
     with pytest.raises(ConfigError, match="non-empty"):
         ExperimentConfig(_sparse_mapping(tmp_path, m_grid=","))
+
+
+@pytest.mark.parametrize(
+    "key, grid",
+    [("m_grid", "16,16"), ("m_grid", "16,32,16"), ("m_grid", (16, np.int64(16))), ("sigma_grid", "0.5,0.50")],
+    ids=["twice", "apart", "typed", "as_parsed"],
+)
+def test_config_repeated_grid_value(tmp_path, key, grid):
+    """A repeated grid value would give two rows one (scheme, m, sigma, trial); values compare as
+    parsed, so 0.5 and 0.50 are one value."""
+    with pytest.raises(ConfigError, match=f"{key} repeats a value"):
+        ExperimentConfig(_sparse_mapping(tmp_path, **{key: grid}))
 
 
 def test_config_nonpositive_m(tmp_path):

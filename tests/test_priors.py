@@ -181,7 +181,9 @@ def test_generative_difference_pattern_counts_match_exact_sweep():
     net = GenerativeNetwork([w1, rng.standard_normal((4, 3))])
     union = difference_union(net)
     exact = _exact_pattern_count_2d(w1)
-    assert len(_activation_patterns(net)) == exact
+    patterns = _activation_patterns(net)
+    assert len(patterns) == exact
+    assert [tuple(p) for p in patterns] == sorted(set(map(tuple, patterns)))  # distinct, lexicographic
     assert union.M <= exact * (exact + 1) // 2
 
 
@@ -384,6 +386,17 @@ def test_forward_batched_matches_loop():
     for b in range(7):
         # gemm vs gemv rounding may differ in the last ulp
         assert np.max(np.abs(batched[:, b] - generative_forward(net, z[:, b]))) < 1e-12
+
+
+@pytest.mark.parametrize("widths", [(3, 16, 64), (2, 5)], ids=["hidden", "no_hidden"])
+def test_nan_latent_gives_nan_forward_and_pullback(widths):
+    """The forward pass and the pullback share one ReLU pass, which keeps a NaN as NaN: a latent
+    with a NaN entry gives G(z) = NaN from both, not 0 from one of them."""
+    rng = np.random.default_rng(19)
+    net = _random_net(widths, rng)
+    z = np.array([np.nan, *rng.standard_normal(widths[0] - 1)])
+    assert np.isnan(generative_forward(net, z)).all()
+    assert np.isnan(generative_pullback(net, z)[0]).all()
 
 
 def test_pullback_matches_finite_differences():

@@ -718,6 +718,18 @@ def test_generative_transform_calls(restarts, iters, init_pool):
     assert (F.forward_calls, F.adjoint_calls) == (2, 0)
 
 
+def test_oracle_transform_calls():
+    """recover_oracle transforms the bases of every subspace in one batched forward."""
+    n = 16
+    rng = _rng(16)
+    union = SubspaceUnion([Subspace(random_orthogonal(n, rng)[:, :dim]) for dim in (1, 3, 2, 3)])
+    F = _CountingOperator(make_dft_operator(n))
+    sample = draw_sample(uniform_plan(n), 12, rng)
+    ms = simulate_measurements(F.inner, sample, _point_in(union, rng), 0.1, seed=rng)
+    recover_oracle(SampledOperator(F, sample), ms, union)
+    assert (F.forward_calls, F.adjoint_calls) == (1, 0)
+
+
 def test_generative_non_finite_objective_raises():
     n = 16
     rng = _rng(14)
@@ -978,7 +990,8 @@ def test_rip_holds_with_generous_oversampling():
 @st.composite
 def _folded_union_cases(draw):
     """(F, sample, union, b): real Haar, complex DFT and DFT.Haar, flat and skewed plans, m up to
-    4n so rows repeat, a random union of 1- to 3-dimensional subspaces, sigma 0 or 0.5."""
+    4n so rows repeat, a random union of subspaces whose dimensions, 1 to 3, are drawn one by one
+    so a transformed block splits into mixed widths, sigma 0 or 0.5."""
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([8, 16, 32]))
     F = {
@@ -989,7 +1002,8 @@ def _folded_union_cases(draw):
     skewed = draw(st.booleans())
     plan = optimized_probabilities(0.05 + rng.random(n) ** 4) if skewed else uniform_plan(n)
     sample = draw_sample(plan, draw(st.integers(1, 4 * n)), rng)
-    union = _random_union(n, draw(st.integers(1, 5)), draw(st.integers(1, 3)), rng)
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    union = SubspaceUnion([Subspace(random_orthogonal(n, rng)[:, :dim]) for dim in dims])
     x0 = _point_in(union, rng)
     b = simulate_measurements(F, sample, x0, draw(st.sampled_from([0.0, 0.5])), seed=rng)
     return F, sample, union, b
