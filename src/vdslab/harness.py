@@ -18,7 +18,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from operator import index
 from pathlib import Path
 
@@ -707,7 +707,7 @@ def _format_value(v) -> str:
 
 def write_records_csv(records, path) -> None:
     lines = [CSV_HEADER]
-    lines += [",".join(_format_value(v) for v in astuple(r)) for r in records]
+    lines += [",".join(_format_value(getattr(r, f.name)) for f in fields(r)) for r in records]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

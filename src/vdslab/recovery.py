@@ -6,16 +6,16 @@ rows. The solvers minimize ||A x - D~ b||_2^2 over their prior set in its
 folded form ||A.forward(x) - u||^2 + const, with (u, const) = A.fold(b), and
 report that sum as the objective; the sparse solver is hard thresholding
 pursuit. The generative solver, ``recover_generative_stack``, solves a list
-of draws of one operator with one stacked multi-start Adam run, whose core
-(``_latent_adam``) lives here; ``recover_generative`` is its one-draw call.
-It descends on the last hidden layer through each draw's block
+of draws with one stacked multi-start Adam run, whose core (``_latent_adam``)
+lives here; ``recover_generative`` is its one-draw call. It descends on the
+last hidden layer through the H x H triangle of each draw's block
 M = A W_last, so its steps make no transform: x is formed, and its
-objective evaluated, for each draw's winner alone. Measurements are never pre-scaled; the preconditioner enters at
-optimization time only. Only the simulation, the noise factor and the bounds
-read the m-row draw. Complex systems are handled by stacking real and
-imaginary parts, so least squares, the generative descent and singular
-values are always computed over the reals, matching the real-part
-convention for complex inner products.
+objective evaluated, for each draw's winner alone. Measurements are never
+pre-scaled; the preconditioner enters at optimization time only. Only the
+simulation, the noise factor and the bounds read the m-row draw. Complex
+systems are handled by stacking real and imaginary parts, so least squares,
+the generative descent and singular values are always computed over the
+reals, matching the real-part convention for complex inner products.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .priors import (
     GenerativeNetwork,
     SubspaceUnion,
     _basis_blocks,
+    _hidden_layers,
     _hidden_pullback,
     _top_k_support,
 )
@@ -206,14 +207,6 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 
     return RecoveryResult(x, obj, used, tuple(flags))
 
 
-def _padded_real(a: np.ndarray, height: int) -> np.ndarray:
-    """``_stack_real(a)`` with zero rows appended up to ``height`` rows."""
-    stacked = _stack_real(a)
-    out = np.zeros((height, *stacked.shape[1:]))
-    out[: stacked.shape[0]] = stacked
-    return out
-
-
 def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float) -> list:
     """Multi-start Adam in latent space over a stack of T independent problems.
 
@@ -228,8 +221,8 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float) ->
     non-finite objective. Such a problem's columns run on; its NaNs reach no
     other problem as long as ``value_and_grad`` works per column or per
     problem. The running best is updated in place, so memory stays O(d R) at
-    any ``iters``. ``_solve_stack`` runs it on stacked draws' folded systems
-    with the last hidden activation as the point.
+    any ``iters``. ``_solve_stack`` runs it on stacked draws' triangular
+    systems with the last hidden activation as the point.
     """
     z = np.array(starts, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] == 0:
@@ -277,22 +270,24 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float) ->
 
 
 def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init_pool, seed):
-    """(design, target, starts) of one draw: M = A W_last and the folded target, both real-stacked
-    and padded with zero rows to the operator's full stacked height, and the (k, restarts) block
-    of starts picked from the pools of the draw's own solver stream."""
+    """(design, target, starts) of one draw: the (H, H) triangle R and (H, 1) vector c of the QR
+    of the real-stacked [M | u], with M = A W_last and u the folded target, and the
+    (k, restarts) block of starts picked from the pools of the draw's own solver stream."""
     u, _ = A.fold(b)  # reads no rng
-    # ||A W h - u||^2 = ||M h - u||^2 over the reals; the padding rows add 0 to every sum, and
-    # give every draw of one operator the same height, so draws stack
-    forward = A.forward(net.weights[-1])
-    height = (2 if np.iscomplexobj(forward) else 1) * A.F.n
-    design = _padded_real(forward, height)
-    target = _padded_real(u, height)[:, None]
+    width = net.weights[-1].shape[1]
+    # ||A W h - u||^2 = ||M h - u||^2 = ||R h - c||^2 + e^2 over the reals, with e the same for
+    # every h (Golub & Van Loan, ch. 5), so every comparison within one draw may drop it; zero
+    # rows below [M | u] make R square when it has fewer than H rows
+    augmented = _stack_real(np.column_stack([A.forward(net.weights[-1]), u]))
+    padding = np.zeros((max(width - augmented.shape[0], 0), width + 1))
+    triangle = np.linalg.qr(np.vstack([augmented, padding]), mode="r")[:width]
+    design, target = triangle[:, :width], triangle[:, width:]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
     # every pool in one draw reads the rng as one restart at a time would, and one block
-    # ranks them all; the folded residuals rank as the m-row ones, as they differ by const
+    # ranks them all
     pools = rng.standard_normal((restarts, k, init_pool))
-    r = design @ _hidden_pullback(net, pools.transpose(1, 0, 2).reshape(k, -1))[0] - target
+    r = design @ _hidden_layers(net, pools.transpose(1, 0, 2).reshape(k, -1))[-1] - target
     picks = np.argmin(np.sum(r * r, axis=0).reshape(restarts, init_pool), axis=1)
     return design, target, pools[np.arange(restarts), :, picks].T
 
@@ -301,31 +296,23 @@ def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> li
     """One Adam run over the starts of every ``_latent_system`` in ``systems``, side by side in
     one (k, T R) block. Returns per system the last hidden activation of its winner, or the
     ValueError of a system that met a non-finite objective."""
-    designs = np.stack([s[0] for s in systems])  # (T, rows, H)
+    designs = np.stack([s[0] for s in systems])  # (T, H, H)
+    targets = np.stack([s[1] for s in systems])  # (T, H, 1)
     starts = np.hstack([s[2] for s in systems])
-    trials, rows, width = designs.shape
+    trials, width, _ = designs.shape
     restarts = starts.shape[1] // trials
-    # the residual and the gradient live in (rows, T R) and (H, T R) buffers, column t R + j
-    # for restart j of system t, as the targets are tiled; each product is one matmul over
-    # the (T, rows, H) stack, written through a (T, ., R) view, so every system's columns meet
-    # only its own M, and the sums of squares run down the rows as in a one-system block.
-    # 2 M^T r is (2 M^T) r bitwise, as doubling is exact
+    # column t R + j of a (H, T R) block is restart j of system t; each product is one matmul
+    # over the (T, H, H) stack, so every system's columns meet only its own R and c, and the
+    # sums of squares run down the H rows as in a one-system block. 2 R^T r is (2 R^T) r
+    # bitwise, as doubling is exact
     designs_t2 = (2.0 * designs).transpose(0, 2, 1)
-    tiled = np.repeat(np.hstack([s[1] for s in systems]), restarts, axis=1)
-    r = np.empty_like(tiled)
-    sq = np.empty_like(tiled)
-    g = np.empty((width, tiled.shape[1]))
-    r_stack = r.reshape(rows, trials, restarts).transpose(1, 0, 2)
-    g_stack = g.reshape(width, trials, restarts).transpose(1, 0, 2)
 
     def value_and_grad(z):
         h, vjp = _hidden_pullback(net, z)
         h = h.reshape(width, trials, restarts)
-        np.matmul(designs, h.transpose(1, 0, 2), out=r_stack)
-        np.subtract(r, tiled, out=r)
-        np.matmul(designs_t2, r_stack, out=g_stack)
-        obj = np.multiply(r, r, out=sq).sum(axis=0).reshape(trials, restarts)
-        return obj, h, vjp(g)
+        r = designs @ h.transpose(1, 0, 2) - targets
+        g = (designs_t2 @ r).transpose(1, 0, 2).reshape(width, -1)
+        return np.sum(r * r, axis=1), h, vjp(g)
 
     found = _latent_adam(value_and_grad, starts, iters, step)
     return [ValueError("latent descent met a non-finite objective") if f is None else f[1] for f in found]
@@ -342,16 +329,16 @@ def recover_generative_stack(
     from the best of ``init_pool`` candidate latents drawn from the draw's
     ``seed`` and runs exactly ``iters`` Adam steps; there is no early stop.
     G's last layer W is linear, so A G(z) = M h(z) with h the last hidden
-    activation and M = A W, built by one batched transform per draw: the pool
-    ranking and the restarts read only M and the folded target, in
-    real-stacked form and padded with zero rows to the operator's full stacked
-    height (2n for a complex operator, n for a real one). A draw's pools are
-    drawn in one call and ranked by one product with M. The restarts of every
-    draw then run as one stacked block, each product one matmul over the
-    draws' padded M, so every draw's columns meet only its own M and target;
-    draws of one operator stack, as their M share the operator's padded
-    height. x_hat = W h is formed for each draw's winner alone, and its
-    objective is ``objective(A, x_hat, b)``, one more transform. The result is
+    activation and M = A W, built by one batched transform per draw. The QR
+    of the real-stacked [M | u], with u the folded target, reduces the draw to
+    an H x H triangle R and an H-vector c (H the last hidden width), as
+    ||M h - u||^2 = ||R h - c||^2 plus a constant of the draw: the pool ranking
+    and the restarts read only R and c. A draw's pools are drawn in one call
+    and ranked by one product with R. The restarts of every draw then run as
+    one stacked block, each product one matmul over the draws' R, so every
+    draw's columns meet only its own R and c; draws of any operators stack.
+    x_hat = W h is formed for each draw's winner alone, and its objective is
+    ``objective(A, x_hat, b)``, one more transform. The result is
     the best iterate ever evaluated, after restarts * iters iterations; its
     gap to the global minimum is unknown and flagged epsilon_uncertified.
 

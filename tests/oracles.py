@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from vdslab.harness import TrialStreams
-from vdslab.priors import _hidden_pullback, generative_forward, generative_pullback
+from vdslab.priors import _hidden_layers, _hidden_pullback, generative_forward, generative_pullback
 from vdslab.recovery import _stack_real, objective
 from vdslab.sampling import apply_measurement
 from vdslab.transforms import UnitaryOperator
@@ -234,23 +234,24 @@ def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.0
     and a doubled gradient allocated every step, and ``allocating_latent_adam``.
 
     Same arithmetic as ``recovery.recover_generative`` on the block M = A W_last,
-    without its checks: M and the target are real-stacked and padded with zero
-    rows to 2n for a complex operator, n for a real one. Returns (x_hat,
-    objective, iterations).
+    without its checks: the real-stacked [M | u], with zero rows below it up to
+    H rows, is reduced to the H x (H + 1) triangle [R | c] of its QR, and the
+    descent runs on ||R h - c||^2. Returns (x_hat, objective, iterations).
     """
     u, _ = A.fold(b)
     forward = _stack_real(A.forward(net.weights[-1]))
-    height = (2 if A.F.field == "complex" else 1) * A.F.n
-    design = np.zeros((height, forward.shape[1]))
-    design[: forward.shape[0]] = forward
-    target = np.zeros((height, 1))
-    target[: forward.shape[0], 0] = _stack_real(u)
+    rows, width = forward.shape
+    augmented = np.zeros((max(rows, width), width + 1))
+    augmented[:rows, :width] = forward
+    augmented[:rows, width] = _stack_real(u)
+    triangle = np.linalg.qr(augmented, mode="r")[:width]
+    design, target = triangle[:, :width], triangle[:, width:]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
 
     def best_of_pool():
         pool = rng.standard_normal((k, init_pool))
-        r = design @ _hidden_pullback(net, pool)[0] - target
+        r = design @ _hidden_layers(net, pool)[-1] - target
         return pool[:, int(np.argmin(np.sum(r * r, axis=0)))]
 
     starts = [best_of_pool() for _ in range(restarts)]

@@ -654,22 +654,25 @@ def test_generative_is_the_allocating_solver_bitwise(case):
     assert (res.objective, res.iterations) == (obj, iterations)
 
 
-@pytest.mark.parametrize("haar", [False, True])
+@pytest.mark.parametrize("haar", [False, True, pytest.param(None, id="mixed")])
 def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
-    """Draws of different drawn-row counts, solved as one stacked Adam run, each get the x_hat,
-    objective and iteration count of their own recover_generative bitwise; a draw whose set-up
-    raises or whose objective is non-finite fails alone, with the exception it raises alone."""
+    """Draws of different drawn-row counts, on a complex DFT, a real Haar or both operators in
+    turn (``haar`` None), solved as one stacked Adam run, each get the x_hat, objective and
+    iteration count of their own recover_generative bitwise; a draw whose set-up raises or
+    whose objective is non-finite fails alone, with the exception it raises alone."""
     n = 32
-    rng = _rng(40 + haar)
-    F = make_haar_operator(n, 2) if haar else make_dft_operator(n)
+    rng = _rng(42 if haar is None else 40 + haar)
+    kinds = (False, True) if haar is None else (haar,)
+    operators = [make_haar_operator(n, 2) if kind else make_dft_operator(n) for kind in kinds]
     net = _random_net((3, 8, 12, n), rng)
     plan = optimized_probabilities(0.5 + rng.random(n))
     systems = []
-    for m in (3, 11, 24, 40, 200):
+    for i, m in enumerate((3, 11, 24, 40, 200)):
+        F = operators[i % len(operators)]
         sample = draw_sample(plan, m, rng)
         ms = simulate_measurements(F, sample, generative_forward(net, rng.standard_normal(3)), 0.5, seed=rng)
         systems.append((SampledOperator(F, sample), ms, int(rng.integers(2**32))))
-    assert len({A.rows.size for A, _, _ in systems}) == len(systems)  # unequal heights before padding
+    assert len({A.rows.size for A, _, _ in systems}) == len(systems)  # draws of unequal drawn-row counts
     A, ms, _ = systems[2]
     faulty = [(A, np.full_like(ms, np.nan), 7), (A, ms[:-1], 8)]
     results = recover_generative_stack(systems[:3] + faulty + systems[3:], net, restarts=4, iters=30)
@@ -681,6 +684,32 @@ def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
         ref = recover_generative(A, ms, net, restarts=4, iters=30, seed=seed)
         assert np.array_equal(got.x_hat, ref.x_hat)
         assert (got.objective, got.iterations, got.flags) == (ref.objective, ref.iterations, ref.flags)
+
+
+@pytest.mark.parametrize("haar", [False, True])
+@pytest.mark.parametrize("m", [3, 200])
+def test_generative_triangle_is_the_residual_up_to_a_constant(haar, m):
+    """The (H, H) design R and (H, 1) target c of a draw give ||R h - c||^2 + ||u||^2 - ||c||^2
+    = ||M h - u||^2 for M = A W_last and the folded target u, whether M has fewer stacked rows
+    than H (zero rows below it in the QR) or more."""
+    n, width = 32, 16
+    rng = _rng(17 + haar)
+    F = make_haar_operator(n, 2) if haar else make_dft_operator(n)
+    net = _random_net((3, width, n), rng)
+    sample = draw_sample(optimized_probabilities(0.5 + rng.random(n)), m, rng)
+    b = simulate_measurements(F, sample, generative_forward(net, rng.standard_normal(3)), 0.5, seed=rng)
+    A = SampledOperator(F, sample)
+    stacked_rows = A.rows.size * (1 if haar else 2)
+    assert (stacked_rows < width) == (m == 3)
+    design, target, _ = recovery._latent_system(A, b, net, 2, 4, 5)
+    assert design.shape == (width, width) and target.shape == (width, 1)
+    M = A.forward(net.weights[-1])
+    u, _ = A.fold(b)
+    h = rng.standard_normal((width, 6))
+    residual = M @ h - u[:, None]
+    expected = np.sum(np.abs(residual) ** 2, axis=0)
+    reduced = np.sum((design @ h - target) ** 2, axis=0) + (np.real(np.vdot(u, u)) - np.sum(target**2))
+    np.testing.assert_allclose(reduced, expected, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=30, deadline=None)
