@@ -9,8 +9,8 @@ pursuit. The generative solver, ``recover_generative_stack``, solves a list
 of draws with one stacked multi-start Adam run, whose core (``_latent_adam``)
 lives here; ``recover_generative`` is its one-draw call. It descends on the
 last hidden layer through the H x H triangle of each draw's block
-M = A W_last, so its steps make no transform: x is formed, and its
-objective evaluated, for each draw's winner alone. Measurements are never
+M = A W_last, whose residual plus a constant of the draw is the objective,
+so a draw makes one fold and one transform. Measurements are never
 pre-scaled; the preconditioner enters at optimization time only. Only the
 simulation, the noise factor and the bounds read the m-row draw. Complex
 systems are handled by stacking real and imaginary parts, so least squares,
@@ -270,18 +270,18 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float) ->
 
 
 def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init_pool, seed):
-    """(design, target, starts) of one draw: the (H, H) triangle R and (H, 1) vector c of the QR
-    of the real-stacked [M | u], with M = A W_last and u the folded target, and the
-    (k, restarts) block of starts picked from the pools of the draw's own solver stream."""
-    u, _ = A.fold(b)  # reads no rng
+    """(R, c, starts, floor) of one draw, with ||A W_last h - D~ b||^2 = ||R h - c||^2 + floor:
+    R (H, H) and c (H, 1) from the QR of the real-stacked [M | u] (M = A W_last, u the folded
+    target), and the (k, restarts) starts picked from the pools of the draw's solver stream."""
+    u, const = A.fold(b)  # reads no rng
     width = net.weights[-1].shape[1]
-    # ||A W h - u||^2 = ||M h - u||^2 = ||R h - c||^2 + e^2 over the reals, with e the same for
-    # every h (Golub & Van Loan, ch. 5), so every comparison within one draw may drop it; zero
-    # rows below [M | u] make R square when it has fewer than H rows
+    # the QR's last row gives ||M h - u||^2 = ||R h - c||^2 + e^2 over the reals, with e the
+    # same for every h (Golub & Van Loan, ch. 5); zero rows below [M | u] make the triangle
+    # square, with its e, when it has fewer than H + 1 rows
     augmented = _stack_real(np.column_stack([A.forward(net.weights[-1]), u]))
-    padding = np.zeros((max(width - augmented.shape[0], 0), width + 1))
-    triangle = np.linalg.qr(np.vstack([augmented, padding]), mode="r")[:width]
-    design, target = triangle[:, :width], triangle[:, width:]
+    padding = np.zeros((max(width + 1 - augmented.shape[0], 0), width + 1))
+    triangle = np.linalg.qr(np.vstack([augmented, padding]), mode="r")
+    design, target = triangle[:width, :width], triangle[:width, width:]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
     # every pool in one draw reads the rng as one restart at a time would, and one block
@@ -289,13 +289,13 @@ def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init
     pools = rng.standard_normal((restarts, k, init_pool))
     r = design @ _hidden_layers(net, pools.transpose(1, 0, 2).reshape(k, -1))[-1] - target
     picks = np.argmin(np.sum(r * r, axis=0).reshape(restarts, init_pool), axis=1)
-    return design, target, pools[np.arange(restarts), :, picks].T
+    return design, target, pools[np.arange(restarts), :, picks].T, triangle[width, width] ** 2 + const
 
 
 def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> list:
     """One Adam run over the starts of every ``_latent_system`` in ``systems``, side by side in
-    one (k, T R) block. Returns per system the last hidden activation of its winner, or the
-    ValueError of a system that met a non-finite objective."""
+    one (k, T R) block. Returns per system the (||R h - c||^2, h) of its winner h, the last
+    hidden activation, or the ValueError of a system that met a non-finite objective."""
     designs = np.stack([s[0] for s in systems])  # (T, H, H)
     targets = np.stack([s[1] for s in systems])  # (T, H, 1)
     starts = np.hstack([s[2] for s in systems])
@@ -315,7 +315,7 @@ def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> li
         return np.sum(r * r, axis=1), h, vjp(g)
 
     found = _latent_adam(value_and_grad, starts, iters, step)
-    return [ValueError("latent descent met a non-finite objective") if f is None else f[1] for f in found]
+    return [ValueError("latent descent met a non-finite objective") if f is None else f for f in found]
 
 
 def recover_generative_stack(
@@ -337,17 +337,17 @@ def recover_generative_stack(
     and ranked by one product with R. The restarts of every draw then run as
     one stacked block, each product one matmul over the draws' R, so every
     draw's columns meet only its own R and c; draws of any operators stack.
-    x_hat = W h is formed for each draw's winner alone, and its objective is
-    ``objective(A, x_hat, b)``, one more transform. The result is
-    the best iterate ever evaluated, after restarts * iters iterations; its
+    x_hat = W h is formed for each draw's winner, its objective ||R h - c||^2
+    plus that constant, so a draw makes one fold and one transform. The result
+    is the best iterate ever evaluated, after restarts * iters iterations; its
     gap to the global minimum is unknown and flagged epsilon_uncertified.
 
     Returns per draw its RecoveryResult, or the exception that failed it: a
-    draw that fails, in its set-up, in its descent (a non-finite objective
-    raises ValueError) or in its result, fails alone. A draw's result is the
-    one it gets alone (``recover_generative``) bitwise when ``restarts`` is at
-    least 2 (a lone column's products take BLAS's matrix-vector path, which
-    rounds differently). ``step`` must be positive and finite.
+    draw that fails, in its set-up or in its descent (a non-finite objective
+    raises ValueError), fails alone. A draw's result is the one it gets alone
+    (``recover_generative``) bitwise when ``restarts`` is at least 2 (a lone
+    column's products take BLAS's matrix-vector path, which rounds
+    differently). ``step`` must be positive and finite.
     """
     if not isinstance(net, GenerativeNetwork):
         raise TypeError("recover_generative needs a GenerativeNetwork")
@@ -365,16 +365,12 @@ def recover_generative_stack(
     live = [s for s in staged if not isinstance(s, Exception)]
     found = iter(_solve_stack(net, live, iters, step) if live else ())
     results = []
-    for (A, b, _), system in zip(systems, staged):
+    for system in staged:
         outcome = system if isinstance(system, Exception) else next(found)
         if not isinstance(outcome, Exception):
-            try:
-                x_hat = net.weights[-1] @ outcome
-                outcome = RecoveryResult(
-                    x_hat, objective(A, x_hat, b), restarts * iters, ("epsilon_uncertified",)
-                )
-            except Exception as exc:
-                outcome = exc
+            obj, h = outcome
+            x_hat = net.weights[-1] @ h
+            outcome = RecoveryResult(x_hat, obj + system[3], restarts * iters, ("epsilon_uncertified",))
         results.append(outcome)
     return results
 

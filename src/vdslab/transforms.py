@@ -114,47 +114,32 @@ class UnitaryOperator:
         return f"<{type(self).__name__} n={self.n} field={self.field}>"
 
 
-class _Dft1d(UnitaryOperator):
-    def __init__(self, n: int):
-        super().__init__(n, "complex")
+class _Dft(UnitaryOperator):
+    """Unitary DFT of a signal of ``signal_shape`` (n,) or of a row-major flattened square image
+    of ``signal_shape`` (side, side), batch trailing: the 1-D DFT along every axis."""
+
+    def __init__(self, signal_shape: tuple):
+        super().__init__(math.prod(signal_shape), "complex")
+        self.signal_shape = signal_shape
+
+    def _apply(self, x, transform):
+        if len(self.signal_shape) == 1:  # one call on the input as given
+            return transform(x, axis=0, norm="ortho")
+        img = x.reshape(*self.signal_shape, -1)
+        for axis in (1, 0):  # np.fft.fftn's order, so an image gets fft2's bits
+            img = transform(img, axis=axis, norm="ortho")
+        return img.reshape(x.shape)
 
     def _forward(self, x):
-        return np.fft.fft(x, axis=0, norm="ortho")
+        return self._apply(x, np.fft.fft)
 
     def _adjoint(self, y):
-        return np.fft.ifft(y, axis=0, norm="ortho")
+        return self._apply(y, np.fft.ifft)
 
     def _conjugate_rows(self):
-        return -np.arange(self.n) % self.n
-
-    def _column_bands(self):
-        return np.zeros(1, dtype=np.int64), np.full(1, self.n)  # every entry is 1/sqrt(n)
-
-
-class _Dft2d(UnitaryOperator):
-    def __init__(self, side: int):
-        super().__init__(side * side, "complex")
-        self.side = side
-
-    def _image(self, x):
-        # row-major flattened square image, batch trailing
-        batched = x.ndim == 2
-        img = x.reshape(self.side, self.side, -1)
-        return img, batched
-
-    def _forward(self, x):
-        img, batched = self._image(x)
-        out = np.fft.fft2(img, axes=(0, 1), norm="ortho")
-        return out.reshape(self.n, -1) if batched else out.reshape(self.n)
-
-    def _adjoint(self, y):
-        img, batched = self._image(y)
-        out = np.fft.ifft2(img, axes=(0, 1), norm="ortho")
-        return out.reshape(self.n, -1) if batched else out.reshape(self.n)
-
-    def _conjugate_rows(self):
-        neg = -np.arange(self.side) % self.side
-        return (neg[:, None] * self.side + neg).ravel()
+        # -j mod the length along every axis
+        index = np.arange(self.n).reshape(self.signal_shape)
+        return np.roll(np.flip(index), 1, axis=tuple(range(index.ndim))).ravel()
 
     def _column_bands(self):
         return np.zeros(1, dtype=np.int64), np.full(1, self.n)  # every entry is 1/sqrt(n)
@@ -255,55 +240,38 @@ def _haar_axis0(arr: np.ndarray, steps: tuple, adjoint: bool) -> np.ndarray:
     return work.reshape(arr.shape)
 
 
-class _Haar1d(UnitaryOperator):
-    def __init__(self, n: int, levels: int):
-        super().__init__(n, "real")
-        self._steps = _haar_steps(n, levels)
-        self._translate_bands = _haar_bands(n, levels)
+class _Haar(UnitaryOperator):
+    """Orthonormal multi-level Haar analysis of a signal of ``signal_shape`` (n,), or of a
+    row-major flattened square image of ``signal_shape`` (side, side), batch trailing: the
+    1-D transform down the image's columns (axis 0), then along its rows."""
+
+    def __init__(self, signal_shape: tuple, levels: int):
+        super().__init__(math.prod(signal_shape), "real")
+        self.signal_shape = signal_shape
+        length = signal_shape[0]
+        self._steps = _haar_steps(length, levels)
+        starts, sizes = _haar_bands(length, levels)
+        if len(signal_shape) == 2:
+            # band pair (r, c) holds the products of a row band r and a column band c
+            starts = _read_only((starts[:, None] * length + starts).ravel())
+            sizes = _read_only(np.outer(sizes, sizes).ravel())
+        self._translate_bands = starts, sizes
+
+    def _apply(self, x, adjoint):
+        if len(self.signal_shape) == 1:  # a vector stays on its one-matmul path
+            return _haar_axis0(x, self._steps, adjoint)
+        img = x.reshape(*self.signal_shape, -1)
+        for axis in (0, 1):  # every other axis is a batch of lines
+            img = np.ascontiguousarray(np.moveaxis(img, axis, 0))
+            img = _haar_axis0(img.reshape(len(img), -1), self._steps, adjoint).reshape(img.shape)
+            img = np.moveaxis(img, 0, axis)
+        return img.reshape(x.shape)
 
     def _forward(self, x):
-        return _haar_axis0(x, self._steps, adjoint=False)
+        return self._apply(x, adjoint=False)
 
     def _adjoint(self, y):
-        return _haar_axis0(y, self._steps, adjoint=True)
-
-
-class _Haar2d(UnitaryOperator):
-    """Tensor-product Haar on a row-major flattened square image.
-
-    The full 1D multi-level transform is applied separably: first along image
-    rows, then along image columns.
-    """
-
-    def __init__(self, side: int, levels: int):
-        super().__init__(side * side, "real")
-        self.side = side
-        self._steps = _haar_steps(side, levels)
-        # band pair (r, c) holds the products of a row band r and a column band c
-        starts, sizes = _haar_bands(side, levels)
-        self._translate_bands = (
-            _read_only((starts[:, None] * side + starts).ravel()),
-            _read_only(np.outer(sizes, sizes).ravel()),
-        )
-
-    def _separable(self, x, adjoint):
-        batched = x.ndim == 2
-        batch = x.shape[1] if batched else 1
-        img = x.reshape(self.side, self.side, batch)
-        # along columns of the image (axis 0), batching the rest
-        img = _haar_axis0(img.reshape(self.side, -1), self._steps, adjoint).reshape(img.shape)
-        # along rows: bring axis 1 first
-        img = np.ascontiguousarray(np.moveaxis(img, 1, 0))
-        img = _haar_axis0(img.reshape(self.side, -1), self._steps, adjoint).reshape(img.shape)
-        img = np.moveaxis(img, 0, 1)
-        out = img.reshape(self.n, batch)
-        return out if batched else out[:, 0]
-
-    def _forward(self, x):
-        return self._separable(x, adjoint=False)
-
-    def _adjoint(self, y):
-        return self._separable(y, adjoint=True)
+        return self._apply(y, adjoint=True)
 
 
 class _Composed(UnitaryOperator):
@@ -335,7 +303,7 @@ class _Composed(UnitaryOperator):
         # column k is the measured k-th wavelet; the wavelets of one Haar band are translates of
         # each other, also as flattened images, and a translate changes every DFT coefficient by
         # a phase only
-        if isinstance(self.measurement, (_Dft1d, _Dft2d)) and isinstance(self.sparsity, (_Haar1d, _Haar2d)):
+        if isinstance(self.measurement, _Dft) and isinstance(self.sparsity, _Haar):
             return self.sparsity._translate_bands
         return super()._column_bands()
 
@@ -347,14 +315,11 @@ def make_dft_operator(n: int, *, two_dim: bool = False) -> UnitaryOperator:
     n must be a perfect square with power-of-two side.
     """
     n = _integer("n", n)
-    if two_dim:
-        side = _square_side(n)
-        if not _is_power_of_two(side) or side < 2:
-            raise ValueError(f"side length must be a power of two >= 2, got {side}")
-        return _Dft2d(side)
-    if not _is_power_of_two(n) or n < 2:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    return _Dft1d(n)
+    shape = (_square_side(n),) * 2 if two_dim else (n,)
+    if not _is_power_of_two(shape[0]) or shape[0] < 2:
+        length = "side length" if two_dim else "n"
+        raise ValueError(f"{length} must be a power of two >= 2, got {shape[0]}")
+    return _Dft(shape)
 
 
 def make_haar_operator(n: int, levels: int, *, two_dim: bool = False) -> UnitaryOperator:
@@ -369,15 +334,15 @@ def make_haar_operator(n: int, levels: int, *, two_dim: bool = False) -> Unitary
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if two_dim:
-        side = _square_side(n)
-        if levels and side % (1 << levels) != 0:
-            raise ValueError(f"side {side} not divisible by 2**{levels}")
-        return _Haar2d(side, levels)
-    if n < 1:
+        shape = (_square_side(n),) * 2
+    elif n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if levels and n % (1 << levels) != 0:
-        raise ValueError(f"n={n} not divisible by 2**{levels}")
-    return _Haar1d(n, levels)
+    else:
+        shape = (n,)
+    if shape[0] % (1 << levels) != 0:
+        length = f"side {shape[0]}" if two_dim else f"n={n}"
+        raise ValueError(f"{length} not divisible by 2**{levels}")
+    return _Haar(shape, levels)
 
 
 def compose_measurement_basis(

@@ -28,7 +28,7 @@ import numpy as np
 
 from vdslab.harness import TrialStreams
 from vdslab.priors import _hidden_layers, _hidden_pullback, generative_forward, generative_pullback
-from vdslab.recovery import _stack_real, objective
+from vdslab.recovery import _stack_real
 from vdslab.sampling import apply_measurement
 from vdslab.transforms import UnitaryOperator
 
@@ -235,17 +235,19 @@ def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.0
 
     Same arithmetic as ``recovery.recover_generative`` on the block M = A W_last,
     without its checks: the real-stacked [M | u], with zero rows below it up to
-    H rows, is reduced to the H x (H + 1) triangle [R | c] of its QR, and the
-    descent runs on ||R h - c||^2. Returns (x_hat, objective, iterations).
+    H + 1 rows, is reduced to the (H + 1) x (H + 1) triangle of its QR, the
+    descent runs on ||R h - c||^2 with [R | c] its first H rows, and the
+    objective adds the last diagonal entry squared and the fold's constant.
+    Returns (x_hat, objective, iterations).
     """
-    u, _ = A.fold(b)
+    u, const = A.fold(b)
     forward = _stack_real(A.forward(net.weights[-1]))
     rows, width = forward.shape
-    augmented = np.zeros((max(rows, width), width + 1))
+    augmented = np.zeros((max(rows, width + 1), width + 1))
     augmented[:rows, :width] = forward
     augmented[:rows, width] = _stack_real(u)
-    triangle = np.linalg.qr(augmented, mode="r")[:width]
-    design, target = triangle[:, :width], triangle[:, width:]
+    triangle = np.linalg.qr(augmented, mode="r")
+    design, target = triangle[:width, :width], triangle[:width, width:]
     rng = np.random.Generator(np.random.Philox(seed))
     k = net.latent_dim
 
@@ -261,9 +263,8 @@ def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.0
         r = design @ h - target
         return np.sum(r * r, axis=0), h, vjp(2.0 * (design.T @ r))
 
-    (_, h_hat), total = allocating_latent_adam(value_and_grad, np.column_stack(starts), iters, step)
-    x_hat = net.weights[-1] @ h_hat
-    return x_hat, objective(A, x_hat, b), total
+    (obj, h_hat), total = allocating_latent_adam(value_and_grad, np.column_stack(starts), iters, step)
+    return net.weights[-1] @ h_hat, obj + (triangle[width, width] ** 2 + const), total
 
 
 def patience_recover_generative(A, b, net, config):

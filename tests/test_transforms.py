@@ -178,6 +178,50 @@ def test_haar_cached_blocks_are_read_only():
                     a[0] = a[0]
 
 
+def _image_input(side, batch, is_complex, seed):
+    shape = (side * side,) if batch is None else (side * side, batch)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if is_complex else x
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_image_dft_is_fft2_bitwise(batch, is_complex):
+    """The 2-D DFT of a row-major flattened image, batch trailing, is NumPy's fft2 bit for bit."""
+    side = 16
+    x = _image_input(side, batch, is_complex, 31)
+    img = x.reshape(side, side, -1)
+    op = make_dft_operator(side * side, two_dim=True)
+    for got, want in ((op.forward(x), np.fft.fft2), (op.adjoint(x), np.fft.ifft2)):
+        assert np.array_equal(got, want(img, axes=(0, 1), norm="ortho").reshape(x.shape))
+
+
+@pytest.mark.parametrize("levels", [0, 2, 6])  # 6 levels on a side of 64 take two block steps
+@pytest.mark.parametrize("batch", [None, 1, 3])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_image_haar_is_the_1d_haar_down_columns_then_along_rows_bitwise(levels, batch, is_complex):
+    """The 2-D Haar is the 1-D Haar of the side applied to every image column as one batch, then
+    to every image row as one batch, bit for bit."""
+    side = 64
+    x = _image_input(side, batch, is_complex, 32 + levels)
+    op, line = make_haar_operator(side * side, levels, two_dim=True), make_haar_operator(side, levels)
+    for got, apply in ((op.forward(x), line.forward), (op.adjoint(x), line.adjoint)):
+        img = apply(x.reshape(side, -1)).reshape(side, side, -1)
+        rows = apply(np.ascontiguousarray(img.transpose(1, 0, 2)).reshape(side, -1))
+        assert np.array_equal(got, rows.reshape(side, side, -1).transpose(1, 0, 2).reshape(x.shape))
+
+
+@pytest.mark.parametrize("side", [2, 8, 16])
+def test_dft_conjugate_rows_negate_every_index(side):
+    """Row j of a length-n DFT pairs with -j mod n, and pixel (r, c) of an image with (-r, -c) mod side."""
+    neg = -np.arange(side) % side
+    assert np.array_equal(make_dft_operator(side).conjugate_rows(), neg)
+    assert np.array_equal(
+        make_dft_operator(side * side, two_dim=True).conjugate_rows(), (neg[:, None] * side + neg).ravel()
+    )
+
+
 def test_composition_with_identity_is_measurement():
     f = make_dft_operator(8)
     identity = make_haar_operator(8, 0)
