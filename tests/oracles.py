@@ -11,12 +11,14 @@ of the measurement, the latent Adam core that allocates its moments each
 step, the batched generative solver that draws and ranks one pool per
 restart and allocates each step's residual, the generative restart loop
 with its patience stop, the trial streams spawned from one SeedSequence per
-trial, the noise factor's float sort of the draw) are the package's earlier
-implementations, kept as references for the code that replaced them: bitwise,
-except the dense coherence, the Haar cascade, the scatter adjoint and the
-patience loop, which the band-wise coherence, the block-matmul Haar, the
-folded ``SampledOperator`` and the batched solver on the last hidden layer
-match to rounding. Together with
+trial, the noise factor's float sort of the draw, the generative coherence's
+pair loop over every row with norms from the signal differences) are the
+package's earlier implementations, kept as references for the code that
+replaced them: bitwise, except the dense coherence, the Haar cascade, the
+scatter adjoint, the patience loop and the pair loop, which the band-wise
+coherence, the block-matmul Haar, the folded ``SampledOperator``, the batched
+solver on the last hidden layer and the pair loop on one row per conjugate
+pair with norms from the transform domain match to rounding. Together with
 ``sampling.apply_measurement(F, sample, x, preconditioned=True)`` and the
 target ``sample.d_tilde * b`` they are the m-row D~ S F that the folded
 operator replaced in every solver, ``objective`` and ``rip_check``.
@@ -346,3 +348,24 @@ def float_sorted_gathers(sample, alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     order = np.argsort(-sample.d_tilde, kind="stable")
     return sample.d_tilde[order], alpha[sample.omega[order]]
+
+
+def pairwise_generative_coherence(net, op, num_latents, rng_seed):
+    """Reference generative coherence: every row, each pair's norm taken from the signal
+    difference, max over pairs of |F(x_a - x_b)_j| / ||x_a - x_b||, coincident signals skipped."""
+    rng = np.random.default_rng(rng_seed)
+    z = rng.standard_normal((net.latent_dim, num_latents))
+    x = generative_forward(net, z)
+    fx = op.forward(x)
+    alpha = np.zeros(op.n)
+    # the pair blocks reuse two buffers instead of allocating up to n x num_latents
+    # temporaries per latent
+    dx, dfx = np.empty_like(x), np.empty_like(fx)
+    for a in range(num_latents - 1):
+        rest = num_latents - 1 - a
+        d = np.subtract(x[:, a + 1 :], x[:, a : a + 1], out=dx[:, :rest])
+        norms = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=0))
+        norms[norms == 0.0] = np.inf  # a coincident pair then adds 0, which never raises alpha
+        r = np.abs(np.subtract(fx[:, a + 1 :], fx[:, a : a + 1], out=dfx[:, :rest]), out=d)
+        np.maximum(alpha, np.divide(r, norms, out=r).max(axis=1), out=alpha)
+    return alpha

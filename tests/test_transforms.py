@@ -345,6 +345,7 @@ _COUNTS = [
     ("levels", lambda v: make_haar_operator(1024, v), 2),
     ("s", lambda v: sparse_coherence_vector(make_dft_operator(16), v), 3),
     ("num_latents", lambda v: empirical_generative_coherence(_NET, make_dft_operator(16), v, 0), 4),
+    ("rng_seed", lambda v: empirical_generative_coherence(_NET, make_dft_operator(16), 4, v), 0),
 ]
 
 
