@@ -6,9 +6,10 @@ SeedSequence(master_seed, spawn_key=(cell_index, trial)): signal, draw,
 noise, solver. A sweep derives every trial's keys in one batch, bitwise
 equal to that SeedSequence's. The sampling scheme never enters the spawn key, so optimized
 and uniform runs of the same config consume identical signals and noise
-(common random numbers). Trials run one after another in task order (a
-network's solves in stacked blocks of consecutive trials, a single trial's
-in a block of one), so the output CSV bytes are deterministic.
+(common random numbers). Trials run in task order, in blocks of consecutive
+trials: each trial is measured, and a sparse or union trial solved, on its
+own, and a block's network draws are solved as one stacked run (a single
+trial is a block of one), so the output CSV bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .coherence import (
     sparse_coherence_vector,
 )
 from .priors import (
-    GenerativeNetwork,
     SparsePrior,
     SubspaceUnion,
     difference_union,
@@ -401,15 +401,6 @@ def _draw_signal(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("network output vanished on 100 latent draws")
 
 
-def _solve(problem: _Problem, A: SampledOperator, b: np.ndarray):
-    """Run the prior's own solver: HTP for sparse, the oracle for unions. A network's trials are
-    solved in stacked blocks (``_run_stack``)."""
-    prior = problem.prior
-    if isinstance(prior, SparsePrior):
-        return recover_sparse_two_stage(A, b, prior.k)
-    return recover_oracle(A, b, prior)
-
-
 @dataclass(frozen=True)
 class TrialStreams:
     """Independent per-trial random streams plus the recorded seed id."""
@@ -536,97 +527,57 @@ def trial_streams(master_seed: int, cell_index: int, trial: int) -> TrialStreams
     return _streams(_stream_keys(master_seed, [cell_index], [trial])[0])
 
 
-def _measure(problem, plan, m, sigma, streams: TrialStreams):
-    """A trial's signal, row draw and measurement: (x0, sample, system, ms), with system the
-    draw's (A, b) or the exception the measurement raised, and ms the measurement's time."""
+def _cell(scheme, m, sigma, trial) -> str:
+    return f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
+
+
+def _run_trial(problem, plan, config, scheme, m, sigma, trial, streams: TrialStreams) -> tuple:
+    """One trial up to its solve: (x0, outcome, ms, (noise_factor, theorem_bound, corollary_bound)).
+
+    The trial draws its signal and rows and measures; a sparse draw is solved here with HTP and a
+    union draw with the oracle, so ``outcome`` is their RecoveryResult, while a network's draw is
+    left as (A, b, solver_seed) for its block's stacked solve. ``outcome`` is the exception that
+    failed the trial instead, if any, and ``ms`` times the measurement and a solve made here. The
+    noise factor and both bounds read only the draw; where one is undefined it is NaN, with a
+    warning that names the cell.
+    """
     x0 = _draw_signal(problem, streams.signal)
     sample = draw_sample(plan, m, streams.draw)
+    prior = problem.prior
     started = time.perf_counter()
     try:
         b = simulate_measurements(problem.operator, sample, x0, sigma, seed=streams.noise)
-        system = (SampledOperator(problem.operator, sample), b)
+        A = SampledOperator(problem.operator, sample)
+        if isinstance(prior, SparsePrior):
+            outcome = recover_sparse_two_stage(A, b, prior.k)
+        elif isinstance(prior, SubspaceUnion):
+            outcome = recover_oracle(A, b, prior)
+        else:
+            outcome = (A, b, streams.solver_seed)
     except Exception as exc:
-        system = exc
-    return x0, sample, system, (time.perf_counter() - started) * 1e3
-
-
-def _run_trial(
-    problem, plan, config, scheme, m, sigma, trial, streams: TrialStreams, solved=None
-) -> ExperimentRecord:
-    """One CSV row. Without ``solved``, a sparse or union trial is measured and solved here. A
-    network's trials are measured and solved in stacked blocks first (``_run_stack``), which
-    passes each its ``solved`` (x0, sample, outcome, ms): the solver's RecoveryResult or the
-    exception that failed the trial, and the milliseconds timed for it so far."""
-    cell = f"scheme={scheme} m={m} sigma={sigma} trial={trial}"
-    if solved is None:
-        x0, sample, system, spent = _measure(problem, plan, m, sigma, streams)
-        started = time.perf_counter()
-        outcome = system
-        if not isinstance(system, Exception):
-            try:
-                outcome = _solve(problem, *system)
-            except Exception as exc:
-                outcome = exc
-    else:
-        x0, sample, outcome, spent = solved
-        started = time.perf_counter()
-    try:
-        if isinstance(outcome, Exception):
-            raise outcome
-        rre = relative_recovery_error(x0, outcome.x_hat)
-        objective_value = outcome.objective
-    except Exception as exc:
-        warnings.warn(f"trial failed ({cell}): {type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=2)
-        rre, objective_value = float("nan"), float("nan")
-    elapsed = spent + (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
+        outcome = exc
+    ms = (time.perf_counter() - started) * 1e3
     try:
         nf = noise_factor(sample, problem.alpha)
         bound = theorem_error_bound(
             nf, m, sigma, problem.max_dim, problem.log_subspace_count, delta=config.bound_delta
         )
     except ValueError as exc:
+        cell = _cell(scheme, m, sigma, trial)
         warnings.warn(f"noise factor undefined ({cell}): {exc}", RuntimeWarning, stacklevel=2)
         nf, bound = float("nan"), float("nan")
     try:
         corollary = deterministic_corollary_bound(sample, problem.alpha, sigma)
     except ValueError as exc:
+        cell = _cell(scheme, m, sigma, trial)
         warnings.warn(f"corollary bound undefined ({cell}): {exc}", RuntimeWarning, stacklevel=2)
         corollary = float("nan")
-    return ExperimentRecord(
-        scheme, m, sigma, trial, streams.seed_id, rre, objective_value, nf, bound, corollary, elapsed
-    )
+    return x0, outcome, ms, (nf, bound, corollary)
 
 
-# a network's trials are solved this many consecutive trials at a time, as one stacked Adam run
+# a sweep runs this many consecutive trials at a time, and a block's network draws are solved as
+# one stacked Adam run
 _STACK_TRIALS = 16
-
-
-def _run_stack(problem, plans, config, runs) -> list[ExperimentRecord]:
-    """The rows of a block of generative trials, each run a (scheme, m, sigma, trial, keys) tuple.
-
-    Each trial is measured on its own; then ``recover_generative_stack``
-    solves the block, every trial from its own solver stream, and
-    ``_run_trial`` makes each row. A trial's ``wall_time_ms`` is its own
-    measurement and rre plus 1/T of the block's solve, for a block of T
-    trials. A trial that fails fails alone.
-    """
-    measured, systems = [], []
-    for scheme, m, sigma, _, keys in runs:
-        streams = _streams(keys)
-        x0, sample, system, ms = _measure(problem, plans[scheme], m, sigma, streams)
-        if not isinstance(system, Exception):
-            systems.append((*system, streams.solver_seed))
-        measured.append((streams, x0, sample, system, ms))
-    started = time.perf_counter()
-    results = iter(recover_generative_stack(systems, problem.prior))
-    share = (time.perf_counter() - started) * 1e3 / len(runs)
-    return [
-        _run_trial(
-            problem, plans[scheme], config, scheme, m, sigma, trial, streams,
-            (x0, sample, system if isinstance(system, Exception) else next(results), ms + share),
-        )
-        for (scheme, m, sigma, trial, _), (streams, x0, sample, system, ms) in zip(runs, measured)
-    ]
 
 
 # glibc mallopt (parameter, value) pairs: arrays under 16 MB come from the heap, and up to 32 MB of
@@ -658,18 +609,46 @@ def _keep_freed_heap() -> None:
 
 
 def _run(problem, plans, config, runs) -> list[ExperimentRecord]:
-    """The rows of ``runs``, each a (scheme, m, sigma, trial, keys) tuple, in order: a network's
-    in stacked blocks of consecutive runs, every other trial on its own."""
-    if isinstance(problem.prior, GenerativeNetwork):
-        return [
-            record
-            for start in range(0, len(runs), _STACK_TRIALS)
-            for record in _run_stack(problem, plans, config, runs[start : start + _STACK_TRIALS])
+    """The rows of ``runs``, each a (scheme, m, sigma, trial, keys) tuple, in order.
+
+    The runs go in blocks of ``_STACK_TRIALS``: ``_run_trial`` takes each run of a block up to its
+    solve, one ``recover_generative_stack`` call solves the block's network draws, each from its
+    own solver stream, and one loop makes the block's rows. A trial's ``wall_time_ms`` is its
+    measurement, its solve and its rre; a network trial's solve is 1/T of its block's stacked
+    solve, for a block of T trials. A trial that fails fails alone.
+    """
+    records = []
+    for start in range(0, len(runs), _STACK_TRIALS):
+        block = runs[start : start + _STACK_TRIALS]
+        trials = [
+            _run_trial(problem, plans[scheme], config, scheme, m, sigma, trial, _streams(keys))
+            for scheme, m, sigma, trial, keys in block
         ]
-    return [
-        _run_trial(problem, plans[scheme], config, scheme, m, sigma, trial, _streams(row))
-        for scheme, m, sigma, trial, row in runs
-    ]
+        draws = [outcome for _, outcome, _, _ in trials if isinstance(outcome, tuple)]
+        share, solved = 0.0, iter(())
+        if draws:
+            started = time.perf_counter()
+            solved = iter(recover_generative_stack(draws, problem.prior))
+            share = (time.perf_counter() - started) * 1e3 / len(block)
+        for (scheme, m, sigma, trial, keys), (x0, outcome, ms, bounds) in zip(block, trials):
+            started = time.perf_counter()
+            if isinstance(outcome, tuple):
+                outcome = next(solved)
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                rre = relative_recovery_error(x0, outcome.x_hat)
+                objective_value = outcome.objective
+            except Exception as exc:
+                cell = _cell(scheme, m, sigma, trial)
+                warnings.warn(f"trial failed ({cell}): {type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=2)
+                rre, objective_value = float("nan"), float("nan")
+            elapsed = ms + share + (time.perf_counter() - started) * 1e3 if config.record_timing else 0.0
+            seed_id = int(keys[0])  # as _streams reads it
+            records.append(
+                ExperimentRecord(scheme, m, sigma, trial, seed_id, rre, objective_value, *bounds, elapsed)
+            )
+    return records
 
 
 def _sweep(problem, config, schemes) -> list[ExperimentRecord]:

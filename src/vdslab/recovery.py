@@ -419,40 +419,31 @@ def theorem_error_bound(
     max_dim: int,
     log_subspace_count: float,
     *,
-    delta: float | None = None,
-    t: float | None = None,
+    delta: float,
     epsilon: float = 0.0,
-    mismatch_norm: float = 0.0,
-    preconditioned_mismatch_norm: float = 0.0,
 ) -> float:
-    """Full recovery bound: noise, model-mismatch, and optimization terms.
+    """Recovery bound: noise and optimization terms.
 
     Evaluates 9 (sigma/sqrt(m)) nf (sqrt(max_dim) + sqrt(log_subspace_count) + t)
-    + mismatch_norm + 6 preconditioned_mismatch_norm + (3/2) sqrt(epsilon),
-    where nf is the noise factor of the m-row draw (``sampling.noise_factor``).
-    Given delta instead of the tail parameter, t = sqrt(log(2/delta)) so the
-    bound fails with probability at most delta over the noise. The mismatch norms are ||x - proj(x)||_2 and
-    its preconditioned-measurement image.
+    + (3/2) sqrt(epsilon), where nf is the noise factor of the m-row draw
+    (``sampling.noise_factor``) and t = sqrt(log(2/delta)), so the bound fails with
+    probability at most delta over the noise. The paper's model-mismatch terms are
+    zero here: every prior's signals lie in its model.
     """
-    if (delta is None) == (t is None):
-        raise ValueError("supply exactly one of delta or t")
-    if delta is not None:
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        t = math.sqrt(math.log(2.0 / delta))
     # every check is written so that NaN fails too
-    if not (nf >= 0 and m >= 1 and t >= 0 and sigma >= 0 and epsilon >= 0 and max_dim >= 1
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    t = math.sqrt(math.log(2.0 / delta))
+    if not (nf >= 0 and m >= 1 and sigma >= 0 and epsilon >= 0 and max_dim >= 1
             and log_subspace_count >= 0):
         raise ValueError("invalid bound inputs")
-    if not (mismatch_norm >= 0 and preconditioned_mismatch_norm >= 0):
-        raise ValueError("mismatch norms must be nonnegative")
     noise_term = (
         9.0
         * (sigma / math.sqrt(m))
         * nf
         * (math.sqrt(max_dim) + math.sqrt(log_subspace_count) + t)
     )
-    return noise_term + mismatch_norm + 6.0 * preconditioned_mismatch_norm + 1.5 * math.sqrt(epsilon)
+    return noise_term + 1.5 * math.sqrt(epsilon)
 
 
 def deterministic_corollary_bound(sample: DrawnSample, alpha, sigma: float) -> float:

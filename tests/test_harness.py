@@ -748,14 +748,62 @@ def test_generative_trial_fails_alone_in_its_block(tmp_path, monkeypatch, fault,
             assert _without_timing(got) == _without_timing(ref)
 
 
-def test_generative_single_trial_is_the_sweeps_first_row(tmp_path):
-    """run_single_trial solves alone the trial that the sweep solves in a stacked block, and
-    writes the sweep's (cell 0, trial 0) row bitwise, wall_time_ms aside."""
-    mapping = _generative_mapping(tmp_path)
+def _union_mapping(tmp_path):
+    """A union of three planes at n=32 on a 32-point DFT: 4 trials."""
+    upath = tmp_path / "u.vdsu"
+    save_union(_small_union(32, 3, 2, seed=4), upath)
+    return {
+        "prior": "union",
+        "union_file": str(upath),
+        "measurement": "dft",
+        "m_grid": "24,48",
+        "sigma_grid": "0.5",
+        "trials": 2,
+        "out": str(tmp_path / "u.csv"),
+    }
+
+
+_MAPPINGS = {"sparse": _sparse_mapping, "union": _union_mapping, "generative": _generative_mapping}
+
+
+@pytest.mark.parametrize("prior", sorted(_MAPPINGS))
+def test_single_trial_is_the_sweeps_first_row(tmp_path, prior):
+    """run_single_trial takes the sweep's path on one run, a block of one (so a network's trial is
+    solved alone where the sweep stacks it), and writes the sweep's (cell 0, trial 0) row
+    bitwise, wall_time_ms aside."""
+    mapping = _MAPPINGS[prior](tmp_path)
     first = run_denoise_sweep(ExperimentConfig(mapping))[0]
-    single = run_single_trial(ExperimentConfig({**mapping, "m": 16, "sigma": 0.5}))
-    assert (first.m, first.trial) == (16, 0)
+    m, sigma = int(mapping["m_grid"].split(",")[0]), float(mapping["sigma_grid"].split(",")[0])
+    single = run_single_trial(ExperimentConfig({**mapping, "m": m, "sigma": sigma}))
+    assert (first.m, first.sigma, first.trial) == (m, sigma, 0)
     assert _without_timing(single) == _without_timing(first)
+
+
+@pytest.mark.parametrize("prior", sorted(_MAPPINGS))
+def test_every_measurement_happens_inside_its_trial(tmp_path, monkeypatch, prior):
+    """Every prior's trials go through ``_run_trial``, once per row and in row order, and each
+    trial measures inside it, so a tracer rooted there sees every trial's measurement."""
+    run_trial, simulate = harness._run_trial, harness.simulate_measurements
+    depth, entered, inside, outside = [0], [], [], []
+
+    def counted(*args, **kwargs):
+        entered.append(args[3:7])  # (scheme, m, sigma, trial)
+        depth[0] += 1
+        try:
+            return run_trial(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def spied(*args, **kwargs):
+        (inside if depth[0] == 1 else outside).append(args[1].m)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    monkeypatch.setattr(harness, "simulate_measurements", spied)
+    records = run_denoise_sweep(ExperimentConfig(_MAPPINGS[prior](tmp_path)))
+    assert entered == [(r.scheme, r.m, r.sigma, r.trial) for r in records]
+    assert outside == []
+    assert inside == [r.m for r in records]
 
 
 def test_sweep_haar_sparsity_basis(tmp_path):

@@ -1080,7 +1080,7 @@ def test_theorem_bound_zero_case():
     n = 8
     sample = _full_sample(n)
     alpha = np.ones(n)
-    assert theorem_error_bound(noise_factor(sample, alpha), sample.m, 0.0, 2, math.log(3), t=1.0) == 0.0
+    assert theorem_error_bound(noise_factor(sample, alpha), sample.m, 0.0, 2, math.log(3), delta=0.05) == 0.0
 
 
 def test_theorem_bound_linear_in_sigma():
@@ -1090,8 +1090,8 @@ def test_theorem_bound_linear_in_sigma():
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 9, 37)
     nf = noise_factor(sample, alpha)
-    one = theorem_error_bound(nf, sample.m, 1.0, 3, math.log(7), t=2.0)
-    two = theorem_error_bound(nf, sample.m, 2.0, 3, math.log(7), t=2.0)
+    one = theorem_error_bound(nf, sample.m, 1.0, 3, math.log(7), delta=0.05)
+    two = theorem_error_bound(nf, sample.m, 2.0, 3, math.log(7), delta=0.05)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -1101,22 +1101,20 @@ def test_theorem_bound_hand_computed():
     alpha = 0.25 + rng.random(n)
     plan = optimized_probabilities(alpha)
     sample = draw_sample(plan, 21, 41)
-    sigma, ell, log_m_count, t, eps = 0.3, 4, math.log(11), 1.7, 1e-4
+    sigma, ell, log_m_count, delta, eps = 0.3, 4, math.log(11), 0.1, 1e-4
     by_hand = (
         9.0 * (sigma / math.sqrt(21)) * _local_noise_factor(sample, alpha)
-        * (math.sqrt(ell) + math.sqrt(log_m_count) + t)
-        + 0.25
-        + 6.0 * 0.125
+        * (math.sqrt(ell) + math.sqrt(log_m_count) + math.sqrt(math.log(2.0 / delta)))
         + 1.5 * math.sqrt(eps)
     )
     value = theorem_error_bound(
-        noise_factor(sample, alpha), sample.m, sigma, ell, log_m_count,
-        t=t, epsilon=eps, mismatch_norm=0.25, preconditioned_mismatch_norm=0.125,
+        noise_factor(sample, alpha), sample.m, sigma, ell, log_m_count, delta=delta, epsilon=eps
     )
     assert value == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_theorem_bound_delta_maps_to_tail():
+    """delta = 0.05 is the tail parameter t = sqrt(log(2 / 0.05)) = sqrt(log 40)."""
     n = 8
     rng = _rng(17)
     alpha = 0.5 + rng.random(n)
@@ -1124,7 +1122,7 @@ def test_theorem_bound_delta_maps_to_tail():
     sample = draw_sample(plan, 5, 43)
     nf = noise_factor(sample, alpha)
     via_delta = theorem_error_bound(nf, sample.m, 1.0, 2, 0.0, delta=0.05)
-    via_t = theorem_error_bound(nf, sample.m, 1.0, 2, 0.0, t=math.sqrt(math.log(40.0)))
+    via_t = 9.0 * (1.0 / math.sqrt(sample.m)) * nf * (math.sqrt(2) + math.sqrt(math.log(40.0)))
     assert via_delta == pytest.approx(via_t, rel=1e-15)
 
 
@@ -1134,36 +1132,30 @@ def test_bounds_reject_nan_sigma():
     nf = noise_factor(sample, np.ones(4))
     nan = math.nan
     with pytest.raises(ValueError, match="invalid"):
-        theorem_error_bound(nf, 4, nan, 2, 0.0, t=1.0)
+        theorem_error_bound(nf, 4, nan, 2, 0.0, delta=0.05)
     with pytest.raises(ValueError, match="sigma"):
         deterministic_corollary_bound(sample, np.ones(4), nan)
     for args, kwargs in (
-        ((nan, 4, 1.0, 2, 0.0), {"t": 1.0}),
-        ((nf, 4, 1.0, 2, nan), {"t": 1.0}),
-        ((nf, 4, 1.0, 2, 0.0), {"t": nan}),
-        ((nf, 4, 1.0, 2, 0.0), {"t": 1.0, "epsilon": nan}),
+        ((nan, 4, 1.0, 2, 0.0), {}),
+        ((nf, 4, 1.0, 2, nan), {}),
+        ((nf, 4, 1.0, 2, 0.0), {"epsilon": nan}),
     ):
         with pytest.raises(ValueError, match="invalid"):
-            theorem_error_bound(*args, **kwargs)
+            theorem_error_bound(*args, delta=0.05, **kwargs)
     with pytest.raises(ValueError, match="delta"):
         theorem_error_bound(nf, 4, 1.0, 2, 0.0, delta=nan)
-    for key in ("mismatch_norm", "preconditioned_mismatch_norm"):
-        with pytest.raises(ValueError, match="mismatch"):
-            theorem_error_bound(nf, 4, 1.0, 2, 0.0, t=1.0, **{key: nan})
 
 
 def test_theorem_bound_input_validation():
     n = 4
     nf, m = noise_factor(_full_sample(n), np.ones(n)), n
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError, match="delta"):
         theorem_error_bound(nf, m, 1.0, 2, 0.0)
-    with pytest.raises(ValueError, match="exactly one"):
-        theorem_error_bound(nf, m, 1.0, 2, 0.0, delta=0.1, t=1.0)
     with pytest.raises(ValueError, match="delta"):
         theorem_error_bound(nf, m, 1.0, 2, 0.0, delta=1.5)
     for bad_nf, bad_m in ((-1.0, m), (nf, 0)):
         with pytest.raises(ValueError, match="invalid"):
-            theorem_error_bound(bad_nf, bad_m, 1.0, 2, 0.0, t=1.0)
+            theorem_error_bound(bad_nf, bad_m, 1.0, 2, 0.0, delta=0.05)
 
 
 def test_corollary_flat_alpha_grows_with_m():
