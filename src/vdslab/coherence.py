@@ -20,8 +20,9 @@ at once:
 - ``empirical_generative_coherence``: the pairwise estimate for a ReLU
   network, the largest |F(x_a - x_b)_j| / ||x_a - x_b|| over sampled pairs.
   It differences the B transformed signals on one row of each conjugate
-  pair and, since the operator is unitary, takes each pair's norm from the
-  same squared magnitudes: O(B n log n + B^2 n) time, O(B n) memory.
+  pair (their real parts alone for a real operator) and, since the operator
+  is unitary, takes each pair's norm from the same squared magnitudes:
+  O(B n log n + B^2 n) time, O(B n) memory.
 
 Each returns alpha as a read-only float64 vector. Zero entries mark rows
 orthogonal to the prior; they are excluded from sampling downstream.
@@ -114,9 +115,11 @@ def empirical_generative_coherence(
     |F x|_j = |F x|_{Pj} with P = ``op.conjugate_rows()``. Since ``op`` is
     unitary, ||x_a - x_b||^2 is the sum of |F(x_a - x_b)|^2 over all rows, which
     is the kept rows' squared magnitudes weighted by 2 for a row with a partner
-    and by 1 for its own partner. The cost is O(B n log n + B^2 n) time and
-    O(B n) memory. Pairs whose transforms coincide, such as two of the zero
-    signals that a ReLU network maps many latents to, are skipped.
+    and by 1 for its own partner. A real operator's transforms have no
+    imaginary part, so only their real parts are differenced. The cost is
+    O(B n log n + B^2 n) time and O(B n) memory. Pairs whose transforms
+    coincide, such as two of the zero signals that a ReLU network maps many
+    latents to, are skipped.
     """
     num_latents = _integer("num_latents", num_latents)
     rng_seed = _integer("rng_seed", rng_seed)
@@ -131,15 +134,18 @@ def empirical_generative_coherence(
     weight = np.where(partner[kept] == kept, 1.0, 2.0)
     h = len(kept)
     fx = op.forward(generative_forward(net, z))[kept]
-    # latents-major [Re | Im]: each latent's differences are contiguous rows
-    y = np.hstack([fx.real.T, fx.imag.T])
+    # one row per latent: [Re | Im], or Re alone for a real operator, whose imaginary half would
+    # add only zeros. Both are column-major as transposes of fx (hstack keeps that), and so is
+    # every block of differences: the max over pairs reads it fastest, and a real operator's
+    # weighted sums add the same terms in the same order as its [Re | Im] sums did
+    is_complex = np.iscomplexobj(fx)
+    y = np.hstack([fx.real.T, fx.imag.T]) if is_complex else fx.T
     best = np.zeros(h)  # the largest |F(x_b - x_a)|_j^2 / ||x_b - x_a||^2 so far
     for a in range(num_latents - 1):
         mag = y[a + 1 :] - y[a]
         mag *= mag
-        # rebinding frees the squares at once; NumPy lays the sum out column-major, which the
-        # max over pairs reads fastest
-        mag = mag[:, :h] + mag[:, h:]
+        if is_complex:
+            mag = mag[:, :h] + mag[:, h:]  # rebinding frees the squares at once
         norm2 = mag @ weight
         norm2[norm2 == 0.0] = np.inf  # a coincident pair then adds 0, which never raises alpha
         mag /= norm2[:, None]

@@ -4,10 +4,12 @@ Every solver, ``objective`` and ``rip_check`` take the draw's preconditioned
 operator A = D~ S F (a SampledOperator), which acts on the draw's distinct
 rows. The solvers minimize ||A x - D~ b||_2^2 over their prior set in its
 folded form ||A.forward(x) - u||^2 + const, with (u, const) = A.fold(b), and
-report that sum as the objective; the sparse solver is hard thresholding
-pursuit. The generative solver, ``recover_generative_stack``, solves a list
-of draws with one stacked multi-start Adam run, whose core (``_latent_adam``)
-lives here; ``recover_generative`` is its one-draw call. It descends on the
+report that sum as the objective. The sparse solver is hard thresholding
+pursuit, which refits on the support columns ``A.columns(S)``: a gather in
+closed form, with no transform, on a DFT or a DFT over a Haar basis. The
+generative solver, ``recover_generative_stack``, solves a list of draws
+with one stacked multi-start Adam run, whose core (``_latent_adam``) lives
+here; ``recover_generative`` is its one-draw call. It descends on the
 last hidden layer through the H x H triangle of each draw's block
 M = A W_last, whose residual plus a constant of the draw is the objective,
 so a draw makes one fold and one transform. Measurements are never
@@ -162,10 +164,11 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 
     Each iteration takes S+, the top k of x - Re A*(A x - u)/L with
     L = 1.05 ||A||^2 in closed form from the draw (``A.norm_sq``), and stops
     when S+ is the current support; otherwise x becomes the exact least
-    squares on S+. As 1/L < 1/||A||^2 the residual never increases, so the
-    last iterate is the result: optimal on its support, which stays
-    uncertified (flagged). No support repeat within ``max_iters`` adds a
-    warning flag. The objective is the folded residual plus its constant.
+    squares on S+, whose design is the support columns ``A.columns(S+)``.
+    As 1/L < 1/||A||^2 the residual never increases, so the last iterate
+    is the result: optimal on its support, which stays uncertified
+    (flagged). No support repeat within ``max_iters`` adds a warning flag.
+    The objective is the folded residual plus its constant.
     """
     if _integer("max_iters", max_iters) < 1:
         raise ValueError("max_iters must be at least 1")
@@ -177,9 +180,8 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 
     stacked_u = _stack_real(u)
     lam = 1.05 * A.norm_sq
 
-    # an iteration costs one adjoint, and a support change one forward of the
-    # k support columns as a batch; the fit's residual is carried into the
-    # next step, and at x = 0 it is -u
+    # an iteration costs one adjoint, and a support change its k columns; the
+    # fit's residual is carried into the next step, and at x = 0 it is -u
     x = np.zeros(n)
     r = -u
     support = None
@@ -190,9 +192,7 @@ def recover_sparse_two_stage(A: SampledOperator, b, k: int, *, max_iters: int = 
             converged = True
             break
         support = candidate
-        columns = np.zeros((n, k))
-        columns[support, np.arange(k)] = 1.0
-        design = A.forward(columns)
+        design = A.columns(support)
         w, _, rank, _ = np.linalg.lstsq(_stack_real(design), stacked_u, rcond=_RANK_RTOL)
         x = np.zeros(n)
         x[support] = w

@@ -280,7 +280,9 @@ class SampledOperator:
     A row j drawn several times acts as one row of weight sqrt(c_j), with
     c_j = (n/m) sum_{i: omega_i = j} d~_i^2: ``rows`` holds each drawn row
     once (increasing) and ``weights`` its sqrt(c_j). ``forward`` takes (n,) or
-    (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones; A's Gram
+    (n, R) inputs and ``adjoint`` the matching (r,) or (r, R) ones;
+    ``columns(support)`` is forward of unit columns, gathered without a
+    transform where F has translate bands (a DFT, or a DFT over Haar); A's Gram
     is F* diag(c) F, the Gram of the m-row D~ S F, so ``norm_sq``, ||A||^2 on
     real inputs, is max_j (c_j + c_{P j}) / 2 with P = F.conjugate_rows().
     Every solver minimizes ||A x - u||^2 + const, with (u, const) = ``fold(b)``.
@@ -304,6 +306,16 @@ class SampledOperator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._weigh(self.F.forward(x)[self.rows])
+
+    def columns(self, support) -> np.ndarray:
+        """forward of the unit columns e_j, j in ``support``, as an (r, len(support)) block.
+
+        A DFT, or a DFT over a Haar basis, gathers them in closed form from its
+        table of column bands (built on first use, once per operator; equal to
+        the transform to rounding); any other operator transforms the unit
+        columns, bitwise as ``forward``.
+        """
+        return self._weigh(self.F._columns(self.rows, np.asarray(support)))
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Assign the weighted rows (they are distinct, so nothing adds up), then one adjoint transform."""

@@ -10,6 +10,7 @@ each application allocates its own scratch.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import index
 
 import numpy as np
@@ -104,6 +105,61 @@ class UnitaryOperator:
         """
         return np.arange(self.n), np.ones(self.n, dtype=np.int64)
 
+    def _column_shifts(self):
+        """None, or (shape, band, shift) when every column is its band's representative translated.
+
+        Column k is then forward(e_c) for the representative c =
+        ``_column_bands()[0][band[k]]``, cyclically translated by ``shift[k]``
+        samples of the flattened input, read in a DFT's ``shape`` (n,) or
+        (side, side); the default has no such bands.
+        """
+        return None
+
+    @cached_property
+    def _shift_table(self):
+        """(spectra, band, row_turns, shift_turns, roots) of ``_column_shifts``, or None.
+
+        Built on first use and then kept. ``spectra`` is forward of the band
+        representatives, one column per band; ``row_turns`` and
+        ``shift_turns`` hold every row's and every shift's index along each
+        axis of ``shape``, and ``roots`` the side = shape[0] roots of unity
+        exp(-2 pi i t / side). By the shift theorem, column k is
+        spectra[:, band[k]] times roots[sum over axes a of
+        row_turns[a] * shift_turns[a][k], mod side].
+        """
+        shifts = self._column_shifts()
+        if shifts is None:
+            return None
+        shape, band, shift = shifts
+        reps = self._column_bands()[0]
+        unit = np.zeros((self.n, len(reps)))
+        unit[reps, np.arange(len(reps))] = 1.0
+        side = shape[0]
+        roots = np.exp(-2j * np.pi * np.arange(side) / side)
+        row_turns = np.unravel_index(np.arange(self.n), shape)
+        shift_turns = np.unravel_index(shift, shape)
+        for a in (band, roots, *row_turns, *shift_turns):
+            a.setflags(write=False)
+        return _read_only(self.forward(unit)), band, row_turns, shift_turns, roots
+
+    def _columns(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """forward(e_k)[rows] for every k in ``columns``, as a (len(rows), len(columns)) block.
+
+        An operator with translate bands gathers it in closed form
+        (``_shift_table``); any other transforms the unit columns.
+        """
+        table = self._shift_table
+        if table is None:
+            unit = np.zeros((self.n, len(columns)))
+            unit[columns, np.arange(len(columns))] = 1.0
+            return self.forward(unit)[rows]
+        spectra, band, row_turns, shift_turns, roots = table
+        turns = sum(np.multiply.outer(r[rows], s[columns]) for r, s in zip(row_turns, shift_turns))
+        turns &= len(roots) - 1  # mod the side, a power of two
+        block = spectra[rows].take(band[columns], axis=1)  # two 1-D gathers beat one 2-D gather
+        block *= roots[turns]
+        return block
+
     def _forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -143,6 +199,10 @@ class _Dft(UnitaryOperator):
 
     def _column_bands(self):
         return np.zeros(1, dtype=np.int64), np.full(1, self.n)  # every entry is 1/sqrt(n)
+
+    def _column_shifts(self):
+        # e_k is e_0 translated by k
+        return self.signal_shape, np.zeros(self.n, dtype=np.int64), np.arange(self.n)
 
 
 _BLOCK_LEVELS = 5  # levels per block step: a 32 x 32 matrix, whatever the depth
@@ -267,6 +327,20 @@ class _Haar(UnitaryOperator):
             img = np.moveaxis(img, 0, axis)
         return img.reshape(x.shape)
 
+    def _band_shifts(self) -> tuple:
+        """(band, shift) of every coefficient: its band's index in ``_translate_bands`` and how far
+        its wavelet lies from the band's first one, in samples of the flattened signal."""
+        length = self.signal_shape[0]
+        levels = sum(len(h).bit_length() - 1 for _, h, _, _ in self._steps)  # a step's block is 2**levels
+        starts, sizes = _haar_bands(length, levels)
+        coefficient = np.arange(length)
+        band = np.searchsorted(starts, coefficient, side="right") - 1
+        shift = (coefficient - starts[band]) * (length // sizes[band])  # a band's wavelets tile the axis
+        if len(self.signal_shape) == 2:
+            band = (band[:, None] * len(starts) + band).ravel()
+            shift = (shift[:, None] * length + shift).ravel()
+        return band, shift
+
     def _forward(self, x):
         return self._apply(x, adjoint=False)
 
@@ -306,6 +380,14 @@ class _Composed(UnitaryOperator):
         if isinstance(self.measurement, _Dft) and isinstance(self.sparsity, _Haar):
             return self.sparsity._translate_bands
         return super()._column_bands()
+
+    def _column_shifts(self):
+        # a wavelet's translate is one shift of the flattened signal, which the measurement reads
+        # per axis of its own shape; no band's wavelets wrap around a row end, as a 1-D wavelet
+        # lies within one row or spans whole rows and a 2-D one keeps to its columns
+        if isinstance(self.measurement, _Dft) and isinstance(self.sparsity, _Haar):
+            return (self.measurement.signal_shape, *self.sparsity._band_shifts())
+        return None
 
 
 def make_dft_operator(n: int, *, two_dim: bool = False) -> UnitaryOperator:

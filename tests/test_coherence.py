@@ -33,6 +33,7 @@ from vdslab.priors import (
     SparsePrior,
 )
 from vdslab.transforms import (
+    UnitaryOperator,
     _Dft,
     compose_measurement_basis,
     make_dft_operator,
@@ -300,6 +301,33 @@ def test_empirical_matches_the_pairwise_oracle_on_the_sweep_network():
     op = make_dft_operator(64)
     got = empirical_generative_coherence(net, op, 256, rng_seed=1)
     assert np.allclose(got, pairwise_generative_coherence(net, op, 256, 1), rtol=1e-12, atol=0)
+
+
+class _ComplexValued(UnitaryOperator):
+    """A real operator read as complex: its forward with a zero imaginary part."""
+
+    def __init__(self, op):
+        super().__init__(op.n, "complex")
+        self.op = op
+
+    def _forward(self, x):
+        return self.op.forward(x).astype(np.complex128)
+
+    def _adjoint(self, y):
+        return self.op.adjoint(y)
+
+
+@pytest.mark.parametrize("name", ["haar", "haar2"])
+def test_empirical_on_a_real_operator_skips_the_zero_imaginary_half(name):
+    """A real operator's transforms are differenced on their real parts alone, and alpha is
+    bitwise that of the same operator read as complex, whose imaginary half is all zeros; both
+    are the pairwise oracle's to 1e-12, at the sweep's 256 latents."""
+    rng = np.random.default_rng(39)
+    op = _PAIR_OPERATORS[name](rng)
+    net = _relu_net(op.n, rng)
+    got = empirical_generative_coherence(net, op, 256, rng_seed=4)
+    assert np.array_equal(got, empirical_generative_coherence(net, _ComplexValued(op), 256, rng_seed=4))
+    assert np.allclose(got, pairwise_generative_coherence(net, op, 256, 4), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("two_dim", [False, True])
