@@ -95,10 +95,7 @@ def sparse_coherence_vector(op: UnitaryOperator, s: int) -> np.ndarray:
     columns, sizes = op._column_bands()
     values, counts = np.empty((op.n, 0)), np.empty((op.n, 0), dtype=np.int64)
     for start in range(0, len(columns), _BAND_BLOCK):
-        block = columns[start : start + _BAND_BLOCK]
-        unit = np.zeros((op.n, len(block)))
-        unit[block, np.arange(len(block))] = 1.0
-        mags = np.abs(op.forward(unit)) ** 2
+        mags = np.abs(op._unit_columns(columns[start : start + _BAND_BLOCK])) ** 2
         block_counts = np.broadcast_to(sizes[start : start + _BAND_BLOCK], mags.shape)
         values, counts = _merge_top(np.hstack([values, mags]), np.hstack([counts, block_counts]), s)
     alpha = np.sqrt(np.sum(values * counts, axis=1))

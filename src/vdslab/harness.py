@@ -57,7 +57,7 @@ from .sampling import (
     optimized_probabilities,
     uniform_plan,
 )
-from .transforms import compose_measurement_basis, make_dft_operator, make_haar_operator
+from .transforms import _haar_bands, compose_measurement_basis, make_dft_operator, make_haar_operator
 
 __all__ = [
     "CSV_HEADER",
@@ -288,17 +288,12 @@ def _octave_band_weights(n: int, levels: int) -> np.ndarray:
     coefficients pile up in the coarse bands; each finer band gets half the
     mass of the previous one. Uniform supports would bury the coarse bands
     under the finest one and leave density-optimized sampling nothing to
-    exploit.
+    exploit. The bands are those of ``_haar_bands``: the approximation band,
+    then the detail bands from the coarsest to the finest, band b holding
+    2^-b of the approximation band's mass.
     """
-    weights = np.empty(n)
-    coarse = n >> levels
-    weights[:coarse] = 1.0 / coarse
-    start, size, band = coarse, coarse, 1
-    while start < n:
-        weights[start : start + size] = 0.5**band / size
-        start += size
-        size *= 2
-        band += 1
+    sizes = _haar_bands(n, levels)[1]
+    weights = np.repeat(0.5 ** np.arange(len(sizes)) / sizes, sizes)
     return weights / weights.sum()
 
 
@@ -588,15 +583,16 @@ _HEAP_SETTINGS = ((-3, 16 << 20), (-1, 32 << 20))  # M_MMAP_THRESHOLD, M_TRIM_TH
 def _keep_freed_heap() -> None:
     """Keep freed arrays in the process between trials instead of returning them to the OS.
 
-    Without this setting, alternating pairs on a 2-vCPU x86-64 VM lost steadily on a paired
-    2-D comparison (n = 4096; p50 16.1 against 12.1 ms, 4 of 4 pairs) and on a union-oracle
-    sweep (n = 64; p50 0.56 against 0.48 and 0.61 against 0.56 ms, 7 of 8), were mixed on a
-    generative sweep (worse in 10 of 10 pairs and 3 of 4, better in 5 and 7 of 10), and lost
-    nothing on a 1-D sparse sweep. Array size does not say which work needs it: a traced
-    union-oracle trial allocates nothing over 83 KB, under glibc's default 128 KB mmap
-    threshold, while a 1-D sparse trial makes 0.4 MB temporaries. These are the thresholds
-    glibc itself adopts after a 16 MB array is freed. The setting is process-wide; other C
-    libraries keep their own policy.
+    Each threshold carries a different sweep. In alternating pairs on a 2-vCPU x86-64 VM
+    (glibc 2.36), with one threshold at a time set by ``GLIBC_TUNABLES`` in place of this
+    call: a 1-D sparse sweep (n = 1024) needs the trim threshold (p90 0.51 against 0.61 ms
+    with neither, level with it alone, 0.66 ms with the mmap threshold alone); a paired 2-D
+    comparison (n = 4096) needs the mmap threshold (p50 2.7 against 3.6 ms with the trim
+    threshold alone, 3.2 ms with the mmap threshold alone, p90 5.3 against 6.0 ms with
+    neither). Generative and union-oracle trials were level every way. Setting either
+    threshold freezes glibc's own rising mmap threshold, hence both here. These are the
+    thresholds glibc itself adopts after a 16 MB array is freed. The setting is
+    process-wide; other C libraries keep their own policy.
     """
     if not sys.platform.startswith("linux"):
         return

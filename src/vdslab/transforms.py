@@ -97,50 +97,65 @@ class UnitaryOperator:
         """The identity: exact for real operators; for complex ones it makes the fold's ||A||^2 a bound."""
         return np.arange(self.n)
 
-    def _column_bands(self) -> tuple:
-        """(columns, sizes): column columns[b] stands for sizes[b] columns with its row-wise magnitudes.
-
-        Every column k has |forward(e_k)[j]| equal to that of its band's
-        representative in every row j. The default is n bands of one column.
-        """
-        return np.arange(self.n), np.ones(self.n, dtype=np.int64)
-
     def _column_shifts(self):
         """None, or (shape, band, shift) when every column is its band's representative translated.
 
-        Column k is then forward(e_c) for the representative c =
-        ``_column_bands()[0][band[k]]``, cyclically translated by ``shift[k]``
-        samples of the flattened input, read in a DFT's ``shape`` (n,) or
-        (side, side); the default has no such bands.
+        The only column description a subclass gives; ``_column_bands`` and
+        ``_shift_table`` both derive from it. Column k is then forward(e_c)
+        for the representative c of band ``band[k]``, its one column of shift
+        0, cyclically translated by ``shift[k]`` samples of the flattened
+        input, read in a DFT's ``shape`` (n,) or (side, side); the default has
+        no such bands.
         """
         return None
+
+    def _column_bands(self) -> tuple:
+        """(columns, sizes): column columns[b] stands for sizes[b] columns with its row-wise magnitudes.
+
+        Derived from ``_column_shifts``: columns[b] is band b's column of shift
+        0 and sizes[b] its number of columns, since a translate changes every
+        row of forward(e_k) by a phase only. Without translate bands every
+        column is a band of its own.
+        """
+        shifts = self._column_shifts()
+        if shifts is None:
+            return np.arange(self.n), np.ones(self.n, dtype=np.int64)
+        _, band, shift = shifts
+        first = np.flatnonzero(shift == 0)
+        columns = np.empty_like(first)
+        columns[band[first]] = first
+        return columns, np.bincount(band)
+
+    def _unit_columns(self, columns) -> np.ndarray:
+        """forward(e_k) for every k in ``columns``, as an (n, len(columns)) block."""
+        unit = np.zeros((self.n, len(columns)))
+        unit[columns, np.arange(len(columns))] = 1.0
+        return self.forward(unit)
 
     @cached_property
     def _shift_table(self):
         """(spectra, band, row_turns, shift_turns, roots) of ``_column_shifts``, or None.
 
-        Built on first use and then kept. ``spectra`` is forward of the band
-        representatives, one column per band; ``row_turns`` and
-        ``shift_turns`` hold every row's and every shift's index along each
-        axis of ``shape``, and ``roots`` the side = shape[0] roots of unity
-        exp(-2 pi i t / side). By the shift theorem, column k is
-        spectra[:, band[k]] times roots[sum over axes a of
+        Built on first use and then kept. ``spectra`` is ``_unit_columns`` of
+        the ``_column_bands`` representatives, one column per band;
+        ``row_turns`` and ``shift_turns`` hold every row's and every shift's
+        index along each axis of ``shape``, and ``roots`` the side = shape[0]
+        roots of unity exp(-2 pi i t / side). By the shift theorem, column k
+        is spectra[:, band[k]] times roots[sum over axes a of
         row_turns[a] * shift_turns[a][k], mod side].
         """
         shifts = self._column_shifts()
         if shifts is None:
             return None
         shape, band, shift = shifts
-        reps = self._column_bands()[0]
-        unit = np.zeros((self.n, len(reps)))
-        unit[reps, np.arange(len(reps))] = 1.0
         side = shape[0]
         roots = np.exp(-2j * np.pi * np.arange(side) / side)
         row_turns = np.unravel_index(np.arange(self.n), shape)
         shift_turns = np.unravel_index(shift, shape)
         for a in (band, roots, *row_turns, *shift_turns):
             a.setflags(write=False)
-        return _read_only(self.forward(unit)), band, row_turns, shift_turns, roots
+        spectra = _read_only(self._unit_columns(self._column_bands()[0]))
+        return spectra, band, row_turns, shift_turns, roots
 
     def _columns(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """forward(e_k)[rows] for every k in ``columns``, as a (len(rows), len(columns)) block.
@@ -150,9 +165,7 @@ class UnitaryOperator:
         """
         table = self._shift_table
         if table is None:
-            unit = np.zeros((self.n, len(columns)))
-            unit[columns, np.arange(len(columns))] = 1.0
-            return self.forward(unit)[rows]
+            return self._unit_columns(columns)[rows]
         spectra, band, row_turns, shift_turns, roots = table
         turns = sum(np.multiply.outer(r[rows], s[columns]) for r, s in zip(row_turns, shift_turns))
         turns &= len(roots) - 1  # mod the side, a power of two
@@ -196,9 +209,6 @@ class _Dft(UnitaryOperator):
         # -j mod the length along every axis
         index = np.arange(self.n).reshape(self.signal_shape)
         return np.roll(np.flip(index), 1, axis=tuple(range(index.ndim))).ravel()
-
-    def _column_bands(self):
-        return np.zeros(1, dtype=np.int64), np.full(1, self.n)  # every entry is 1/sqrt(n)
 
     def _column_shifts(self):
         # e_k is e_0 translated by k
@@ -310,12 +320,7 @@ class _Haar(UnitaryOperator):
         self.signal_shape = signal_shape
         length = signal_shape[0]
         self._steps = _haar_steps(length, levels)
-        starts, sizes = _haar_bands(length, levels)
-        if len(signal_shape) == 2:
-            # band pair (r, c) holds the products of a row band r and a column band c
-            starts = _read_only((starts[:, None] * length + starts).ravel())
-            sizes = _read_only(np.outer(sizes, sizes).ravel())
-        self._translate_bands = starts, sizes
+        self._bands = _haar_bands(length, levels)
 
     def _apply(self, x, adjoint):
         if len(self.signal_shape) == 1:  # a vector stays on its one-matmul path
@@ -328,16 +333,19 @@ class _Haar(UnitaryOperator):
         return img.reshape(x.shape)
 
     def _band_shifts(self) -> tuple:
-        """(band, shift) of every coefficient: its band's index in ``_translate_bands`` and how far
-        its wavelet lies from the band's first one, in samples of the flattened signal."""
+        """(band, shift) of every coefficient: its band's index in ``_haar_bands`` order and how far
+        its wavelet lies from the band's first one, in samples of the flattened signal.
+
+        In 2-D, band pair (r, c), numbered r * (L + 1) + c, holds the products
+        of a row band r and a column band c.
+        """
         length = self.signal_shape[0]
-        levels = sum(len(h).bit_length() - 1 for _, h, _, _ in self._steps)  # a step's block is 2**levels
-        starts, sizes = _haar_bands(length, levels)
-        coefficient = np.arange(length)
-        band = np.searchsorted(starts, coefficient, side="right") - 1
-        shift = (coefficient - starts[band]) * (length // sizes[band])  # a band's wavelets tile the axis
+        starts, sizes = self._bands
+        band = np.repeat(np.arange(len(sizes)), sizes)
+        # a band's wavelets tile the axis
+        shift = (np.arange(length) - starts[band]) * (length // sizes)[band]
         if len(self.signal_shape) == 2:
-            band = (band[:, None] * len(starts) + band).ravel()
+            band = (band[:, None] * len(sizes) + band).ravel()
             shift = (shift[:, None] * length + shift).ravel()
         return band, shift
 
@@ -373,18 +381,13 @@ class _Composed(UnitaryOperator):
             return self.measurement.conjugate_rows()
         return super()._conjugate_rows()
 
-    def _column_bands(self):
+    def _column_shifts(self):
         # column k is the measured k-th wavelet; the wavelets of one Haar band are translates of
         # each other, also as flattened images, and a translate changes every DFT coefficient by
-        # a phase only
-        if isinstance(self.measurement, _Dft) and isinstance(self.sparsity, _Haar):
-            return self.sparsity._translate_bands
-        return super()._column_bands()
-
-    def _column_shifts(self):
-        # a wavelet's translate is one shift of the flattened signal, which the measurement reads
-        # per axis of its own shape; no band's wavelets wrap around a row end, as a 1-D wavelet
-        # lies within one row or spans whole rows and a 2-D one keeps to its columns
+        # a phase only. A wavelet's translate is one shift of the flattened signal, which the
+        # measurement reads per axis of its own shape; no band's wavelets wrap around a row end,
+        # as a 1-D wavelet lies within one row or spans whole rows and a 2-D one keeps to its
+        # columns
         if isinstance(self.measurement, _Dft) and isinstance(self.sparsity, _Haar):
             return (self.measurement.signal_shape, *self.sparsity._band_shifts())
         return None

@@ -42,6 +42,7 @@ from vdslab.priors import (
     save_union,
 )
 from vdslab.sampling import save_plan_csv, uniform_plan
+from vdslab.transforms import _haar_bands
 
 
 def _rng(seed):
@@ -365,6 +366,34 @@ def test_build_problem_sparse_dft_flat_coherence(tmp_path):
     assert np.allclose(problem.alpha, math.sqrt(6 / 64), atol=1e-12)
     assert problem.max_dim == 6  # min(2k, n)
     assert problem.log_subspace_count == pytest.approx(6 * math.log(math.e * 64 / 6))
+
+
+@pytest.mark.parametrize("n", [32, 1024])
+def test_support_weights_follow_the_haar_bands(tmp_path, n):
+    """A sparse prior over a Haar basis draws supports with one weight per ``_haar_bands`` band,
+    band b carrying 2^-b of the approximation band's mass."""
+    for levels in range(n.bit_length()):  # every depth whose 2**levels divides n
+        starts, sizes = _haar_bands(n, levels)
+        weights = harness._octave_band_weights(n, levels)
+        bands = np.split(weights, starts[1:])
+        assert [len(band) for band in bands] == list(sizes)
+        assert all(np.all(band == band[0]) for band in bands)
+        mass = np.array([band.sum() for band in bands])
+        np.testing.assert_allclose(mass / mass[0], 0.5 ** np.arange(len(sizes)), rtol=1e-13)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+        config = _sparse_mapping(tmp_path, n=n, sparsity="haar", sparsity_levels=levels)
+        assert np.array_equal(build_problem(ExperimentConfig(config)).support_weights, weights)
+
+
+def test_image_support_weights_are_the_outer_product_of_the_side_weights(tmp_path):
+    side = 32
+    for levels in range(side.bit_length()):
+        one_dim = harness._octave_band_weights(side, levels)
+        config = _sparse_mapping(
+            tmp_path, n=side * side, measurement="dft2", sparsity="haar2", sparsity_levels=levels
+        )
+        got = build_problem(ExperimentConfig(config)).support_weights
+        assert np.array_equal(got, np.outer(one_dim, one_dim).ravel())
 
 
 def _image_mapping(tmp_path, side):
@@ -829,6 +858,24 @@ def test_every_measurement_happens_inside_its_trial(tmp_path, monkeypatch, prior
     assert entered == [(r.scheme, r.m, r.sigma, r.trial) for r in records]
     assert outside == []
     assert inside == [r.m for r in records]
+
+
+def test_sweep_sets_the_heap_thresholds_before_its_first_trial(tmp_path, monkeypatch):
+    """One sweep call sets the malloc thresholds once, before its first trial runs."""
+    keep_freed_heap, run_trial, events = harness._keep_freed_heap, harness._run_trial, []
+
+    def kept():
+        events.append("heap")
+        keep_freed_heap()
+
+    def counted(*args, **kwargs):
+        events.append("trial")
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_keep_freed_heap", kept)
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    records = run_denoise_sweep(ExperimentConfig(_sparse_mapping(tmp_path)))
+    assert events == ["heap"] + ["trial"] * len(records)
 
 
 def test_sweep_haar_sparsity_basis(tmp_path):
