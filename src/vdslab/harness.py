@@ -571,8 +571,13 @@ def _run_trial(problem, plan, config, scheme, m, sigma, trial, streams: TrialStr
 
 
 # a sweep runs this many consecutive trials at a time, and a block's network draws are solved as
-# one stacked Adam run
-_STACK_TRIALS = 16
+# one stacked Adam run. An Adam step makes the same numpy calls at any block size, so a larger
+# block shares them among more trials: on a 256-trial sweep of the (3, 16, 64) net (2 vCPU, one
+# BLAS thread, median of 7) blocks of 16 / 32 / 64 / 128 / 256 gave trial p50 0.42 / 0.36 / 0.33
+# / 0.31 / 0.32 ms, level from 64 on. The stack's memory grows with the block: a 64-trial call
+# peaks at 2.2 MB of tracemalloc (0.8 MB in blocks of 16), 256 trials in one block at 8.8 MB and
+# 800 at 29.5 MB, so the cap keeps a long sweep's peak bounded
+_STACK_TRIALS = 64
 
 
 # glibc mallopt (parameter, value) pairs: arrays under 16 MB come from the heap, and up to 32 MB of
@@ -611,7 +616,10 @@ def _run(problem, plans, config, runs) -> list[ExperimentRecord]:
     solve, one ``recover_generative_stack`` call solves the block's network draws, each from its
     own solver stream, and one loop makes the block's rows. A trial's ``wall_time_ms`` is its
     measurement, its solve and its rre; a network trial's solve is 1/T of its block's stacked
-    solve, for a block of T trials. A trial that fails fails alone.
+    solve, for a block of T trials. A trial that fails fails alone. The block size moves no row:
+    with ``recover_generative_stack``'s default restarts, each draw gets its solo result bitwise.
+    Blocks of 64 are where the per-trial cost stops falling (see ``_STACK_TRIALS``): a 64-trial
+    benchmark call is one block, and a longer sweep's memory stays bounded.
     """
     records = []
     for start in range(0, len(runs), _STACK_TRIALS):

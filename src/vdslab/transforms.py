@@ -221,15 +221,23 @@ _BLOCK_LEVELS = 5  # levels per block step: a 32 x 32 matrix, whatever the depth
 def _haar_block_matrix(levels: int) -> np.ndarray:
     """Orthonormal Haar analysis of one block of 2**levels samples, bands in coefficient order.
 
-    Built in closed form, H_1 = [1] and H_2B = [H_B kron (1, 1)/sqrt(2); I_B kron (1, -1)/sqrt(2)]:
-    the top half analyses the pair averages, the bottom half holds the finest details.
+    The matrix of the recursion H_1 = [1], H_2B = [H_B kron (1, 1)/sqrt(2); I_B kron (1, -1)/sqrt(2)],
+    bitwise and signed zeros included, written out in one broadcast: the approximation row is
+    2**(-levels/2) on every sample; the detail band of 2**s rows (s = 0 the coarsest) has row i
+    at 2**(-(levels - s)/2) on span i of 2**(levels - s) samples. A detail row's sign is minus on
+    the second half of every span, its zeros too, as the recursion's -0.0 products leave them.
     """
-    h = np.ones((1, 1))
-    for _ in range(levels):
-        h = np.vstack(
-            [np.kron(h, [_INV_SQRT2, _INV_SQRT2]), np.kron(np.eye(len(h)), [_INV_SQRT2, -_INV_SQRT2])]
-        )
-    return h
+    size = 1 << levels
+    # scales[t] is 2**(-t/2) as t products of 1/sqrt(2), in the order the recursion forms them
+    scales = np.cumprod(np.r_[1.0, np.full(levels, _INV_SQRT2)])
+    band = np.repeat(np.arange(levels), 1 << np.arange(levels))  # s of each detail row
+    place = np.arange(1, size) - (1 << band)  # i, the row's place in its band
+    span = (levels - band)[:, None]  # log2 of the row's span
+    samples = np.arange(size)
+    on = (samples >> span) == place[:, None]
+    sign = 1.0 - 2.0 * ((samples >> (span - 1)) & 1)
+    details = np.where(on, scales[span], 0.0) * sign
+    return np.vstack([np.full((1, size), scales[levels]), details])
 
 
 def _haar_steps(length: int, levels: int) -> tuple:

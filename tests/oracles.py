@@ -6,7 +6,8 @@ agreement is evidence and not tautology. ``DenseOperator`` wraps such a
 matrix, or a random unitary, as an operator, and ``dense_matrix`` reads any
 operator back as its n x n matrix. The straightforward kernels at the
 end (the sparse coherence read off the dense matrix, a full lexsort hard
-threshold, a Haar cascade that copies its bands, the m-row scatter adjoint
+threshold, the Haar block matrix by its Kronecker recursion, a Haar
+cascade that copies its bands, the m-row scatter adjoint
 of the measurement, the latent Adam core that allocates its moments each
 step, the batched generative solver that draws and ranks one pool per
 restart and allocates each step's residual, the generative restart loop
@@ -168,6 +169,17 @@ def copying_haar_adjoint(arr, levels):
         out[1:double:2] = (approx - detail) * _INV_SQRT2
         length = double
     return out
+
+
+def kron_haar_block_matrix(levels):
+    """Reference Haar block matrix by its recursion, two Kronecker products a level:
+    H_1 = [1], H_2B = [H_B kron (1, 1)/sqrt(2); I_B kron (1, -1)/sqrt(2)]."""
+    h = np.ones((1, 1))
+    for _ in range(levels):
+        h = np.vstack(
+            [np.kron(h, [_INV_SQRT2, _INV_SQRT2]), np.kron(np.eye(len(h)), [_INV_SQRT2, -_INV_SQRT2])]
+        )
+    return h
 
 
 def copying_haar2d(x, side, levels, step):

@@ -764,6 +764,61 @@ def _without_timing(record):
     return dataclasses.replace(record, wall_time_ms=0.0)
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 8, so ``_generative_mapping``'s 18 trials run as blocks of 8, 8 and 2."""
+    monkeypatch.setattr(harness, "_STACK_TRIALS", 8)
+
+
+def test_block_size_moves_no_row(tmp_path, monkeypatch):
+    """A generative sweep and a sparse sweep write the same rows bitwise, wall_time_ms aside,
+    in blocks of 1, 7 or 64 trials: a block of 64 takes either sweep whole."""
+    monkeypatch.setattr(harness, "_STACK_TRIALS", 1)
+    configs = [
+        ExperimentConfig(_generative_mapping(tmp_path)),
+        ExperimentConfig(_sparse_mapping(tmp_path, trials=5)),
+    ]
+    rows = {}
+    for size in (1, 7, 64):
+        monkeypatch.setattr(harness, "_STACK_TRIALS", size)
+        rows[size] = [[_without_timing(r) for r in run_denoise_sweep(cfg)] for cfg in configs]
+    assert [len(records) for records in rows[1]] == [18, 10]
+    assert rows[1] == rows[7] == rows[64]
+
+
+def test_generative_sweep_call_peak_memory(tmp_path):
+    """One benchmark-shaped generative sweep call, 64 trials on the (3, 16, 64) net in one block,
+    peaks under 4 MB of tracemalloc: about 2.2 MB, against 0.8 MB in blocks of 16 and about
+    9 MB for 256 trials in one block, so a block much above 64 trials breaks the pin."""
+    rng = _rng(11)
+    net = GenerativeNetwork(
+        [rng.standard_normal((16, 3)) / math.sqrt(3), rng.standard_normal((64, 16)) / math.sqrt(16)]
+    )
+    save_network(net, tmp_path / "g.vdsg")
+    m_grid = np.unique(np.round(np.geomspace(math.ceil(3 * math.log(64)), 2048, 16))).astype(int)
+    config = ExperimentConfig(
+        {
+            "prior": "generative",
+            "network_file": str(tmp_path / "g.vdsg"),
+            "measurement": "dft",
+            "coherence_latents": 256,
+            "m_grid": ",".join(map(str, m_grid)),
+            "sigma_grid": "0.5,2.0",
+            "trials": 2,
+            "out": str(tmp_path / "g.csv"),
+        }
+    )
+    problem = build_problem(config)
+    tracemalloc.start()
+    try:
+        records = harness._sweep(problem, config, ["optimized"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 64 <= harness._STACK_TRIALS
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize(
     "fault, reason",
     [
@@ -771,6 +826,7 @@ def _without_timing(record):
         ("raise", "FloatingPointError: overflow"),
     ],
 )
+@pytest.mark.usefixtures("small_blocks")
 def test_generative_trial_fails_alone_in_its_block(tmp_path, monkeypatch, fault, reason):
     """A generative trial whose measurement is NaN, or raises, gets a NaN row and a warning that
     names its cell and the exception; every other row of its stacked block and of the next is
@@ -821,6 +877,7 @@ _MAPPINGS = {"sparse": _sparse_mapping, "union": _union_mapping, "generative": _
 
 
 @pytest.mark.parametrize("prior", sorted(_MAPPINGS))
+@pytest.mark.usefixtures("small_blocks")
 def test_single_trial_is_the_sweeps_first_row(tmp_path, prior):
     """run_single_trial takes the sweep's path on one run, a block of one (so a network's trial is
     solved alone where the sweep stacks it), and writes the sweep's (cell 0, trial 0) row
@@ -834,6 +891,7 @@ def test_single_trial_is_the_sweeps_first_row(tmp_path, prior):
 
 
 @pytest.mark.parametrize("prior", sorted(_MAPPINGS))
+@pytest.mark.usefixtures("small_blocks")
 def test_every_measurement_happens_inside_its_trial(tmp_path, monkeypatch, prior):
     """Every prior's trials go through ``_run_trial``, once per row and in row order, and each
     trial measures inside it, so a tracer rooted there sees every trial's measurement."""

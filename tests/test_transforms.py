@@ -15,6 +15,7 @@ from oracles import (
     dft_matrix,
     haar2d_matrix,
     haar_matrix,
+    kron_haar_block_matrix,
     random_orthogonal,
 )
 
@@ -22,6 +23,8 @@ from vdslab.coherence import empirical_generative_coherence, sparse_coherence_ve
 from vdslab.priors import GenerativeNetwork, SparsePrior
 from vdslab.sampling import draw_sample, uniform_plan
 from vdslab.transforms import (
+    _BLOCK_LEVELS,
+    _haar_block_matrix,
     compose_measurement_basis,
     make_dft_operator,
     make_haar_operator,
@@ -166,6 +169,16 @@ def test_haar_full_depth_matches_dense_oracle_and_cascade(two_dim):
         _assert_normwise_close(op.adjoint(x), dense.T @ x, x)
         _assert_normwise_close(op.forward(x), cascade(x, copying_haar_forward), x)
         _assert_normwise_close(op.adjoint(x), cascade(x, copying_haar_adjoint), x)
+
+
+@pytest.mark.parametrize("levels", range(_BLOCK_LEVELS + 1))
+def test_haar_block_matrix_is_the_kron_recursion_bitwise(levels):
+    """The closed-form block matrix is the Kronecker recursion's bit for bit, its signed zeros
+    too: the recursion leaves -0.0 on the second half of every detail row's span and beyond."""
+    got, want = _haar_block_matrix(levels), kron_haar_block_matrix(levels)
+    assert got.shape == want.shape == (1 << levels, 1 << levels)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_haar_cached_blocks_are_read_only():
