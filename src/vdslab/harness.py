@@ -573,10 +573,10 @@ def _run_trial(problem, plan, config, scheme, m, sigma, trial, streams: TrialStr
 # a sweep runs this many consecutive trials at a time, and a block's network draws are solved as
 # one stacked Adam run. An Adam step makes the same numpy calls at any block size, so a larger
 # block shares them among more trials: on a 256-trial sweep of the (3, 16, 64) net (2 vCPU, one
-# BLAS thread, median of 7) blocks of 16 / 32 / 64 / 128 / 256 gave trial p50 0.42 / 0.36 / 0.33
-# / 0.31 / 0.32 ms, level from 64 on. The stack's memory grows with the block: a 64-trial call
-# peaks at 2.2 MB of tracemalloc (0.8 MB in blocks of 16), 256 trials in one block at 8.8 MB and
-# 800 at 29.5 MB, so the cap keeps a long sweep's peak bounded
+# BLAS thread, median of 7) blocks of 16 / 32 / 64 / 128 / 256 gave trial p50 0.36 / 0.30 / 0.27
+# / 0.26 / 0.27 ms, level from 64 on. The stack's memory grows with the block: a 64-trial call
+# peaks at 2.4 MB of tracemalloc (0.9 MB in blocks of 16) and 256 trials in one block at 9.6 MB,
+# so the cap keeps a long sweep's peak bounded
 _STACK_TRIALS = 64
 
 

@@ -12,9 +12,11 @@ with one stacked multi-start Adam run, whose core (``_latent_adam``) lives
 here; ``recover_generative`` is its one-draw call. It descends on the
 last hidden layer through the H x H triangle of each draw's block
 M = A W_last, whose residual plus a constant of the draw is the objective,
-so a draw makes one fold and one transform. Measurements are never
-pre-scaled; the preconditioner enters at optimization time only. Only the
-simulation, the noise factor and the bounds read the m-row draw. Complex
+so a draw makes one fold, and a stacked call one forward transform of
+W_last per operator, each draw gathering its rows of it. Every step works on
+(H, T R) blocks, a column per restart of each of T draws. Measurements are
+never pre-scaled; the preconditioner enters at optimization time only. Only
+the simulation, the noise factor and the bounds read the m-row draw. Complex
 systems are handled by stacking real and imaginary parts, so least squares,
 the generative descent and singular values are always computed over the
 reals, matching the real-part convention for complex inner products.
@@ -269,16 +271,17 @@ def _latent_adam(value_and_grad, starts: np.ndarray, iters: int, step: float) ->
     ]
 
 
-def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, restarts, init_pool, seed):
+def _latent_system(A: SampledOperator, b, net: GenerativeNetwork, f_last, restarts, init_pool, seed):
     """(R, c, starts, floor) of one draw, with ||A W_last h - D~ b||^2 = ||R h - c||^2 + floor:
-    R (H, H) and c (H, 1) from the QR of the real-stacked [M | u] (M = A W_last, u the folded
-    target), and the (k, restarts) starts picked from the pools of the draw's solver stream."""
+    R (H, H) and c (H, 1) from the QR of the real-stacked [M | u] (M = A W_last, gathered from
+    ``f_last`` = F W_last, and u the folded target), and the (k, restarts) starts picked from the
+    pools of the draw's solver stream."""
     u, const = A.fold(b)  # reads no rng
     width = net.weights[-1].shape[1]
     # the QR's last row gives ||M h - u||^2 = ||R h - c||^2 + e^2 over the reals, with e the
     # same for every h (Golub & Van Loan, ch. 5); zero rows below [M | u] make the triangle
     # square, with its e, when it has fewer than H + 1 rows
-    augmented = _stack_real(np.column_stack([A.forward(net.weights[-1]), u]))
+    augmented = _stack_real(np.column_stack([A.gather(f_last), u]))
     padding = np.zeros((max(width + 1 - augmented.shape[0], 0), width + 1))
     triangle = np.linalg.qr(np.vstack([augmented, padding]), mode="r")
     design, target = triangle[:width, :width], triangle[:width, width:]
@@ -297,22 +300,30 @@ def _solve_stack(net: GenerativeNetwork, systems, iters: int, step: float) -> li
     one (k, T R) block. Returns per system the (||R h - c||^2, h) of its winner h, the last
     hidden activation, or the ValueError of a system that met a non-finite objective."""
     designs = np.stack([s[0] for s in systems])  # (T, H, H)
-    targets = np.stack([s[1] for s in systems])  # (T, H, 1)
     starts = np.hstack([s[2] for s in systems])
     trials, width, _ = designs.shape
     restarts = starts.shape[1] // trials
-    # column t R + j of a (H, T R) block is restart j of system t; each product is one matmul
-    # over the (T, H, H) stack, so every system's columns meet only its own R and c, and the
-    # sums of squares run down the H rows as in a one-system block. 2 R^T r is (2 R^T) r
-    # bitwise, as doubling is exact
+    # every per-step array is an (H, T R) block in C order, column t R + j restart j of system t:
+    # each product is one matmul over the (T, H, H) stack, written through a (T, H, R) view of
+    # its block, so every system's columns meet only its own R and c; the subtraction runs over
+    # one block, and the gradient reaches the pullback with no copy. NumPy sums the squares down
+    # the H rows in order, as it does a one-system block of several columns; a lone column
+    # (restarts 1) it sums pairwise, so there the sums run along the rows of a (T, H) copy.
+    # 2 R^T r is (2 R^T) r bitwise, as doubling is exact
+    targets = np.repeat(np.hstack([s[1] for s in systems]), restarts, axis=1)
     designs_t2 = (2.0 * designs).transpose(0, 2, 1)
+    r, g, squares = (np.empty((width, trials * restarts)) for _ in range(3))
+    r_view, g_view = (a.reshape(width, trials, restarts).transpose(1, 0, 2) for a in (r, g))
 
     def value_and_grad(z):
         h, vjp = _hidden_pullback(net, z)
         h = h.reshape(width, trials, restarts)
-        r = designs @ h.transpose(1, 0, 2) - targets
-        g = (designs_t2 @ r).transpose(1, 0, 2).reshape(width, -1)
-        return np.sum(r * r, axis=1), h, vjp(g)
+        np.matmul(designs, h.transpose(1, 0, 2), out=r_view)
+        np.subtract(r, targets, out=r)
+        np.matmul(designs_t2, r_view, out=g_view)
+        np.multiply(r, r, out=squares)
+        sums = np.sum(squares, axis=0) if restarts > 1 else np.sum(squares.T.copy(), axis=1)
+        return sums.reshape(trials, restarts), h, vjp(g)
 
     found = _latent_adam(value_and_grad, starts, iters, step)
     return [ValueError("latent descent met a non-finite objective") if f is None else f for f in found]
@@ -329,7 +340,8 @@ def recover_generative_stack(
     from the best of ``init_pool`` candidate latents drawn from the draw's
     ``seed`` and runs exactly ``iters`` Adam steps; there is no early stop.
     G's last layer W is linear, so A G(z) = M h(z) with h the last hidden
-    activation and M = A W, built by one batched transform per draw. The QR
+    activation and M = A W, gathered from F W: one forward transform of W per
+    operator in ``systems``, shared by all of its draws. The QR
     of the real-stacked [M | u], with u the folded target, reduces the draw to
     an H x H triangle R and an H-vector c (H the last hidden width), as
     ||M h - u||^2 = ||R h - c||^2 plus a constant of the draw: the pool ranking
@@ -337,10 +349,13 @@ def recover_generative_stack(
     and ranked by one product with R. The restarts of every draw then run as
     one stacked block, each product one matmul over the draws' R, so every
     draw's columns meet only its own R and c; draws of any operators stack.
+    Each step's residual, targets, squares and gradient are (H, T R) blocks
+    in C order, column t R + j restart j of draw t.
     x_hat = W h is formed for each draw's winner, its objective ||R h - c||^2
-    plus that constant, so a draw makes one fold and one transform. The result
-    is the best iterate ever evaluated, after restarts * iters iterations; its
-    gap to the global minimum is unknown and flagged epsilon_uncertified.
+    plus that constant, so a draw makes one fold and no transform of its own.
+    The result is the best iterate ever evaluated, after restarts * iters
+    iterations; its gap to the global minimum is unknown and flagged
+    epsilon_uncertified.
 
     Returns per draw its RecoveryResult, or the exception that failed it: a
     draw that fails, in its set-up or in its descent (a non-finite objective
@@ -356,10 +371,14 @@ def recover_generative_stack(
             raise ValueError(f"{key} must be at least 1")
     if not 0 < step < math.inf:  # written so that NaN fails too
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    last = net.weights[-1]
+    transformed = {}  # operator -> F W_last, one forward per operator
     staged = []
     for A, b, seed in systems:
         try:
-            staged.append(_latent_system(A, b, net, restarts, init_pool, seed))
+            if A.F not in transformed:
+                transformed[A.F] = A.F.forward(last)
+            staged.append(_latent_system(A, b, net, transformed[A.F], restarts, init_pool, seed))
         except Exception as exc:
             staged.append(exc)
     live = [s for s in staged if not isinstance(s, Exception)]
@@ -369,7 +388,7 @@ def recover_generative_stack(
         outcome = system if isinstance(system, Exception) else next(found)
         if not isinstance(outcome, Exception):
             obj, h = outcome
-            x_hat = net.weights[-1] @ h
+            x_hat = last @ h
             outcome = RecoveryResult(x_hat, obj + system[3], restarts * iters, ("epsilon_uncertified",))
         results.append(outcome)
     return results

@@ -304,8 +304,13 @@ class SampledOperator:
     def _weigh(self, v: np.ndarray) -> np.ndarray:
         return v * (self.weights if v.ndim == 1 else self.weights[:, None])
 
+    def gather(self, fx: np.ndarray) -> np.ndarray:
+        """The weighted drawn rows of a full transform F x, so ``forward(x)`` is
+        ``gather(F.forward(x))``: draws on one operator can share one transform."""
+        return self._weigh(fx[self.rows])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._weigh(self.F.forward(x)[self.rows])
+        return self.gather(self.F.forward(x))
 
     def columns(self, support) -> np.ndarray:
         """forward of the unit columns e_j, j in ``support``, as an (r, len(support)) block.

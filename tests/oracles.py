@@ -10,7 +10,8 @@ threshold, the Haar block matrix by its Kronecker recursion, a Haar
 cascade that copies its bands, the m-row scatter adjoint
 of the measurement, the latent Adam core that allocates its moments each
 step, the batched generative solver that draws and ranks one pool per
-restart and allocates each step's residual, the generative restart loop
+restart and allocates each step's residual, the stacked Adam step on a
+trial-major (T, H, R) residual, the generative restart loop
 with its patience stop, the trial streams spawned from one SeedSequence per
 trial, the noise factor's float sort of the draw, the generative coherence's
 pair loop over every row with norms from the signal differences) are the
@@ -31,7 +32,7 @@ import numpy as np
 
 from vdslab.harness import TrialStreams
 from vdslab.priors import _hidden_layers, _hidden_pullback, generative_forward, generative_pullback
-from vdslab.recovery import _stack_real
+from vdslab.recovery import _latent_adam, _stack_real
 from vdslab.sampling import apply_measurement
 from vdslab.transforms import UnitaryOperator
 
@@ -279,6 +280,32 @@ def allocating_recover_generative(A, b, net, *, restarts=10, iters=100, step=0.0
 
     (obj, h_hat), total = allocating_latent_adam(value_and_grad, np.column_stack(starts), iters, step)
     return net.weights[-1] @ h_hat, obj + (triangle[width, width] ** 2 + const), total
+
+
+def trial_major_solve_stack(net, systems, iters, step):
+    """Reference ``recovery._solve_stack``: every step's residual a new trial-major (T, H, R)
+    array, the targets broadcast over it, the sums of squares taken down its axis 1 and the
+    gradient copied to (H, T R) before the pullback.
+
+    ``systems`` are ``recovery._latent_system`` tuples; returns per system the (objective,
+    winner) pair, or the ValueError of a system that met a non-finite objective.
+    """
+    designs = np.stack([s[0] for s in systems])  # (T, H, H)
+    targets = np.stack([s[1] for s in systems])  # (T, H, 1)
+    starts = np.hstack([s[2] for s in systems])
+    trials, width, _ = designs.shape
+    restarts = starts.shape[1] // trials
+    designs_t2 = (2.0 * designs).transpose(0, 2, 1)
+
+    def value_and_grad(z):
+        h, vjp = _hidden_pullback(net, z)
+        h = h.reshape(width, trials, restarts)
+        r = designs @ h.transpose(1, 0, 2) - targets
+        g = (designs_t2 @ r).transpose(1, 0, 2).reshape(width, -1)
+        return np.sum(r * r, axis=1), h, vjp(g)
+
+    found = _latent_adam(value_and_grad, starts, iters, step)
+    return [ValueError("latent descent met a non-finite objective") if f is None else f for f in found]
 
 
 def patience_recover_generative(A, b, net, config):

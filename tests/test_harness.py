@@ -788,8 +788,8 @@ def test_block_size_moves_no_row(tmp_path, monkeypatch):
 
 def test_generative_sweep_call_peak_memory(tmp_path):
     """One benchmark-shaped generative sweep call, 64 trials on the (3, 16, 64) net in one block,
-    peaks under 4 MB of tracemalloc: about 2.2 MB, against 0.8 MB in blocks of 16 and about
-    9 MB for 256 trials in one block, so a block much above 64 trials breaks the pin."""
+    peaks under 4 MB of tracemalloc: about 2.4 MB, against 0.9 MB in blocks of 16 and about
+    9.6 MB for 256 trials in one block, so a block much above 64 trials breaks the pin."""
     rng = _rng(11)
     net = GenerativeNetwork(
         [rng.standard_normal((16, 3)) / math.sqrt(3), rng.standard_normal((64, 16)) / math.sqrt(16)]

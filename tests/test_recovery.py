@@ -22,6 +22,7 @@ from oracles import (
     random_orthogonal,
     random_unitary,
     scatter_adjoint_measurement,
+    trial_major_solve_stack,
 )
 
 from vdslab import recovery
@@ -656,6 +657,20 @@ def test_generative_is_the_allocating_solver_bitwise(case):
     assert (res.objective, res.iterations) == (obj, iterations)
 
 
+def _stacked_draws(operators, net, counts, rng):
+    """(A, b, seed) for a draw of m rows per m in ``counts``, on ``operators`` in turn, from one
+    coherence-proportional plan, each measuring a net output with noise 0.5."""
+    plan = optimized_probabilities(0.5 + rng.random(operators[0].n))
+    draws = []
+    for i, m in enumerate(counts):
+        F = operators[i % len(operators)]
+        sample = draw_sample(plan, m, rng)
+        x0 = generative_forward(net, rng.standard_normal(net.latent_dim))
+        ms = simulate_measurements(F, sample, x0, 0.5, seed=rng)
+        draws.append((SampledOperator(F, sample), ms, int(rng.integers(2**32))))
+    return draws
+
+
 @pytest.mark.parametrize("haar", [False, True, pytest.param(None, id="mixed")])
 def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
     """Draws of different drawn-row counts, on a complex DFT, a real Haar or both operators in
@@ -667,13 +682,7 @@ def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
     kinds = (False, True) if haar is None else (haar,)
     operators = [make_haar_operator(n, 2) if kind else make_dft_operator(n) for kind in kinds]
     net = _random_net((3, 8, 12, n), rng)
-    plan = optimized_probabilities(0.5 + rng.random(n))
-    systems = []
-    for i, m in enumerate((3, 11, 24, 40, 200)):
-        F = operators[i % len(operators)]
-        sample = draw_sample(plan, m, rng)
-        ms = simulate_measurements(F, sample, generative_forward(net, rng.standard_normal(3)), 0.5, seed=rng)
-        systems.append((SampledOperator(F, sample), ms, int(rng.integers(2**32))))
+    systems = _stacked_draws(operators, net, (3, 11, 24, 40, 200), rng)
     assert len({A.rows.size for A, _, _ in systems}) == len(systems)  # draws of unequal drawn-row counts
     A, ms, _ = systems[2]
     faulty = [(A, np.full_like(ms, np.nan), 7), (A, ms[:-1], 8)]
@@ -686,6 +695,49 @@ def test_generative_stack_is_each_one_draw_solve_bitwise(haar):
         ref = recover_generative(A, ms, net, restarts=4, iters=30, seed=seed)
         assert np.array_equal(got.x_hat, ref.x_hat)
         assert (got.objective, got.iterations, got.flags) == (ref.objective, ref.iterations, ref.flags)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 10])
+def test_solve_stack_is_the_trial_major_step_bitwise(restarts):
+    """The (H, T R) step gives every system of a stack of DFT and Haar draws the objective and
+    winner of the trial-major (T, H, R) step bitwise; at one restart a system's products are
+    single columns, a case that comparing the stack with one-draw solves cannot reach."""
+    n = 32
+    rng = _rng(44)
+    operators = [make_dft_operator(n), make_haar_operator(n, 2)]
+    net = _random_net((3, 8, 12, n), rng)
+    systems = [
+        recovery._latent_system(A, b, net, A.F.forward(net.weights[-1]), restarts, 4, seed)
+        for A, b, seed in _stacked_draws(operators, net, (3, 11, 24, 40, 200, 17), rng)
+    ]
+    got = recovery._solve_stack(net, systems, 30, 0.05)
+    want = trial_major_solve_stack(net, systems, 30, 0.05)
+    assert len(got) == len(want) == len(systems)
+    for (obj, h), (ref_obj, ref_h) in zip(got, want):
+        assert obj == ref_obj and np.array_equal(h, ref_h)
+
+
+def test_generative_stack_transforms_w_last_once_per_operator():
+    """Five draws on two operators make one forward of W_last per operator and no adjoint; a
+    draw whose set-up raises, the first on its operator, fails alone with the error it raises
+    alone, and every other draw gets its one-draw result."""
+    n = 32
+    rng = _rng(45)
+    operators = [_CountingOperator(make_dft_operator(n)), _CountingOperator(make_haar_operator(n, 2))]
+    net = _random_net((3, 8, 12, n), rng)
+    draws = _stacked_draws(operators, net, (5, 11, 24, 40, 17), rng)
+    A, ms, seed = draws[0]
+    faulty = (A, ms[:-1], seed)
+    for F in operators:
+        F.forward_calls = 0  # the simulated measurements transformed too
+    results = recover_generative_stack([faulty] + draws, net, restarts=3, iters=20)
+    assert [(F.forward_calls, F.adjoint_calls) for F in operators] == [(1, 0), (1, 0)]
+    with pytest.raises(ValueError) as expected:
+        recover_generative(A, ms[:-1], net, restarts=3, iters=20, seed=seed)
+    assert type(results[0]) is ValueError and str(results[0]) == str(expected.value)
+    for (A, ms, seed), got in zip(draws, results[1:]):
+        ref = recover_generative(A, ms, net, restarts=3, iters=20, seed=seed)
+        assert np.array_equal(got.x_hat, ref.x_hat) and got.objective == ref.objective
 
 
 @pytest.mark.parametrize("haar", [False, True])
@@ -703,7 +755,7 @@ def test_generative_triangle_is_the_residual_up_to_a_constant(haar, m):
     A = SampledOperator(F, sample)
     stacked_rows = A.rows.size * (1 if haar else 2)
     assert (stacked_rows < width + 1) == (m == 3)
-    design, target, _, floor = recovery._latent_system(A, b, net, 2, 4, 5)
+    design, target, _, floor = recovery._latent_system(A, b, net, F.forward(net.weights[-1]), 2, 4, 5)
     assert design.shape == (width, width) and target.shape == (width, 1)
     h = rng.standard_normal((width, 6))
     expected = [objective(A, net.weights[-1] @ column, b) for column in h.T]
